@@ -282,6 +282,8 @@ def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
         for rownum, row in enumerate(reader, start=2):
             if any(v is None for v in row.values()):
                 raise DataError(f"{path}: row {rownum} has too few fields")
+            if None in row:  # DictReader files surplus fields under the key None
+                raise DataError(f"{path}: row {rownum} has too many fields")
             unit = row["unit"].strip()
             if not unit:
                 raise DataError(f"{path}: row {rownum}: empty unit label")

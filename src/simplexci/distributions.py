@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .exceptions import ConvergenceError
+
 __all__ = [
     "regularized_gamma_p",
     "chi2_cdf",
@@ -24,6 +26,9 @@ __all__ = [
 
 _MAX_ITER = 600
 _REL_EPS = 1e-17
+# Newton-bisection steps allowed to a chi-square quantile; bisection alone
+# pins a double within about 64.
+_QUANTILE_MAX_ITER = 200
 
 
 def _lower_series(a: float, x: float) -> float:
@@ -138,10 +143,14 @@ def chi2_quantile(p: float, k: int) -> float:
     Notes
     -----
     The root is bracketed first, then polished with Newton steps on the
-    density; any Newton iterate leaving the bracket falls back to bisection,
-    so convergence is guaranteed. Results are cached because sweeps over a
-    simplex grid request the same handful of quantiles repeatedly. Arguments
-    are validated before the cache so a bool never aliases a cached int key.
+    density; any Newton iterate leaving the bracket falls back to bisection.
+    The steps are capped: a root not pinned within the cap raises
+    ``ConvergenceError`` naming ``p`` and ``k`` instead of returning an
+    unconverged iterate, because a sweep applies each critical value to
+    every point with that many degrees of freedom. Results are cached
+    because sweeps over a simplex grid request the same handful of
+    quantiles repeatedly. Arguments are validated before the cache so a
+    bool never aliases a cached int key.
     """
     _check_prob(p)
     _check_dof(k)
@@ -155,7 +164,7 @@ def _chi2_quantile_cached(p: float, k: int) -> float:
     while chi2_cdf(hi, k) < p:
         hi *= 2.0
     x = 0.5 * (lo + hi)
-    for _ in range(200):
+    for _ in range(_QUANTILE_MAX_ITER):
         err = chi2_cdf(x, k) - p
         if err > 0.0:
             hi = x
@@ -171,7 +180,10 @@ def _chi2_quantile_cached(p: float, k: int) -> float:
         if abs(nxt - x) <= 1e-14 * (1.0 + abs(nxt)):
             return nxt
         x = nxt
-    return x
+    raise ConvergenceError(
+        f"chi-square quantile at p={p!r} with k={k} did not converge in "
+        f"{_QUANTILE_MAX_ITER} iterations"
+    )
 
 
 def normal_cdf(z: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -397,11 +397,14 @@ def make_weight_model(
     ``f_hat(w)`` premultiplies the gradient ``H w - h`` by the basis
     transpose. In ``"pointwise"`` mode the covariance is the transformed
     plug-in covariance re-evaluated at each candidate (requires
-    ``influence``); in ``"fixed"`` mode the K x K covariance ``v_fixed``
-    (for example a bootstrap covariance at the estimated weights) is
-    transformed once and reused for every candidate. Any quadratic objective
-    can be routed through here by constructing ``QuadraticComponents`` and
-    ``InfluenceSet`` from user-supplied arrays.
+    ``influence``), and the model also carries the moment tensor of the
+    rotated influences, built in O(n K^4) on a sweep's first request, from
+    which ``confidence_set`` evaluates that covariance at every lattice
+    point without a pass over the units; in ``"fixed"`` mode the K x K
+    covariance ``v_fixed`` (for example a bootstrap covariance at the
+    estimated weights) is transformed once and reused for every candidate.
+    Any quadratic objective can be routed through here by constructing
+    ``QuadraticComponents`` and ``InfluenceSet`` from user-supplied arrays.
     """
     K = components.h.size
     if K < 2:
@@ -426,6 +429,16 @@ def make_weight_model(
         def omega_hat(w: np.ndarray) -> np.ndarray:
             return b2.T @ variance_at(influence, w) @ b2
 
+        @cache
+        def moments() -> np.ndarray:
+            # unit i's rotated influence at w is R_i v with v = (w, 1) and
+            # R_i = B2' [psi_H[i] | -psi_h[i]], so omega_hat(w) is
+            # sum_ab v_a v_b M[a, b] with M[a, b] = mean_i R_i[:, a] R_i[:, b]'
+            lifted = np.concatenate([influence.psi_H, -influence.psi_h[:, :, None]], axis=2)
+            rotated = np.einsum("kp,ika->ipa", b2, lifted).reshape(size, -1)
+            gram = rotated.T @ rotated / size
+            return gram.reshape(K - 1, K + 1, K - 1, K + 1).transpose(1, 3, 0, 2)
+
     elif mode == "fixed":
         if v_fixed is None:
             raise ValueError("fixed mode requires v_fixed")
@@ -443,7 +456,11 @@ def make_weight_model(
         def omega_hat(w: np.ndarray) -> np.ndarray:
             return fixed
 
+        moments = None
+
     else:
         raise ValueError(f"mode must be 'pointwise' or 'fixed', got {mode!r}")
 
-    return WeightModel(K=K, n=size, f_hat=f_hat, omega_hat=omega_hat, mode=mode, basis=b)
+    return WeightModel(
+        K=K, n=size, f_hat=f_hat, omega_hat=omega_hat, mode=mode, basis=b, moments=moments
+    )

@@ -11,10 +11,11 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "build_basis",
     "check_simplex_point",
     "project_cone",
+    "project_cone_batch",
     "project_polar",
     "project_linear_span",
     "solve_simplex_qp",
@@ -373,6 +375,90 @@ def project_cone(
         objective=objective,
         degenerate=degenerate,
     )
+
+
+def project_cone_batch(
+    f_hat: np.ndarray,
+    w: np.ndarray,
+    chol: np.ndarray,
+    basis: OrthoBasis,
+    tol: Optional[Tolerances] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted cone projections of many ``(f_hat, w, omega)`` triples at once.
+
+    Row ``i`` solves the problem of ``project_cone(f_hat[i], w[i], omega_i)``
+    given the lower Cholesky factor ``chol[i]`` of ``omega_i``. Rows are
+    grouped by the size of the vanishing set ``Z`` of ``w``. A group tries
+    the subsets of ``Z`` in order of increasing size, over its still
+    unsolved rows and by position within each row's own ``Z``, and a row
+    accepts the first subset whose least-squares multipliers are strictly
+    positive and whose remaining gradient-image entries on ``Z`` are at
+    most the dual tolerance of ``project_cone``'s active-set solver. Those
+    are the KKT conditions of the projection, so the accepted subset is the
+    support of its unique solution. Zeros are counted with
+    ``project_cone``'s cutoff. The inputs are not validated: ``w`` must hold
+    simplex points and ``chol`` nonsingular factors.
+
+    Returns ``(objective, zeros, solved)``. A group stops after
+    ``tol.max_iter_factor * K`` subsets; its rows left unsolved then, or
+    without any feasible subset, have ``solved`` False and meaningless
+    ``objective`` and ``zeros``, and need ``project_cone``.
+    """
+    tol = tol if tol is not None else Tolerances()
+    f = np.asarray(f_hat, dtype=float)
+    n_rows, dim = f.shape
+    K = dim + 1
+    b2 = basis.b2
+    target = np.linalg.solve(chol, f[..., None])[..., 0]
+    lam = np.zeros((n_rows, K))
+    vanishing = np.asarray(w) <= tol.support
+    sizes = vanishing.sum(axis=1)
+    solved = sizes == 0
+    for size in range(1, K):
+        rows = np.flatnonzero(sizes == size)
+        if rows.size == 0:
+            continue
+        zset = np.nonzero(vanishing[rows])[1].reshape(rows.size, size)
+        # whitened generators: column j of row i is L_i^-1 B2[zset[i, j]]'
+        gens = np.linalg.solve(chol[rows], np.swapaxes(b2[zset], 1, 2))
+        white = target[rows]
+        # the active-set solver's dual tolerance, from the gradient at lam = 0
+        start = np.abs(np.einsum("mdz,md->mz", gens, white)).max(axis=1)
+        dual_tol = 1e-11 * np.maximum(1.0, start)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(size), k) for k in range(size + 1)
+        )
+        pending = np.arange(rows.size)
+        for subset in itertools.islice(subsets, tol.max_iter_factor * K):
+            active = list(subset)
+            rest = [j for j in range(size) if j not in subset]
+            open_gens = gens[pending]
+            t = white[pending]
+            ok = np.ones(pending.size, dtype=bool)
+            if active:
+                design = open_gens[:, :, active]
+                q, r = np.linalg.qr(design)
+                coef = np.linalg.solve(r, np.einsum("mds,md->ms", q, t)[..., None])[..., 0]
+                t = t - np.einsum("mds,ms->md", design, coef)
+                ok = (coef > 0.0).all(axis=1)
+            dual = np.einsum("mdz,md->mz", open_gens[:, :, rest], t)
+            ok &= (dual <= dual_tol[pending, None]).all(axis=1)
+            done = pending[ok]
+            if active:
+                lam[rows[done][:, None], zset[done][:, active]] = coef[ok]
+            solved[rows[done]] = True
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+
+    residual = f - lam @ b2
+    white = np.linalg.solve(chol, residual[..., None])
+    objective = np.einsum("nd,nd->n", white[..., 0], white[..., 0])
+    gradient_image = np.linalg.solve(np.swapaxes(chol, 1, 2), white)[..., 0] @ b2.T
+    magnitude = np.abs(gradient_image)
+    cutoff = tol.zero * (1.0 + magnitude.max(axis=1))
+    zeros = np.count_nonzero(magnitude <= cutoff[:, None], axis=1)
+    return objective, zeros, solved
 
 
 def project_polar(

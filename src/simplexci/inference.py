@@ -16,7 +16,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .geometry import (
     build_basis,
     check_simplex_point,
     project_cone,
+    project_cone_batch,
 )
 
 __all__ = [
@@ -45,6 +46,10 @@ __all__ = [
 ]
 
 _GRID_CAP = 5_000_000
+# Lattice points a sweep tests in one batch. A batch holds a few arrays of
+# up to (K+1)^2 entries per point, so batching keeps a sweep's working
+# memory small beside its records.
+_BATCH_POINTS = 1024
 
 
 @dataclass
@@ -58,6 +63,12 @@ class WeightModel:
     one matrix for all candidates (for example, a bootstrap covariance
     evaluated at the estimated weights). ``n`` is the sample size that scales
     the test statistic.
+
+    ``moments``, when set, returns the moment tensor ``M`` of shape
+    ``(K+1, K+1, K-1, K-1)`` with ``omega_hat(w) == sum_ab v_a v_b M[a, b]``
+    up to rounding, where ``v = (w, 1)``; ``confidence_set`` then evaluates
+    the covariance of the whole lattice from it instead of calling
+    ``omega_hat`` per point. It may build ``M`` on its first call.
     """
 
     K: int
@@ -66,6 +77,7 @@ class WeightModel:
     omega_hat: Callable[[np.ndarray], np.ndarray]
     mode: str = "pointwise"
     basis: Optional[OrthoBasis] = None
+    moments: Optional[Callable[[], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.K < 2:
@@ -250,6 +262,95 @@ def point_test(
     )
 
 
+def _factor_covariances(
+    omegas: np.ndarray, checked: np.ndarray, cond_cap: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of a stack of covariances, and which rows have one.
+
+    Rows with ``checked`` set must pass ``SpdMatrix.from_matrix``'s rules
+    (finite, symmetric within its default ``sym_tol``, positive definite,
+    condition number within ``cond_cap``), as ``point_test`` requires,
+    and every row must have a Cholesky factor. The factor of a failing row
+    is meaningless.
+    """
+    dim = omegas.shape[1]
+    finite = np.isfinite(omegas).all(axis=(1, 2))
+    omegas = np.where(finite[:, None, None], omegas, 0.0)
+    transposed = np.swapaxes(omegas, 1, 2)
+    scale = np.maximum(1.0, np.abs(omegas).max(axis=(1, 2)))
+    asymmetry = np.abs(omegas - transposed).max(axis=(1, 2))
+    ok = finite & (~checked | (asymmetry <= 1e-10 * scale))
+    sym = 0.5 * (omegas + transposed)
+    audit = np.flatnonzero(ok & checked)
+    eigs = np.linalg.eigvalsh(sym[audit])
+    low, high = eigs[:, 0], eigs[:, -1]
+    cond = np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0.0)
+    ok[audit] = (low > 0.0) & (cond <= cond_cap)
+    sym[~ok] = np.eye(dim)  # a stand-in, so that the stack factors as a whole
+    try:
+        return np.linalg.cholesky(sym), ok
+    except np.linalg.LinAlgError:
+        chol = np.zeros_like(sym)
+        for i, matrix in enumerate(sym):
+            try:
+                chol[i] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return chol, ok
+
+
+def _batch_tests(
+    model: WeightModel, points: np.ndarray, tol: Tolerances, cond_cap: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Statistics and zero counts of ``point_test`` at a batch of points.
+
+    Stacks the gradients (``f_hat`` per row) and the covariances (from
+    ``model.moments`` when set, else ``omega_hat`` per row), validates and
+    factors the covariances, and projects with ``project_cone_batch``.
+    Returns ``(statistic, zeros, settled)``; a row is unsettled when
+    anything in that chain failed or was left undone for it (a model
+    callable raised, a covariance failed validation or factorization, the
+    projection needs the scalar solver); its statistic and zeros are
+    meaningless, and ``point_test`` must give its result or error.
+    """
+    N, K = points.shape
+    dim = K - 1
+    settled = np.abs(points.sum(axis=1) - 1.0) <= tol.support
+    gradients = np.zeros((N, dim))
+    checked = np.ones(N, dtype=bool)  # rows whose covariance point_test would validate
+    if model.moments is not None:
+        lifted = np.column_stack([points, np.ones(N)])
+        outer = (lifted[:, :, None] * lifted[:, None, :]).reshape(N, -1)
+        tensor = np.reshape(model.moments(), ((K + 1) ** 2, dim * dim))
+        omegas = (outer @ tensor).reshape(N, dim, dim)
+    else:
+        omegas = np.zeros((N, dim, dim))
+    # a row the loop cannot take goes to point_test, which repeats the calls
+    # and raises or records their error in lattice order
+    for i, w in enumerate(points):
+        try:
+            f = np.asarray(model.f_hat(w), dtype=float).ravel()
+            raw = None if model.moments is not None else model.omega_hat(w)
+        except (IllConditionedError, ConvergenceError):
+            settled[i] = False
+            continue
+        if f.size != dim:
+            settled[i] = False
+        else:
+            gradients[i] = f
+        if isinstance(raw, SpdMatrix):
+            omegas[i] = raw.entries
+            checked[i] = False
+        elif isinstance(raw, np.ndarray) and raw.shape == (dim, dim):
+            omegas[i] = raw
+        elif raw is not None:
+            settled[i] = False
+    chol, factored = _factor_covariances(omegas, checked, cond_cap)
+    # an unsettled row carries an identity factor, so projecting it is harmless
+    objective, zeros, solved = project_cone_batch(gradients, points, chol, model.basis, tol)
+    return model.n * objective, zeros, settled & factored & solved
+
+
 def confidence_set(
     model: WeightModel,
     alpha: float,
@@ -262,17 +363,47 @@ def confidence_set(
 ) -> ConfidenceSet:
     """Sweep a simplex lattice and keep the points whose test passes.
 
-    Numerical failures at individual points (an ill-conditioned covariance,
-    a projection that does not converge) are recorded on that point's
-    ``PointTest`` with ``member=False`` and surfaced as a warning; with
-    ``strict=True`` they raise instead.
+    Every point gets ``point_test``'s record, computed for batches of
+    points at once; points a batch cannot settle are tested one by one with
+    ``point_test`` itself. Numerical failures at individual points
+    (an ill-conditioned covariance, a projection that does not converge)
+    are recorded on that point's ``PointTest`` with ``member=False`` and
+    surfaced as a warning; with ``strict=True`` the first one in lattice
+    order raises instead.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    tol = tol if tol is not None else Tolerances()
     res = resolution if resolution is not None else default_resolution(model.K)
     grid = simplex_grid(model.K, res, max_points=max_points)
+    points = grid.copy()
+    points.setflags(write=False)
+    statistic = np.zeros(len(points))
+    zeros = np.zeros(len(points), dtype=int)
+    settled = np.zeros(len(points), dtype=bool)
+    for start in range(0, len(points), _BATCH_POINTS):
+        batch = slice(start, start + _BATCH_POINTS)
+        statistic[batch], zeros[batch], settled[batch] = _batch_tests(
+            model, points[batch], tol, cond_cap
+        )
+    dofs = np.maximum(model.K - 1 - zeros, 1)
+    critical = {k: chi2_quantile(1.0 - alpha, k) for k in set(dofs[settled].tolist())}
     records: List[PointTest] = []
-    for row in grid:
+    for i, row in enumerate(points):
+        if settled[i]:
+            dof = int(dofs[i])
+            value = float(statistic[i])
+            records.append(
+                PointTest(
+                    w=row,
+                    statistic=value,
+                    zeros=int(zeros[i]),
+                    dof=dof,
+                    critical=critical[dof],
+                    member=value <= critical[dof],
+                )
+            )
+            continue
         try:
             records.append(point_test(model, row, alpha, tol=tol, cond_cap=cond_cap))
         except (IllConditionedError, ConvergenceError) as exc:
@@ -281,11 +412,9 @@ def confidence_set(
             warnings.warn(
                 f"skipping grid point {row.tolist()}: {exc}", RuntimeWarning, stacklevel=2
             )
-            frozen = row.copy()
-            frozen.setflags(write=False)
             records.append(
                 PointTest(
-                    w=frozen,
+                    w=row,
                     statistic=float("inf"),
                     zeros=0,
                     dof=model.K - 1,

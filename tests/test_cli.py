@@ -151,6 +151,15 @@ def test_malformed_csv_is_a_validation_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_csv_row_with_extra_fields_is_a_validation_error(tmp_path, capsys):
+    bad = tmp_path / "wide.csv"
+    bad.write_text(
+        "unit,group,time,outcome\na,0,1,1.0\na,0,2,1.0,EXTRA\n", encoding="utf-8"
+    )
+    assert main(["infer", str(bad)]) == 1
+    assert "row 3 has too many fields" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["infer"])  # missing input path

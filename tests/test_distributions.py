@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from simplexci import distributions
 from simplexci.distributions import (
     chi2_cdf,
     chi2_pdf,
@@ -14,6 +15,7 @@ from simplexci.distributions import (
     normal_quantile,
     regularized_gamma_p,
 )
+from simplexci.exceptions import ConvergenceError
 
 from oracles import chi2_quantile_quadrature, normal_quantile_erf
 
@@ -37,6 +39,20 @@ def test_chi2_quantile_matches_quadrature_oracle():
         for p in [0.5, 0.9, 0.95, 0.99]:
             oracle = chi2_quantile_quadrature(p, k)
             assert abs(chi2_quantile(p, k) - oracle) <= 1e-6, (k, p)
+
+
+def test_chi2_quantile_converges_for_sweep_levels_up_to_1000_dof():
+    # a sweep computes each critical value once and applies it to every
+    # point with that many degrees of freedom
+    for p in (0.95, 0.995):
+        for k in range(1, 1001):
+            assert abs(chi2_cdf(chi2_quantile(p, k), k) - p) <= 1e-9, (p, k)
+
+
+def test_chi2_quantile_raises_instead_of_returning_an_unconverged_iterate(monkeypatch):
+    monkeypatch.setattr(distributions, "_QUANTILE_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match=r"p=0\.9123 with k=7"):
+        chi2_quantile(0.9123, 7)
 
 
 def test_chi2_cdf_quantile_round_trip():

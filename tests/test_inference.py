@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 from simplexci.distributions import chi2_quantile, normal_quantile
-from simplexci.estimators import influence_set, make_weight_model, quadratic_components
-from simplexci.exceptions import IllConditionedError
-from simplexci.geometry import build_basis
+from simplexci.estimators import (
+    bootstrap_variance,
+    influence_set,
+    make_weight_model,
+    quadratic_components,
+)
+from simplexci.exceptions import ConvergenceError, IllConditionedError
+from simplexci.geometry import Tolerances, build_basis
 from simplexci.inference import (
     ConfidenceSet,
     Interval,
@@ -335,3 +340,105 @@ def test_fixed_mode_reuses_one_covariance():
     first = fixed.omega_hat(grid[0])
     second = fixed.omega_hat(grid[-1])
     assert first is second
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep against the scalar point test
+
+
+def scalar_sweep(model, alpha, resolution, **options):
+    """Per-point reference: ``point_test`` at every lattice point, with the
+    skip record and warning text a sweep gives a numerically failed point."""
+    records, messages = [], []
+    for row in simplex_grid(model.K, resolution):
+        try:
+            records.append(point_test(model, row, alpha, **options))
+        except (IllConditionedError, ConvergenceError) as exc:
+            messages.append(f"skipping grid point {row.tolist()}: {exc}")
+            records.append(
+                PointTest(
+                    w=row, statistic=math.inf, zeros=0, dof=model.K - 1,
+                    critical=math.nan, member=False, error=str(exc),
+                )
+            )
+    return records, messages
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.w, b.w)
+        assert (a.zeros, a.dof, a.member, a.error) == (b.zeros, b.dof, b.member, b.error), b.w
+        if b.error is None:
+            assert a.critical == b.critical
+            assert abs(a.statistic - b.statistic) <= 1e-12 * abs(b.statistic), b.w
+        else:
+            assert math.isinf(a.statistic) and math.isnan(a.critical)
+
+
+def sweep_models(K):
+    """Plug-in and fixed-covariance models of a panel whose true weight sits
+    on an edge, so that boundary projections hit faces of their cones."""
+    spec = McSpec(K=K, n_j=30, design="boundary", reps=1, seed=K)
+    panel = generate_panel(spec, K, K + 1)
+    components = quadratic_components(panel)
+    influence = influence_set(panel, components)
+    v_star = bootstrap_variance(panel, spec.w0, 200, seed=K)
+    return {
+        "plugin": make_weight_model(components, influence),
+        "fixed": make_weight_model(components, influence, mode="fixed", v_fixed=v_star),
+    }
+
+
+@pytest.mark.parametrize("K,resolution", [(3, 20), (4, 12), (5, 8), (6, 7)])
+@pytest.mark.parametrize("covariance", ["plugin", "fixed"])
+def test_batched_sweep_matches_scalar_point_test(K, resolution, covariance):
+    model = sweep_models(K)[covariance]
+    assert (model.moments is not None) == (covariance == "plugin")
+    cs = confidence_set(model, 0.05, resolution)
+    want, _ = scalar_sweep(model, 0.05, resolution)
+    assert_same_records(cs.records, want)
+    # the lattice holds every zero pattern with at least one positive weight
+    patterns = {tuple(r.w == 0.0) for r in cs.records}
+    assert len(patterns) == 2**K - 1
+    assert any(r.zeros > 0 for r in cs.records)
+
+
+def test_batched_sweep_hands_large_enumerations_to_the_scalar_path(monkeypatch):
+    # at K=9 a vertex has 8 vanishing coordinates; a subset budget of
+    # max_iter_factor * K = 18 leaves the vertex and edge points whose
+    # projection face needs a larger subset to the scalar point test
+    from simplexci import inference
+
+    model, _ = panel_model(K=9, n_j=30, seed=3)
+    tol = Tolerances(max_iter_factor=2)
+    handed = []
+
+    def counting_point_test(model, w, alpha, **options):
+        handed.append(int(np.count_nonzero(np.asarray(w) == 0.0)))
+        return point_test(model, w, alpha, **options)
+
+    monkeypatch.setattr(inference, "point_test", counting_point_test)
+    cs = confidence_set(model, 0.05, 3, tol=tol)
+    want, _ = scalar_sweep(model, 0.05, 3, tol=tol)
+    assert_same_records(cs.records, want)
+    assert 8 in handed and 7 in handed  # vertices and edges
+    assert len(handed) < len(cs.records)
+
+
+def test_batched_sweep_keeps_skip_records_warnings_and_strict_order():
+    model, _ = panel_model(K=3, n_j=40, seed=3)
+    want, messages = scalar_sweep(model, 0.05, 10, cond_cap=1.9)
+    assert 0 < len(messages) < len(want)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cs = confidence_set(model, 0.05, 10, cond_cap=1.9)
+    assert_same_records(cs.records, want)
+    assert [str(w.message) for w in caught] == messages
+    assert all(w.category is RuntimeWarning for w in caught)
+    # strict mode raises the error of the first failing point in lattice order
+    first = next(r for r in want if r.error is not None)
+    with pytest.raises(IllConditionedError) as exc:
+        confidence_set(model, 0.05, 10, cond_cap=1.9, strict=True)
+    assert str(exc.value) == first.error
+    assert f"w={first.w.tolist()}" in first.error
