@@ -40,8 +40,6 @@ from .geometry import (
     build_basis,
     check_simplex_point,
     project_cone,
-    project_linear_span,
-    project_polar,
     solve_simplex_qp,
 )
 from .inference import (
@@ -71,8 +69,6 @@ __all__ = [
     "build_basis",
     "check_simplex_point",
     "project_cone",
-    "project_polar",
-    "project_linear_span",
     "solve_simplex_qp",
     "regularized_gamma_p",
     "chi2_cdf",

@@ -362,12 +362,12 @@ def _infer_csv(cs: ConfidenceSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _intervals_csv(intervals: List[dict]) -> str:
-    lines = ["coordinate,lower,upper,empty"]
-    for item in intervals:
-        lower = "" if item["lower"] is None else _fmt(item["lower"])
-        upper = "" if item["upper"] is None else _fmt(item["upper"])
-        lines.append(f"{item['coordinate']},{lower},{upper},{'true' if item['empty'] else 'false'}")
+def _intervals_csv(first_column: str, rows: List[tuple]) -> str:
+    """CSV table of ``(label, interval document)`` rows."""
+    lines = [f"{first_column},lower,upper,empty"]
+    for label, item in rows:
+        cells = [_csv_cell(item[key]) for key in ("lower", "upper", "empty")]
+        lines.append(",".join([label] + cells))
     return "\n".join(lines) + "\n"
 
 
@@ -482,7 +482,8 @@ def run(cfg: RunConfig) -> int:
 
     if cfg.command == "project":
         if cfg.fmt == "csv":
-            _write(_intervals_csv(intervals), cfg.out)
+            rows = [(str(item["coordinate"]), item) for item in intervals]
+            _write(_intervals_csv("coordinate", rows), cfg.out)
         else:
             doc = _sweep_doc(cfg, cs, w_hat, model.n)
             doc["intervals"] = intervals
@@ -504,22 +505,9 @@ def run(cfg: RunConfig) -> int:
         "projection_intervals": intervals,
     }
     if cfg.fmt == "csv":
-        lines = ["quantity,lower,upper,empty"]
-        theta_doc = doc["theta_interval"]
-        lines.append(
-            "theta,"
-            + ("" if theta_doc["lower"] is None else _fmt(theta_doc["lower"]))
-            + ","
-            + ("" if theta_doc["upper"] is None else _fmt(theta_doc["upper"]))
-            + f",{'true' if theta_doc['empty'] else 'false'}"
-        )
-        for item in intervals:
-            lower = "" if item["lower"] is None else _fmt(item["lower"])
-            upper = "" if item["upper"] is None else _fmt(item["upper"])
-            lines.append(
-                f"w_{item['coordinate']},{lower},{upper},{'true' if item['empty'] else 'false'}"
-            )
-        _write("\n".join(lines) + "\n", cfg.out)
+        rows = [("theta", doc["theta_interval"])]
+        rows += [(f"w_{item['coordinate']}", item) for item in intervals]
+        _write(_intervals_csv("quantity", rows), cfg.out)
     else:
         _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
     return 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -394,16 +394,17 @@ def make_weight_model(
 ) -> WeightModel:
     """Assemble the WeightModel consumed by the pointwise tests.
 
-    ``f_hat(w)`` premultiplies the gradient ``H w - h`` by the basis
-    transpose. In ``"pointwise"`` mode the covariance is the transformed
-    plug-in covariance re-evaluated at each candidate (requires
-    ``influence``), and the model also carries the moment tensor of the
-    rotated influences, built in O(n K^4) on a sweep's first request, from
-    which ``confidence_set`` evaluates that covariance at every lattice
-    point without a pass over the units; in ``"fixed"`` mode the K x K
-    covariance ``v_fixed`` (for example a bootstrap covariance at the
-    estimated weights) is transformed once and reused for every candidate.
-    Any quadratic objective can be routed through here by constructing
+    The gradient ``B2'(H w - h)`` is ``G v`` with ``v = (w, 1)`` and
+    ``G = B2'[H | -h]``. In ``"pointwise"`` mode (requires ``influence``)
+    the covariance is the transformed plug-in covariance re-evaluated at
+    each candidate: unit i's rotated influence at ``w`` is ``R_i v`` with
+    ``R_i = B2'[psi_H[i] | -psi_h[i]]``, so ``M[a, b]`` is the mean of
+    ``R_i[:, a] R_i[:, b]'`` over units, built once in O(n K^4). In
+    ``"fixed"`` mode the K x K covariance ``v_fixed`` (for example a
+    bootstrap covariance at the estimated weights) is transformed and
+    validated by ``SpdMatrix.from_matrix`` once and becomes the constant
+    block ``M[K, K]``; ``n`` defaults to the size of ``influence``. Any
+    quadratic objective can be routed through here by constructing
     ``QuadraticComponents`` and ``InfluenceSet`` from user-supplied arrays.
     """
     K = components.h.size
@@ -413,54 +414,31 @@ def make_weight_model(
     if b.K != K:
         raise ValueError(f"basis dimension {b.K} does not match K={K}")
     b2 = b.b2
-    H = components.H
-    h = components.h
-
-    def f_hat(w: np.ndarray) -> np.ndarray:
-        return b2.T @ (H @ w - h)
-
+    G = b2.T @ np.column_stack([components.H, -components.h])
     if mode == "pointwise":
         if influence is None:
             raise ValueError("pointwise mode requires an InfluenceSet")
         if influence.psi_h.shape[1] != K:
             raise ValueError("influence dimension does not match components")
         size = influence.n
-
-        def omega_hat(w: np.ndarray) -> np.ndarray:
-            return b2.T @ variance_at(influence, w) @ b2
-
-        @cache
-        def moments() -> np.ndarray:
-            # unit i's rotated influence at w is R_i v with v = (w, 1) and
-            # R_i = B2' [psi_H[i] | -psi_h[i]], so omega_hat(w) is
-            # sum_ab v_a v_b M[a, b] with M[a, b] = mean_i R_i[:, a] R_i[:, b]'
-            lifted = np.concatenate([influence.psi_H, -influence.psi_h[:, :, None]], axis=2)
-            rotated = np.einsum("kp,ika->ipa", b2, lifted).reshape(size, -1)
-            gram = rotated.T @ rotated / size
-            return gram.reshape(K - 1, K + 1, K - 1, K + 1).transpose(1, 3, 0, 2)
-
+        lifted = np.concatenate([influence.psi_H, -influence.psi_h[:, :, None]], axis=2)
+        rotated = np.matmul(b2.T, lifted).reshape(size, -1)
+        gram = rotated.T @ rotated / size
+        M = gram.reshape(K - 1, K + 1, K - 1, K + 1).transpose(1, 3, 0, 2)
     elif mode == "fixed":
         if v_fixed is None:
             raise ValueError("fixed mode requires v_fixed")
         v = np.asarray(v_fixed, dtype=float)
         if v.shape != (K, K):
             raise ValueError(f"v_fixed must have shape {(K, K)}, got {v.shape}")
-        fixed = SpdMatrix.from_matrix(b2.T @ v @ b2)
         if n is not None:
             size = n
         elif influence is not None:
             size = influence.n
         else:
             raise ValueError("fixed mode needs n (or an InfluenceSet to take it from)")
-
-        def omega_hat(w: np.ndarray) -> np.ndarray:
-            return fixed
-
-        moments = None
-
+        M = np.zeros((K + 1, K + 1, K - 1, K - 1))
+        M[K, K] = SpdMatrix.from_matrix(b2.T @ v @ b2).entries
     else:
         raise ValueError(f"mode must be 'pointwise' or 'fixed', got {mode!r}")
-
-    return WeightModel(
-        K=K, n=size, f_hat=f_hat, omega_hat=omega_hat, mode=mode, basis=b, moments=moments
-    )
+    return WeightModel(G=G, M=M, n=size, basis=b)

@@ -2,8 +2,8 @@
 
 This module provides the deterministic orthonormal basis of the orthogonal
 complement of the ones vector, weighted projections onto the polyhedral cone
-attached to a simplex point (and onto its polar and the spans of its faces),
-and an active-set solver for quadratic programs over the simplex.
+attached to a simplex point, and an active-set solver for quadratic programs
+over the simplex.
 
 All functions are pure and the returned containers are read-only, so results
 can be shared freely across threads.
@@ -30,8 +30,6 @@ __all__ = [
     "check_simplex_point",
     "project_cone",
     "project_cone_batch",
-    "project_polar",
-    "project_linear_span",
     "solve_simplex_qp",
 ]
 
@@ -459,59 +457,6 @@ def project_cone_batch(
     cutoff = tol.zero * (1.0 + magnitude.max(axis=1))
     zeros = np.count_nonzero(magnitude <= cutoff[:, None], axis=1)
     return objective, zeros, solved
-
-
-def project_polar(
-    y: Iterable[float],
-    w: Iterable[float],
-    omega: Union[SpdMatrix, np.ndarray],
-    basis: Optional[OrthoBasis] = None,
-    tol: Optional[Tolerances] = None,
-) -> np.ndarray:
-    """Weighted projection of ``y`` onto the polar of the cone at ``w``.
-
-    Returned as ``y`` minus the cone projection; together the two pieces form
-    the Moreau decomposition of ``y`` in the omega-weighted inner product.
-    """
-    return project_cone(y, w, omega, basis=basis, tol=tol).residual
-
-
-def project_linear_span(
-    y: Iterable[float],
-    subset: Iterable[int],
-    omega: Union[SpdMatrix, np.ndarray],
-    basis: Optional[OrthoBasis] = None,
-) -> np.ndarray:
-    """Weighted projection of ``y`` onto the span of a polar face.
-
-    The span is ``{x : [B2 omega^{-1} x]_j = 0 for j in subset}`` with
-    ``subset`` holding 0-based row indices of the basis. An empty subset
-    returns ``y`` unchanged. Any subset of K-1 or more rows pins the span to
-    the origin (the selected basis rows have full rank), so the zero vector
-    is returned exactly.
-    """
-    yv = np.asarray(y, dtype=float).ravel()
-    K = yv.size + 1
-    if basis is None:
-        basis = build_basis(K)
-    elif basis.K != K:
-        raise ValueError(f"basis dimension {basis.K} does not match input length {yv.size}")
-    idx = np.unique(np.asarray(list(subset), dtype=int)) if subset is not None else np.array([], dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= K):
-        raise ValueError(f"subset indices must lie in [0, {K - 1}]")
-    if idx.size == 0:
-        return yv.copy()
-    if idx.size >= K - 1:
-        return np.zeros(K - 1)
-    entries = _coerce_omega(omega, K - 1)
-    rows = basis.b2[idx]
-    try:
-        weighted = np.linalg.solve(entries, rows.T)  # omega^{-1} rows'
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError("covariance matrix is singular") from exc
-    gram = rows @ weighted
-    coef = np.linalg.solve(gram, weighted.T @ yv)
-    return yv - rows.T @ coef
 
 
 def solve_simplex_qp(

@@ -52,44 +52,66 @@ _GRID_CAP = 5_000_000
 _BATCH_POINTS = 1024
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WeightModel:
-    """Inputs of the pointwise test, bundled.
+    """Inputs of the pointwise test: an affine gradient and a quadratic
+    covariance, in basis coordinates.
 
-    ``f_hat`` maps a weight vector to the transformed gradient estimate (a
-    ``K-1`` vector in basis coordinates) and ``omega_hat`` to its covariance.
-    In ``"pointwise"`` mode the covariance is re-estimated at every candidate
-    weight; in ``"fixed"`` mode ``omega_hat`` ignores its argument and returns
-    one matrix for all candidates (for example, a bootstrap covariance
-    evaluated at the estimated weights). ``n`` is the sample size that scales
-    the test statistic.
-
-    ``moments``, when set, returns the moment tensor ``M`` of shape
-    ``(K+1, K+1, K-1, K-1)`` with ``omega_hat(w) == sum_ab v_a v_b M[a, b]``
-    up to rounding, where ``v = (w, 1)``; ``confidence_set`` then evaluates
-    the covariance of the whole lattice from it instead of calling
-    ``omega_hat`` per point. It may build ``M`` on its first call.
+    With ``v = (w, 1)`` the transformed gradient estimate at a weight ``w``
+    is ``f(w) = G v`` and its covariance is
+    ``Omega(w) = sum_ab v_a v_b M[a, b]``. ``G`` has shape ``(K-1, K+1)``
+    and ``M`` shape ``(K+1, K+1, K-1, K-1)``; ``K`` is taken from ``G``. A
+    covariance that does not depend on ``w`` (for example a bootstrap
+    covariance at the estimated weights) is the block ``M[K, K]`` with every
+    other block zero. ``n`` is the sample size that scales the test
+    statistic, and ``basis`` (the Helmert basis by default) is the basis the
+    coordinates refer to. Both arrays are copied and made read-only.
     """
 
-    K: int
+    G: np.ndarray
+    M: np.ndarray
     n: int
-    f_hat: Callable[[np.ndarray], np.ndarray]
-    omega_hat: Callable[[np.ndarray], np.ndarray]
-    mode: str = "pointwise"
     basis: Optional[OrthoBasis] = None
-    moments: Optional[Callable[[], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if self.K < 2:
-            raise ValueError(f"K must be at least 2, got {self.K}")
+        G = np.array(self.G, dtype=float)
+        M = np.array(self.M, dtype=float, order="C")
+        if G.ndim != 2 or G.shape[1] != G.shape[0] + 2:
+            raise ValueError(f"G must have shape (K-1, K+1), got {G.shape}")
+        K = G.shape[0] + 1
+        if K < 2:
+            raise ValueError(f"K must be at least 2, got {K}")
+        if M.shape != (K + 1, K + 1, K - 1, K - 1):
+            raise ValueError(f"M must have shape {(K + 1, K + 1, K - 1, K - 1)}, got {M.shape}")
+        if not (np.all(np.isfinite(G)) and np.all(np.isfinite(M))):
+            raise ValueError("G and M must have finite entries")
         if self.n < 1:
             raise ValueError(f"sample size must be positive, got {self.n}")
-        if self.mode not in ("pointwise", "fixed"):
-            raise ValueError(f"mode must be 'pointwise' or 'fixed', got {self.mode!r}")
         if self.basis is None:
-            self.basis = build_basis(self.K)
-        elif self.basis.K != self.K:
-            raise ValueError("basis dimension does not match K")
+            object.__setattr__(self, "basis", build_basis(K))
+        elif self.basis.K != K:
+            raise ValueError(f"basis dimension {self.basis.K} does not match K={K}")
+        G.setflags(write=False)
+        M.setflags(write=False)
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "M", M)
+
+    @property
+    def K(self) -> int:
+        return self.G.shape[0] + 1
+
+    def evaluate(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Gradients ``F`` (N, K-1) and covariances ``Omega`` (N, K-1, K-1)
+        at the rows of ``points`` (N, K), which are not validated."""
+        N, K = points.shape
+        lifted = np.column_stack([points, np.ones(N)])
+        blocks = self.M.reshape((K + 1) ** 2, (K - 1) ** 2)
+        # zero blocks add nothing; skipping them keeps the product of a
+        # constant covariance (one block) small enough for a single thread
+        used = np.flatnonzero(blocks.any(axis=1))
+        outer = (lifted[:, :, None] * lifted[:, None, :]).reshape(N, -1)
+        omegas = outer[:, used] @ blocks[used]
+        return lifted @ self.G.T, omegas.reshape(N, K - 1, K - 1)
 
 
 @dataclass(frozen=True)
@@ -233,20 +255,14 @@ def point_test(
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     tol = tol if tol is not None else Tolerances()
     wv = check_simplex_point(w, model.K, tol.support)
-    f = np.asarray(model.f_hat(wv), dtype=float).ravel()
-    if f.size != model.K - 1:
-        raise ValueError(f"f_hat must return {model.K - 1} coordinates, got {f.size}")
-    raw = model.omega_hat(wv)
-    if isinstance(raw, SpdMatrix):
-        omega = raw
-    else:
-        try:
-            omega = SpdMatrix.from_matrix(raw, cond_cap=cond_cap)
-        except (ValueError, IllConditionedError) as exc:
-            raise IllConditionedError(
-                f"covariance matrix at w={wv.tolist()} failed validation: {exc}"
-            ) from exc
-    proj = project_cone(f, wv, omega, basis=model.basis, tol=tol)
+    gradients, omegas = model.evaluate(wv[None, :])
+    try:
+        omega = SpdMatrix.from_matrix(omegas[0], cond_cap=cond_cap)
+    except (ValueError, IllConditionedError) as exc:
+        raise IllConditionedError(
+            f"covariance matrix at w={wv.tolist()} failed validation: {exc}"
+        ) from exc
+    proj = project_cone(gradients[0], wv, omega, basis=model.basis, tol=tol)
     statistic = model.n * proj.objective
     dof = max(model.K - 1 - proj.zeros, 1)
     critical = chi2_quantile(1.0 - alpha, dof)
@@ -262,16 +278,13 @@ def point_test(
     )
 
 
-def _factor_covariances(
-    omegas: np.ndarray, checked: np.ndarray, cond_cap: float
-) -> Tuple[np.ndarray, np.ndarray]:
+def _factor_covariances(omegas: np.ndarray, cond_cap: float) -> Tuple[np.ndarray, np.ndarray]:
     """Cholesky factors of a stack of covariances, and which rows have one.
 
-    Rows with ``checked`` set must pass ``SpdMatrix.from_matrix``'s rules
+    A row has a factor when it passes ``SpdMatrix.from_matrix``'s rules
     (finite, symmetric within its default ``sym_tol``, positive definite,
-    condition number within ``cond_cap``), as ``point_test`` requires,
-    and every row must have a Cholesky factor. The factor of a failing row
-    is meaningless.
+    condition number within ``cond_cap``), as ``point_test`` requires, and
+    factors. The factor of a failing row is meaningless.
     """
     dim = omegas.shape[1]
     finite = np.isfinite(omegas).all(axis=(1, 2))
@@ -279,9 +292,9 @@ def _factor_covariances(
     transposed = np.swapaxes(omegas, 1, 2)
     scale = np.maximum(1.0, np.abs(omegas).max(axis=(1, 2)))
     asymmetry = np.abs(omegas - transposed).max(axis=(1, 2))
-    ok = finite & (~checked | (asymmetry <= 1e-10 * scale))
+    ok = finite & (asymmetry <= 1e-10 * scale)
     sym = 0.5 * (omegas + transposed)
-    audit = np.flatnonzero(ok & checked)
+    audit = np.flatnonzero(ok)
     eigs = np.linalg.eigvalsh(sym[audit])
     low, high = eigs[:, 0], eigs[:, -1]
     cond = np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0.0)
@@ -304,48 +317,16 @@ def _batch_tests(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Statistics and zero counts of ``point_test`` at a batch of points.
 
-    Stacks the gradients (``f_hat`` per row) and the covariances (from
-    ``model.moments`` when set, else ``omega_hat`` per row), validates and
-    factors the covariances, and projects with ``project_cone_batch``.
-    Returns ``(statistic, zeros, settled)``; a row is unsettled when
-    anything in that chain failed or was left undone for it (a model
-    callable raised, a covariance failed validation or factorization, the
-    projection needs the scalar solver); its statistic and zeros are
-    meaningless, and ``point_test`` must give its result or error.
+    Evaluates the model at every row, validates and factors the
+    covariances, and projects with ``project_cone_batch``. Returns
+    ``(statistic, zeros, settled)``; a row is unsettled when its covariance
+    failed validation or factorization or its projection needs the scalar
+    solver; its statistic and zeros are meaningless, and ``point_test``
+    must give its result or error.
     """
-    N, K = points.shape
-    dim = K - 1
     settled = np.abs(points.sum(axis=1) - 1.0) <= tol.support
-    gradients = np.zeros((N, dim))
-    checked = np.ones(N, dtype=bool)  # rows whose covariance point_test would validate
-    if model.moments is not None:
-        lifted = np.column_stack([points, np.ones(N)])
-        outer = (lifted[:, :, None] * lifted[:, None, :]).reshape(N, -1)
-        tensor = np.reshape(model.moments(), ((K + 1) ** 2, dim * dim))
-        omegas = (outer @ tensor).reshape(N, dim, dim)
-    else:
-        omegas = np.zeros((N, dim, dim))
-    # a row the loop cannot take goes to point_test, which repeats the calls
-    # and raises or records their error in lattice order
-    for i, w in enumerate(points):
-        try:
-            f = np.asarray(model.f_hat(w), dtype=float).ravel()
-            raw = None if model.moments is not None else model.omega_hat(w)
-        except (IllConditionedError, ConvergenceError):
-            settled[i] = False
-            continue
-        if f.size != dim:
-            settled[i] = False
-        else:
-            gradients[i] = f
-        if isinstance(raw, SpdMatrix):
-            omegas[i] = raw.entries
-            checked[i] = False
-        elif isinstance(raw, np.ndarray) and raw.shape == (dim, dim):
-            omegas[i] = raw
-        elif raw is not None:
-            settled[i] = False
-    chol, factored = _factor_covariances(omegas, checked, cond_cap)
+    gradients, omegas = model.evaluate(points)
+    chol, factored = _factor_covariances(omegas, cond_cap)
     # an unsettled row carries an identity factor, so projecting it is harmless
     objective, zeros, solved = project_cone_batch(gradients, points, chol, model.basis, tol)
     return model.n * objective, zeros, settled & factored & solved

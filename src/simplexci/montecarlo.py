@@ -17,7 +17,13 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .estimators import PanelData, influence_set, make_weight_model, quadratic_components
+from .estimators import (
+    PanelData,
+    influence_set,
+    make_weight_model,
+    quadratic_components,
+    variance_at,
+)
 from .exceptions import ConvergenceError, IllConditionedError
 from .inference import confidence_set, default_resolution, point_test, projection_interval
 
@@ -214,15 +220,19 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
         panel = generate_panel(spec, eta_seed, children[rep + 1])
         comps = quadratic_components(panel)
         infl = influence_set(panel, comps)
-        model = make_weight_model(comps, infl)
         try:
-            outcome = point_test(model, w0, spec.alpha)
+            # the test at w0 needs the plug-in covariance at w0 alone, which
+            # costs O(n K^2) where the moment tensor of a sweep costs O(n K^4)
+            at_truth = make_weight_model(
+                comps, infl, mode="fixed", v_fixed=variance_at(infl, w0)
+            )
+            outcome = point_test(at_truth, w0, spec.alpha)
         except (IllConditionedError, ConvergenceError):
             failures += 1
             continue
         covered += int(outcome.member)
         if projection:
-            cs = confidence_set(model, spec.alpha, resolution)
+            cs = confidence_set(make_weight_model(comps, infl), spec.alpha, resolution)
             swept += 1
             if not cs.member_mask.any():
                 empties += 1

@@ -24,6 +24,7 @@ from simplexci.geometry import OrthoBasis, build_basis, project_cone, solve_simp
 from simplexci.inference import WeightModel, confidence_set, point_test, simplex_grid
 from simplexci.montecarlo import McSpec, coverage_experiment, generate_panel
 
+from model_helpers import constant_model
 from oracles import cone_projection_enumeration, normal_quantile_erf
 
 
@@ -150,15 +151,10 @@ def test_statistics_are_basis_invariant():
         rotated = OrthoBasis(K, b2 @ rotation)
         grid = simplex_grid(K, 4)
         w = grid[int(rng.integers(grid.shape[0]))] if trial % 2 else rng.dirichlet(np.ones(K))
-        plain = WeightModel(
-            K=K, n=n, f_hat=lambda _w, v=f: v, omega_hat=lambda _w, m=omega: m
-        )
+        plain = constant_model(f, omega, n)
+        # coordinates in the rotated basis: G -> R'G, each block of M -> R'M R
         turned = WeightModel(
-            K=K,
-            n=n,
-            f_hat=lambda _w, v=rotation.T @ f: v,
-            omega_hat=lambda _w, m=rotation.T @ omega @ rotation: m,
-            basis=rotated,
+            G=rotation.T @ plain.G, M=rotation.T @ plain.M @ rotation, n=n, basis=rotated
         )
         a = point_test(plain, w, 0.05)
         b = point_test(turned, w, 0.05)
@@ -242,15 +238,13 @@ def test_fixed_variance_equivalence_and_bootstrap_agreement():
     v_plug = variance_at(influence, w_hat)
 
     # the single-matrix procedure must equal the per-point sweep with the
-    # covariance map frozen at that same matrix, record for record
+    # covariance frozen at that same matrix, record for record
     fixed_model = make_weight_model(comps, influence, mode="fixed", v_fixed=v_plug)
     b2 = build_basis(3).b2
-    frozen_omega = b2.T @ v_plug @ b2
+    frozen = np.zeros((4, 4, 2, 2))
+    frozen[3, 3] = b2.T @ v_plug @ b2
     reference = WeightModel(
-        K=3,
-        n=fixed_model.n,
-        f_hat=lambda w: b2.T @ (comps.H @ w - comps.h),
-        omega_hat=lambda w: frozen_omega,
+        G=b2.T @ np.column_stack([comps.H, -comps.h]), M=frozen, n=fixed_model.n
     )
     sweep_a = confidence_set(fixed_model, 0.05, 20)
     sweep_b = confidence_set(reference, 0.05, 20)

@@ -132,6 +132,26 @@ def test_bonferroni_matches_library(tmp_path, capsys):
     assert doc["weight_set"]["members"] == int(cs.member_mask.sum())
 
 
+def test_bonferroni_csv_rows_match_the_json_document(tmp_path, capsys):
+    path = make_fixture(tmp_path, seed=3, total_T=6)
+    args = ["bonferroni", str(path), "--post", "6", "--grid", "4"]
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(args + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "quantity,lower,upper,empty"
+    intervals = doc["weight_set"]["projection_intervals"]
+    want = [("theta", doc["theta_interval"])]
+    want += [(f"w_{item['coordinate']}", item) for item in intervals]
+    assert len(lines) == 1 + len(want) == 2 + doc["K"]
+    for line, (label, item) in zip(lines[1:], want):
+        cells = line.split(",")
+        assert cells[0] == label
+        for cell, key in zip(cells[1:3], ("lower", "upper")):
+            assert (None if cell == "" else float(cell)) == item[key]
+        assert cells[3] == ("true" if item["empty"] else "false")
+
+
 def test_malformed_csv_is_a_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(
@@ -242,3 +262,14 @@ def test_simulate_csv_format(tmp_path, capsys):
     assert lines[0] == "key,value"
     keys = {line.split(",")[0] for line in lines[1:]}
     assert "coverage" in keys and "seed" in keys
+
+
+def test_runtime_imports_only_numpy():
+    # scipy and hypothesis are test-only tools; the package must not load them
+    code = (
+        "import sys, simplexci, simplexci.cli; "
+        "print(sorted(m for m in ('scipy', 'hypothesis') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -13,8 +13,6 @@ from simplexci.geometry import (
     build_basis,
     check_simplex_point,
     project_cone,
-    project_linear_span,
-    project_polar,
     solve_simplex_qp,
 )
 
@@ -209,8 +207,6 @@ def test_moreau_decomposition_and_orthogonality():
         # the two parts are orthogonal in the inverse-omega inner product
         cross = cone_part @ np.linalg.solve(omega, polar_part)
         assert abs(cross) <= 1e-9
-        # project_polar is the residual map
-        assert np.allclose(project_polar(f, w, omega), polar_part, atol=1e-12)
         # objective equals the squared polar norm
         norm = polar_part @ np.linalg.solve(omega, polar_part)
         assert proj.objective == pytest.approx(norm, abs=1e-10)

@@ -29,6 +29,7 @@ from simplexci.inference import (
 )
 from simplexci.montecarlo import McSpec, generate_panel
 
+from model_helpers import constant_model
 from oracles import chi2_quantile_quadrature, cone_projection_enumeration
 
 
@@ -36,8 +37,7 @@ def toy_model(K=3, n=400, seed=0, scale=1.0):
     """Model with a fixed random f and identity-ish covariance."""
     rng = np.random.default_rng(seed)
     f = scale * rng.standard_normal(K - 1)
-    omega = np.eye(K - 1)
-    return WeightModel(K=K, n=n, f_hat=lambda w: f, omega_hat=lambda w: omega), f
+    return constant_model(f, np.eye(K - 1), n), f
 
 
 def panel_model(K=3, n_j=40, seed=3):
@@ -107,7 +107,7 @@ def test_point_test_interior_is_full_quadratic_form():
 def test_point_test_vertex_cone_member_gets_dof_floor():
     b2 = build_basis(3).b2
     f = b2.T @ np.array([0.0, 1.0, 1.0])
-    model = WeightModel(K=3, n=500, f_hat=lambda w: f, omega_hat=lambda w: np.eye(2))
+    model = constant_model(f, np.eye(2), 500)
     result = point_test(model, np.array([1.0, 0.0, 0.0]), 0.05)
     assert result.statistic <= 1e-18
     assert result.zeros == 3
@@ -129,22 +129,35 @@ def test_point_test_validation():
 def test_point_test_reports_ill_conditioned_covariance():
     f = np.array([0.1, 0.2])
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-    model = WeightModel(K=3, n=100, f_hat=lambda w: f, omega_hat=lambda w: singular)
+    model = constant_model(f, singular, 100)
     with pytest.raises(IllConditionedError):
         point_test(model, np.array([0.2, 0.3, 0.5]), 0.05)
 
 
 def test_weight_model_validation():
+    model = constant_model(np.ones(2), np.eye(2), 10)
+    G, M = np.array(model.G), np.array(model.M)
+    assert model.K == 3 and model.basis is build_basis(3)
+    assert not (model.G.flags.writeable or model.M.flags.writeable)
+    with pytest.raises(ValueError):  # G and M disagree on K
+        WeightModel(G=G, M=np.zeros((5, 5, 3, 3)), n=10)
+    with pytest.raises(ValueError):  # G is not (K-1, K+1)
+        WeightModel(G=np.zeros((2, 3)), M=M, n=10)
+    for bad in (np.nan, np.inf):
+        broken = G.copy()
+        broken[0, 1] = bad
+        with pytest.raises(ValueError):
+            WeightModel(G=broken, M=M, n=10)
+        broken = M.copy()
+        broken[3, 3, 0, 0] = bad
+        with pytest.raises(ValueError):
+            WeightModel(G=G, M=broken, n=10)
+    with pytest.raises(ValueError):  # K = 1
+        WeightModel(G=np.zeros((0, 2)), M=np.zeros((2, 2, 0, 0)), n=10)
     with pytest.raises(ValueError):
-        WeightModel(K=1, n=10, f_hat=lambda w: w, omega_hat=lambda w: w)
+        WeightModel(G=G, M=M, n=0)
     with pytest.raises(ValueError):
-        WeightModel(K=3, n=0, f_hat=lambda w: w, omega_hat=lambda w: w)
-    with pytest.raises(ValueError):
-        WeightModel(K=3, n=10, f_hat=lambda w: w, omega_hat=lambda w: w, mode="other")
-    with pytest.raises(ValueError):
-        WeightModel(
-            K=3, n=10, f_hat=lambda w: w, omega_hat=lambda w: w, basis=build_basis(4)
-        )
+        WeightModel(G=G, M=M, n=10, basis=build_basis(4))
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +165,7 @@ def test_weight_model_validation():
 
 
 def test_zero_gradient_makes_everything_a_member():
-    model = WeightModel(
-        K=3, n=100, f_hat=lambda w: np.zeros(2), omega_hat=lambda w: np.eye(2)
-    )
+    model = constant_model(np.zeros(2), np.eye(2), 100)
     cs = confidence_set(model, 0.05, resolution=10)
     assert cs.member_mask.all()
     for coord in range(3):
@@ -173,8 +184,8 @@ def test_sweep_agrees_with_scalar_oracle_on_a_panel():
     disagreements = 0
     for record in cs.records:
         w = record.w
-        f = model.f_hat(w)
-        omega = model.omega_hat(w)
+        gradients, omegas = model.evaluate(w[None, :])
+        f, omega = gradients[0], omegas[0]
         obj, _, _, zeros = cone_projection_enumeration(f, w, omega, b2)
         statistic = model.n * obj
         dof = max(2 - zeros, 1)
@@ -207,18 +218,18 @@ def test_alpha_monotonicity_nests_the_sets():
 
 
 def test_sweep_warns_and_skips_on_singular_points():
-    bad_w = np.array([0.0, 0.5, 0.5])
-
-    def omega_hat(w):
-        if np.allclose(w, bad_w):
-            return np.array([[1.0, 1.0], [1.0, 1.0]])
-        return np.eye(2)
-
-    model = WeightModel(K=3, n=100, f_hat=lambda w: np.zeros(2), omega_hat=omega_hat)
+    # Omega(w) = I + 4 w_2 w_3 [[0, 1], [1, 0]] is singular on the res-2
+    # lattice only at (0, 0.5, 0.5)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    M = np.zeros((4, 4, 2, 2))
+    M[3, 3] = np.eye(2)
+    M[1, 2] = M[2, 1] = 2.0 * swap
+    model = WeightModel(G=np.zeros((2, 4)), M=M, n=100)
     with pytest.warns(RuntimeWarning):
         cs = confidence_set(model, 0.05, resolution=2)
     failed = [r for r in cs.records if r.error is not None]
     assert len(failed) == 1
+    assert np.array_equal(failed[0].w, [0.0, 0.5, 0.5])
     assert not failed[0].member
     assert math.isinf(failed[0].statistic)
     with pytest.raises(IllConditionedError):
@@ -320,12 +331,6 @@ def test_interval_type():
 
 
 def test_fixed_mode_reuses_one_covariance():
-    calls = []
-
-    def omega_hat(w):
-        calls.append(np.array(w))
-        return np.eye(2)
-
     model, panel = panel_model(seed=5)
     from simplexci.estimators import influence_set, quadratic_components, variance_at
 
@@ -336,10 +341,14 @@ def test_fixed_mode_reuses_one_covariance():
     fixed = make_weight_model(
         components, mode="fixed", v_fixed=v_fixed, n=influence.n
     )
-    grid = simplex_grid(3, 5)
-    first = fixed.omega_hat(grid[0])
-    second = fixed.omega_hat(grid[-1])
-    assert first is second
+    b2 = build_basis(3).b2
+    constant = fixed.M[3, 3]
+    assert np.allclose(constant, b2.T @ v_fixed @ b2, atol=1e-14)
+    blocks = np.ones((4, 4), dtype=bool)
+    blocks[3, 3] = False
+    assert not fixed.M[blocks].any()  # M vanishes outside the constant block
+    _, omegas = fixed.evaluate(simplex_grid(3, 5))
+    assert all(np.array_equal(omega, constant) for omega in omegas)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +403,7 @@ def sweep_models(K):
 @pytest.mark.parametrize("covariance", ["plugin", "fixed"])
 def test_batched_sweep_matches_scalar_point_test(K, resolution, covariance):
     model = sweep_models(K)[covariance]
-    assert (model.moments is not None) == (covariance == "plugin")
+    assert model.M[:K, :K].any() == (covariance == "plugin")
     cs = confidence_set(model, 0.05, resolution)
     want, _ = scalar_sweep(model, 0.05, resolution)
     assert_same_records(cs.records, want)
@@ -442,3 +451,19 @@ def test_batched_sweep_keeps_skip_records_warnings_and_strict_order():
         confidence_set(model, 0.05, 10, cond_cap=1.9, strict=True)
     assert str(exc.value) == first.error
     assert f"w={first.w.tolist()}" in first.error
+
+
+def test_fixed_covariance_obeys_the_condition_cap():
+    model = sweep_models(3)["fixed"]
+    eigs = np.linalg.eigvalsh(model.M[3, 3])
+    cap = 0.5 * eigs[-1] / eigs[0]
+    want, messages = scalar_sweep(model, 0.05, 6, cond_cap=cap)
+    assert len(messages) == len(want)  # every point exceeds the cap
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cs = confidence_set(model, 0.05, 6, cond_cap=cap)
+    assert_same_records(cs.records, want)
+    assert [str(w.message) for w in caught] == messages
+    with pytest.raises(IllConditionedError) as exc:
+        confidence_set(model, 0.05, 6, cond_cap=cap, strict=True)
+    assert str(exc.value) == want[0].error
