@@ -263,7 +263,7 @@ def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
     times: List[int] = []
     outcomes: List[float] = []
     try:
-        handle = open(path, "r", newline="", encoding="utf-8")
+        handle = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
@@ -314,9 +314,9 @@ def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
     return PanelData.from_long(units, groups, times, outcomes, t_match=t_match)
 
 
-def _json_number(x: float):
-    value = float(x)
-    return value if math.isfinite(value) else None
+def _json_value(x):
+    """``x``, or None for a non-finite float, which JSON cannot hold."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def _fmt(x: float) -> str:
@@ -325,40 +325,28 @@ def _fmt(x: float) -> str:
 
 def _interval_doc(interval) -> dict:
     return {
-        "lower": None if interval.empty else _json_number(interval.lower),
-        "upper": None if interval.empty else _json_number(interval.upper),
+        "lower": None if interval.empty else _json_value(interval.lower),
+        "upper": None if interval.empty else _json_value(interval.upper),
         "empty": interval.empty,
     }
 
 
-def _record_doc(record) -> dict:
-    doc = {
-        "w": [float(x) for x in record.w],
-        "T": _json_number(record.statistic),
-        "d": record.zeros,
-        "k": record.dof,
-        "critical": _json_number(record.critical),
-        "member": record.member,
-    }
-    if record.error is not None:
-        doc["error"] = record.error
-    return doc
+# Names of a lattice point's results, as JSON keys and CSV columns.
+_RESULT_KEYS = ("T", "d", "k", "critical", "member")
+
+
+def _infer_rows(cs: ConfidenceSet):
+    """Each lattice point's ``w`` and its results in the order of
+    ``_RESULT_KEYS``, as Python values in lattice order."""
+    columns = (cs.statistic, cs.zeros, cs.dof, cs.critical, cs.member_mask)
+    return zip(cs.grid.tolist(), zip(*(column.tolist() for column in columns)))
 
 
 def _infer_csv(cs: ConfidenceSet) -> str:
     K = cs.grid.shape[1]
-    header = [f"w_{j + 1}" for j in range(K)] + ["T", "d", "k", "critical", "member"]
-    lines = [",".join(header)]
-    for record in cs.records:
-        cells = [_fmt(x) for x in record.w]
-        cells += [
-            _fmt(record.statistic),
-            str(record.zeros),
-            str(record.dof),
-            _fmt(record.critical),
-            "true" if record.member else "false",
-        ]
-        lines.append(",".join(cells))
+    lines = [",".join([f"w_{j + 1}" for j in range(K)] + list(_RESULT_KEYS))]
+    for w, values in _infer_rows(cs):
+        lines.append(",".join(_csv_cell(x) for x in (*w, *values)))
     return "\n".join(lines) + "\n"
 
 
@@ -469,7 +457,12 @@ def run(cfg: RunConfig) -> int:
             _write(_infer_csv(cs), cfg.out)
         else:
             doc = _sweep_doc(cfg, cs, w_hat, model.n)
-            doc["records"] = [_record_doc(r) for r in cs.records]
+            doc["records"] = [
+                dict(zip(_RESULT_KEYS, map(_json_value, values)), w=w)
+                for w, values in _infer_rows(cs)
+            ]
+            for i, message in cs.errors.items():
+                doc["records"][i]["error"] = message
             _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
         return 0
 

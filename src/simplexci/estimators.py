@@ -36,6 +36,22 @@ __all__ = [
 ]
 
 
+def _integer_column(name: str, values) -> np.ndarray:
+    """``values`` as an integer array; a non-finite or non-integral entry
+    raises ``DataError`` naming the column, its position and its value."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return arr.astype(int, copy=False)
+    floats = arr.astype(float, copy=False)
+    with np.errstate(invalid="ignore"):
+        ints = floats.astype(int)
+    bad = np.flatnonzero(ints != floats)
+    if bad.size:
+        i = bad[0]
+        raise DataError(f"column {name} has a non-integer entry {floats[i]} at position {i}")
+    return ints
+
+
 @dataclass(eq=False)
 class PanelData:
     """Long-format panel of grouped outcomes.
@@ -56,8 +72,8 @@ class PanelData:
 
     def __post_init__(self) -> None:
         self.unit = np.asarray(self.unit)
-        self.group = np.asarray(self.group, dtype=int)
-        self.time = np.asarray(self.time, dtype=int)
+        self.group = _integer_column("group", self.group)
+        self.time = _integer_column("time", self.time)
         self.outcome = np.asarray(self.outcome, dtype=float)
         n_obs = self.unit.size
         if n_obs == 0:
@@ -114,23 +130,12 @@ class PanelData:
         When ``t_match`` is omitted, every period present is a matching
         period.
         """
-        time_arr = np.asarray(time, dtype=int)
+        time_arr = _integer_column("time", time)
         if t_match is None:
             if time_arr.size == 0:
                 raise DataError("panel has no observations")
             t_match = int(time_arr.max())
         return cls(unit=unit, group=group, time=time_arr, outcome=outcome, t_match=t_match)
-
-    @property
-    def n_units(self) -> int:
-        return len(self._unit_group)
-
-    @property
-    def group_sizes(self) -> np.ndarray:
-        sizes = np.zeros(self.K + 1, dtype=int)
-        for g in self._unit_group.values():
-            sizes[g] += 1
-        return sizes
 
     @cached_property
     def _matched(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -137,16 +137,32 @@ class PointTest:
 
 @dataclass
 class ConfidenceSet:
-    """A simplex lattice together with one test record per point."""
+    """A simplex lattice and the test results of its points, as columns.
+
+    Entry ``i`` of ``statistic``, ``zeros``, ``dof``, ``critical`` and
+    ``member_mask`` belongs to ``grid[i]``, with the meaning of the
+    ``PointTest`` field of the same name (``member_mask`` holds ``member``).
+    A point skipped for a numerical reason has statistic ``inf``, zero
+    count 0, ``dof`` ``K - 1``, critical value NaN and is not a member;
+    ``errors`` maps its lattice index to the message.
+    """
 
     alpha: float
     grid: np.ndarray
-    records: List[PointTest]
     resolution: int
+    statistic: np.ndarray
+    zeros: np.ndarray
+    dof: np.ndarray
+    critical: np.ndarray
+    member_mask: np.ndarray
+    errors: Dict[int, str] = field(default_factory=dict)
 
     @property
-    def member_mask(self) -> np.ndarray:
-        return np.fromiter((r.member for r in self.records), dtype=bool, count=len(self.records))
+    def records(self) -> List[PointTest]:
+        """One ``PointTest`` per lattice point, built from the columns."""
+        columns = (self.statistic, self.zeros, self.dof, self.critical, self.member_mask)
+        rows = zip(self.grid, *(column.tolist() for column in columns))
+        return [PointTest(*row, error=self.errors.get(i)) for i, row in enumerate(rows)]
 
     def member_points(self) -> np.ndarray:
         """Grid rows whose test passed."""
@@ -344,67 +360,48 @@ def confidence_set(
 ) -> ConfidenceSet:
     """Sweep a simplex lattice and keep the points whose test passes.
 
-    Every point gets ``point_test``'s record, computed for batches of
+    Every point gets ``point_test``'s result, computed for batches of
     points at once; points a batch cannot settle are tested one by one with
     ``point_test`` itself. Numerical failures at individual points
     (an ill-conditioned covariance, a projection that does not converge)
-    are recorded on that point's ``PointTest`` with ``member=False`` and
-    surfaced as a warning; with ``strict=True`` the first one in lattice
-    order raises instead.
+    skip that point: it is not a member, its message goes to the set's
+    ``errors``, and a warning is issued; with ``strict=True`` the first one
+    in lattice order raises instead.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     tol = tol if tol is not None else Tolerances()
     res = resolution if resolution is not None else default_resolution(model.K)
     grid = simplex_grid(model.K, res, max_points=max_points)
-    points = grid.copy()
-    points.setflags(write=False)
-    statistic = np.zeros(len(points))
-    zeros = np.zeros(len(points), dtype=int)
-    settled = np.zeros(len(points), dtype=bool)
-    for start in range(0, len(points), _BATCH_POINTS):
-        batch = slice(start, start + _BATCH_POINTS)
-        statistic[batch], zeros[batch], settled[batch] = _batch_tests(
-            model, points[batch], tol, cond_cap
-        )
-    dofs = np.maximum(model.K - 1 - zeros, 1)
-    critical = {k: chi2_quantile(1.0 - alpha, k) for k in set(dofs[settled].tolist())}
-    records: List[PointTest] = []
-    for i, row in enumerate(points):
-        if settled[i]:
-            dof = int(dofs[i])
-            value = float(statistic[i])
-            records.append(
-                PointTest(
-                    w=row,
-                    statistic=value,
-                    zeros=int(zeros[i]),
-                    dof=dof,
-                    critical=critical[dof],
-                    member=value <= critical[dof],
-                )
-            )
-            continue
+    grid.setflags(write=False)
+    batches = [
+        _batch_tests(model, grid[start : start + _BATCH_POINTS], tol, cond_cap)
+        for start in range(0, len(grid), _BATCH_POINTS)
+    ]
+    statistic, zeros, settled = (np.concatenate(column) for column in zip(*batches))
+    errors: Dict[int, str] = {}
+    for i in np.flatnonzero(~settled).tolist():
         try:
-            records.append(point_test(model, row, alpha, tol=tol, cond_cap=cond_cap))
+            test = point_test(model, grid[i], alpha, tol=tol, cond_cap=cond_cap)
         except (IllConditionedError, ConvergenceError) as exc:
             if strict:
                 raise
             warnings.warn(
-                f"skipping grid point {row.tolist()}: {exc}", RuntimeWarning, stacklevel=2
+                f"skipping grid point {grid[i].tolist()}: {exc}", RuntimeWarning, stacklevel=2
             )
-            records.append(
-                PointTest(
-                    w=row,
-                    statistic=float("inf"),
-                    zeros=0,
-                    dof=model.K - 1,
-                    critical=float("nan"),
-                    member=False,
-                    error=str(exc),
-                )
-            )
-    return ConfidenceSet(alpha=alpha, grid=grid, records=records, resolution=res)
+            statistic[i], zeros[i], errors[i] = math.inf, 0, str(exc)
+        else:
+            statistic[i], zeros[i] = test.statistic, test.zeros
+    dof = np.maximum(model.K - 1 - zeros, 1)
+    tested = np.ones(len(grid), dtype=bool)
+    tested[list(errors)] = False
+    critical = np.full(len(grid), math.nan)
+    for k in np.unique(dof[tested]).tolist():
+        critical[tested & (dof == k)] = chi2_quantile(1.0 - alpha, k)
+    return ConfidenceSet(
+        alpha=alpha, grid=grid, resolution=res, statistic=statistic, zeros=zeros, dof=dof,
+        critical=critical, member_mask=statistic <= critical, errors=errors,
+    )
 
 
 def projection_interval(cs: ConfidenceSet, coord: int) -> Interval:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -14,7 +15,12 @@ from simplexci.estimators import (
     quadratic_components,
     treatment_functional,
 )
-from simplexci.inference import bonferroni_interval, confidence_set, projection_interval
+from simplexci.inference import (
+    bonferroni_interval,
+    confidence_set,
+    projection_interval,
+    simplex_grid,
+)
 
 
 def make_fixture(tmp_path, seed=0, K=3, n_j=12, total_T=5, name="panel.csv"):
@@ -85,6 +91,50 @@ def test_infer_csv_round_trips_floats(tmp_path):
         assert int(cells[5]) == want.dof
         assert float(cells[6]) == want.critical
         assert cells[7] == ("true" if want.member else "false")
+
+
+def test_infer_reports_skipped_points_in_both_formats(tmp_path, capsys, monkeypatch):
+    path = make_fixture(tmp_path, seed=4)
+    _, model, _ = library_sweep(path)
+    _, omegas = model.evaluate(simplex_grid(3, 4))
+    eigs = np.linalg.eigvalsh(omegas)
+    conds = eigs[:, -1] / eigs[:, 0]
+    # a cap between the extremes skips some lattice points and keeps others
+    capped = functools.partial(confidence_set, cond_cap=0.5 * (conds.min() + conds.max()))
+    with pytest.warns(RuntimeWarning):
+        cs = capped(model, 0.05, 4)
+    errors = [r.error is not None for r in cs.records]
+    assert any(errors) and not all(errors)
+    monkeypatch.setattr("simplexci.cli.confidence_set", capped)
+
+    with pytest.warns(RuntimeWarning):
+        assert main(["infer", str(path), "--grid", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["records"]) == len(cs.records)
+    for got, want in zip(doc["records"], cs.records):
+        assert got["w"] == [float(x) for x in want.w]
+        assert (got["d"], got["k"], got["member"]) == (want.zeros, want.dof, want.member)
+        if want.error is None:
+            assert "error" not in got
+            assert (got["T"], got["critical"]) == (want.statistic, want.critical)
+        else:
+            assert got["error"] == want.error
+            assert got["T"] is None and got["critical"] is None
+
+    out = tmp_path / "records.csv"
+    with pytest.warns(RuntimeWarning):
+        assert main(["infer", str(path), "--grid", "4", "--format", "csv", "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + len(cs.records)
+    for line, want in zip(lines[1:], cs.records):
+        cells = line.split(",")
+        assert [float(c) for c in cells[:3]] == [float(x) for x in want.w]
+        assert cells[4:6] == [str(want.zeros), str(want.dof)]
+        assert cells[7] == ("true" if want.member else "false")
+        if want.error is None:
+            assert (float(cells[3]), float(cells[6])) == (want.statistic, want.critical)
+        else:
+            assert (cells[3], cells[6]) == ("inf", "nan")
 
 
 def test_project_matches_library_in_both_formats(tmp_path, capsys):
@@ -178,6 +228,16 @@ def test_csv_row_with_extra_fields_is_a_validation_error(tmp_path, capsys):
     )
     assert main(["infer", str(bad)]) == 1
     assert "row 3 has too many fields" in capsys.readouterr().err
+
+
+def test_csv_with_a_byte_order_mark_reads_the_same_panel(tmp_path):
+    plain = make_fixture(tmp_path)
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = read_panel_csv(str(plain)), read_panel_csv(str(marked))
+    for column in ("unit", "group", "time", "outcome"):
+        assert np.array_equal(getattr(got, column), getattr(want, column))
+    assert got.t_match == want.t_match
 
 
 def test_usage_errors_exit_1():

@@ -84,6 +84,26 @@ def test_panel_rejects_malformed_input():
         PanelData.from_long(unit, split_group, time, y)  # unit in two groups
 
 
+def test_panel_rejects_non_integer_groups_and_periods():
+    unit = np.repeat(np.arange(8), 2)
+    group = np.repeat([0, 0, 1, 1], 4)
+    time = np.tile([1, 2], 8)
+    y = np.zeros(16)
+    with pytest.raises(DataError, match=r"column time .* 2\.5 at position 1$"):
+        PanelData.from_long(unit, group, np.tile([1.0, 2.5], 8), y)
+    with pytest.raises(DataError, match=r"column group .* 0\.6 at position 0$"):
+        PanelData.from_long(unit, group + 0.6, time, y)
+    for bad in (np.nan, np.inf, 1e300):
+        with pytest.raises(DataError, match="at position 3$"):
+            PanelData.from_long(unit, group, np.where(np.arange(16) == 3, bad, time), y)
+        with pytest.raises(DataError, match="column group"):
+            PanelData(unit, np.where(np.arange(16) == 3, bad, group), time, y, t_match=2)
+    # integral floats are integers
+    panel = PanelData.from_long(unit, group.astype(float), time.astype(float), y)
+    assert np.array_equal(panel.group, group) and np.array_equal(panel.time, time)
+    assert panel.t_match == 2
+
+
 def test_panel_rejects_single_unit_groups():
     unit = np.repeat([0, 1, 2], 2)
     group = np.repeat([0, 0, 1], 2)

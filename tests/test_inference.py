@@ -243,23 +243,20 @@ def test_sweep_warns_and_skips_on_singular_points():
 def make_confidence_set(members, resolution=10, kappa=0.005):
     """Confidence set over the K=3 lattice with a prescribed member list."""
     grid = simplex_grid(3, resolution)
+    grid.setflags(write=False)
     member_rows = {tuple(np.round(m, 12)) for m in members}
-    records = []
-    for row in grid:
-        is_member = tuple(np.round(row, 12)) in member_rows
-        frozen = row.copy()
-        frozen.setflags(write=False)
-        records.append(
-            PointTest(
-                w=frozen,
-                statistic=0.0 if is_member else 100.0,
-                zeros=0,
-                dof=2,
-                critical=5.99,
-                member=is_member,
-            )
-        )
-    return ConfidenceSet(alpha=kappa, grid=grid, records=records, resolution=resolution)
+    mask = np.array([tuple(np.round(row, 12)) in member_rows for row in grid], dtype=bool)
+    size = len(grid)
+    return ConfidenceSet(
+        alpha=kappa,
+        grid=grid,
+        resolution=resolution,
+        statistic=np.where(mask, 0.0, 100.0),
+        zeros=np.zeros(size, dtype=int),
+        dof=np.full(size, 2),
+        critical=np.full(size, 5.99),
+        member_mask=mask,
+    )
 
 
 def test_projection_interval_bounds_and_validation():
@@ -445,6 +442,13 @@ def test_batched_sweep_keeps_skip_records_warnings_and_strict_order():
     assert_same_records(cs.records, want)
     assert [str(w.message) for w in caught] == messages
     assert all(w.category is RuntimeWarning for w in caught)
+    # the columns hold the same results; records are a view built from them
+    columns = (cs.statistic, cs.zeros, cs.dof, cs.critical, cs.member_mask)
+    assert all(len(column) == len(cs.grid) for column in columns)
+    assert np.array_equal(cs.member_mask, cs.statistic <= cs.critical)
+    assert sorted(cs.errors) == [i for i, r in enumerate(want) if r.error is not None]
+    assert not cs.grid.flags.writeable
+    assert not any(r.w.flags.writeable for r in cs.records)
     # strict mode raises the error of the first failing point in lattice order
     first = next(r for r in want if r.error is not None)
     with pytest.raises(IllConditionedError) as exc:
