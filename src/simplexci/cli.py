@@ -42,23 +42,6 @@ __all__ = ["RunConfig", "build_parser", "read_panel_csv", "run", "main"]
 SCHEMA_VERSION = 1
 
 _REQUIRED_COLUMNS = ("unit", "group", "time", "outcome")
-_CONFIG_KEYS = {
-    "alpha",
-    "kappa",
-    "grid",
-    "variance",
-    "bootstrap-draws",
-    "seed",
-    "post",
-    "out",
-    "format",
-    "strict",
-    "K",
-    "nj",
-    "spec",
-    "reps",
-    "projection",
-}
 
 
 @dataclass
@@ -147,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=None, help="bootstrap seed (default 0)")
         p.add_argument(
-            "--strict", action="store_true",
+            "--strict", action="store_true", default=None,
             help="raise on per-point numerical failures instead of skipping",
         )
 
@@ -170,18 +153,51 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a coverage experiment")
     add_common(p_sim, with_input=False)
     p_sim.add_argument("--K", type=int, default=None, help="number of untreated groups (default 3)")
-    p_sim.add_argument("--nj", type=int, default=None, help="units per group (default 100)")
     p_sim.add_argument(
-        "--spec", choices=("interior", "boundary"), default=None,
+        "--nj", dest="n_j", metavar="NJ", type=int, default=None,
+        help="units per group (default 100)",
+    )
+    p_sim.add_argument(
+        "--spec", dest="design", choices=("interior", "boundary"), default=None,
         help="true-weight design (default interior)",
     )
     p_sim.add_argument("--reps", type=int, default=None, help="replications (default 1000)")
     p_sim.add_argument("--seed", type=int, default=None, help="experiment seed (default 0)")
     p_sim.add_argument(
-        "--projection", action="store_true",
+        "--projection", action="store_true", default=None,
         help="also sweep the lattice for projection intervals",
     )
     return parser
+
+
+def _as_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+# Config-file keys, each with the RunConfig field (and parser dest) it sets
+# and the parser of its value.
+_CONFIG_KEYS = {
+    "alpha": ("alpha", float),
+    "kappa": ("kappa", float),
+    "grid": ("grid", int),
+    "variance": ("variance", str),
+    "bootstrap-draws": ("bootstrap_draws", int),
+    "seed": ("seed", int),
+    "post": ("post", int),
+    "out": ("out", str),
+    "format": ("fmt", str),
+    "strict": ("strict", _as_bool),
+    "K": ("K", int),
+    "nj": ("n_j", int),
+    "spec": ("design", str),
+    "reps": ("reps", int),
+    "projection": ("projection", _as_bool),
+}
 
 
 def _parse_config_file(path: str) -> Dict[str, str]:
@@ -204,52 +220,21 @@ def _parse_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-def _as_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise DataError(f"expected a boolean, got {text!r}")
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge command-line flags over config-file values over defaults."""
+    """Merge command-line flags over config-file values over ``RunConfig``'s
+    defaults."""
     fromfile = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(attr: str, key: str, cast, default):
-        flag = getattr(args, attr, None)
+    options = {}
+    for key, (name, cast) in _CONFIG_KEYS.items():
+        flag = getattr(args, name, None)
         if flag is not None:
-            return flag
-        if key in fromfile:
+            options[name] = flag
+        elif key in fromfile:
             try:
-                return cast(fromfile[key])
+                options[name] = cast(fromfile[key])
             except ValueError as exc:
                 raise DataError(f"config key {key!r}: {exc}") from exc
-        return default
-
-    cfg = RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        alpha=pick("alpha", "alpha", float, 0.05),
-        kappa=pick("kappa", "kappa", float, 0.005),
-        grid=pick("grid", "grid", int, None),
-        variance=pick("variance", "variance", str, "plugin"),
-        bootstrap_draws=pick("bootstrap_draws", "bootstrap-draws", int, 1000),
-        seed=pick("seed", "seed", int, 0),
-        post=pick("post", "post", int, None),
-        out=pick("out", "out", str, None),
-        fmt=pick("fmt", "format", str, "json"),
-        strict=bool(getattr(args, "strict", False)) or _as_bool(fromfile.get("strict", "false")),
-        K=pick("K", "K", int, 3),
-        n_j=pick("nj", "nj", int, 100),
-        design=pick("spec", "spec", str, "interior"),
-        reps=pick("reps", "reps", int, 1000),
-        projection=bool(getattr(args, "projection", False))
-        or _as_bool(fromfile.get("projection", "false")),
-    )
-    cfg.validate()
-    return cfg
+    return RunConfig(command=args.command, input=getattr(args, "input", None), **options)
 
 
 def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
@@ -305,6 +290,10 @@ def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
                 raise DataError(
                     f"{path}: row {rownum}: outcome {row['outcome']!r} is not a number"
                 ) from None
+            if not math.isfinite(outcome):
+                raise DataError(
+                    f"{path}: row {rownum}: outcome {row['outcome']!r} is not a finite number"
+                )
             units.append(unit)
             groups.append(group)
             times.append(period)
@@ -395,6 +384,10 @@ def _write(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
+def _write_json(doc: dict, out: Optional[str]) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+
+
 def _build_model(cfg: RunConfig, panel: PanelData):
     comps = quadratic_components(panel)
     infl = influence_set(panel, comps)
@@ -441,7 +434,7 @@ def run(cfg: RunConfig) -> int:
         doc = {"schema_version": SCHEMA_VERSION, "command": "simulate"}
         doc.update(report.to_dict(include_timing=False))
         if cfg.fmt == "json":
-            _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+            _write_json(doc, cfg.out)
         else:
             _write("key,value\n" + "\n".join(_keyvalue_csv(doc)) + "\n", cfg.out)
         return 0
@@ -463,7 +456,7 @@ def run(cfg: RunConfig) -> int:
             ]
             for i, message in cs.errors.items():
                 doc["records"][i]["error"] = message
-            _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+            _write_json(doc, cfg.out)
         return 0
 
     intervals = []
@@ -480,7 +473,7 @@ def run(cfg: RunConfig) -> int:
         else:
             doc = _sweep_doc(cfg, cs, w_hat, model.n)
             doc["intervals"] = intervals
-            _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+            _write_json(doc, cfg.out)
         return 0
 
     # bonferroni
@@ -502,7 +495,7 @@ def run(cfg: RunConfig) -> int:
         rows += [(f"w_{item['coordinate']}", item) for item in intervals]
         _write(_intervals_csv("quantity", rows), cfg.out)
     else:
-        _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg.out)
+        _write_json(doc, cfg.out)
     return 0
 
 

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "ConeProjection",
     "build_basis",
     "check_simplex_point",
+    "factor_spd",
     "project_cone",
     "project_cone_batch",
     "solve_simplex_qp",
@@ -35,6 +36,8 @@ __all__ = [
 
 _ORTHO_TOL = 1e-12
 _DEGENERACY_TOL = 1e-10
+# largest asymmetry of a usable covariance, relative to max(1, max |entry|)
+_SYM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -117,27 +120,81 @@ def build_basis(K: int) -> OrthoBasis:
     return OrthoBasis(K, b2)
 
 
-@dataclass(frozen=True)
+def factor_spd(
+    matrices: np.ndarray, cond_cap: float = 1e12
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, Exception]]:
+    """Check a stack of covariance matrices and factor the ones that pass.
+
+    This is the package's one rule for a usable covariance. Matrix ``i`` of
+    the ``(N, d, d)`` stack passes when its entries are finite, it is
+    symmetric within ``1e-10 * max(1, max |entry|)``, and its symmetrized
+    form is positive definite with condition number at most ``cond_cap``
+    and has a Cholesky factor.
+
+    Returns ``(entries, chol, failures)``: the symmetrized matrices, their
+    lower Cholesky factors, and a dict from the index of each failing
+    matrix to the exception ``SpdMatrix.from_matrix`` raises for it (a
+    ``ValueError`` for non-finite or asymmetric entries, an
+    ``IllConditionedError`` otherwise). A failing matrix's entries and
+    factor are the identity.
+    """
+    a = np.asarray(matrices, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    finite = np.isfinite(a).all(axis=(1, 2))
+    a = np.where(finite[:, None, None], a, 0.0)
+    transposed = np.swapaxes(a, 1, 2)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+    symmetric = np.abs(a - transposed).max(axis=(1, 2)) <= _SYM_TOL * scale
+    entries = 0.5 * (a + transposed)
+    usable = finite & symmetric
+    failures: Dict[int, Exception] = {
+        i: ValueError("matrix has non-finite entries" if not finite[i]
+                      else f"matrix is not symmetric within {_SYM_TOL}")
+        for i in np.flatnonzero(~usable).tolist()
+    }
+    audit = np.flatnonzero(usable)
+    eigs = np.linalg.eigvalsh(entries[audit])
+    low, high = eigs[:, 0], eigs[:, -1]
+    cond = np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0.0)
+    for j in np.flatnonzero((low <= 0.0) | (cond > cond_cap)).tolist():
+        if low[j] <= 0.0:
+            message = f"matrix is not positive definite (min eigenvalue {low[j]:.6e})"
+        else:
+            message = f"condition number {cond[j]:.6e} exceeds the cap {cond_cap:.1e}"
+        failures[audit[j].item()] = IllConditionedError(message)
+    if failures:
+        entries[list(failures)] = np.eye(a.shape[1])  # so that the stack factors as a whole
+    try:
+        chol = np.linalg.cholesky(entries)
+    except np.linalg.LinAlgError:
+        chol = np.zeros_like(entries)
+        for i, matrix in enumerate(entries):
+            try:
+                chol[i] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                failures[i] = IllConditionedError("covariance matrix is not positive definite")
+                entries[i] = chol[i] = np.eye(a.shape[1])
+    return entries, chol, failures
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class SpdMatrix:
-    """Symmetric positive definite matrix validated at construction."""
+    """Symmetric positive definite matrix that passed ``factor_spd``.
 
-    dim: int
+    ``entries`` holds the symmetrized matrix and ``chol`` its lower Cholesky
+    factor, both read-only. ``from_matrix`` is the only constructor.
+    """
+
     entries: np.ndarray
+    chol: np.ndarray
 
-    def __post_init__(self) -> None:
-        e = np.array(self.entries, dtype=float)
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("an SpdMatrix is built by SpdMatrix.from_matrix, which validates it")
 
     @classmethod
-    def from_matrix(
-        cls,
-        matrix: np.ndarray,
-        *,
-        sym_tol: float = 1e-10,
-        cond_cap: float = 1e12,
-    ) -> "SpdMatrix":
-        """Validate symmetry, positive eigenvalues and the condition number.
+    def from_matrix(cls, matrix: np.ndarray, *, cond_cap: float = 1e12) -> "SpdMatrix":
+        """Validate ``matrix`` by ``factor_spd``'s rule and keep its factor.
 
         Raises ``ValueError`` for malformed input (shape, non-finite entries,
         asymmetry) and ``IllConditionedError`` when the matrix is not
@@ -146,23 +203,14 @@ class SpdMatrix:
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix has non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if float(np.max(np.abs(a - a.T))) > sym_tol * scale:
-            raise ValueError(f"matrix is not symmetric within {sym_tol}")
-        sym = 0.5 * (a + a.T)
-        eigs = np.linalg.eigvalsh(sym)
-        if eigs[0] <= 0.0:
-            raise IllConditionedError(
-                f"matrix is not positive definite (min eigenvalue {eigs[0]:.6e})"
-            )
-        cond = eigs[-1] / eigs[0]
-        if cond > cond_cap:
-            raise IllConditionedError(
-                f"condition number {cond:.6e} exceeds the cap {cond_cap:.1e}"
-            )
-        return cls(dim=a.shape[0], entries=sym)
+        entries, chol, failures = factor_spd(a[None], cond_cap)
+        if failures:
+            raise failures[0]
+        spd = object.__new__(cls)
+        for name, value in (("entries", entries[0]), ("chol", chol[0])):
+            value.setflags(write=False)
+            object.__setattr__(spd, name, value)
+        return spd
 
 
 @dataclass(frozen=True)
@@ -180,8 +228,6 @@ class ConeProjection:
     gradient_image : ndarray, shape (K,)
         The residual mapped back through ``B2 omega^{-1}``; its sign pattern
         certifies the KKT conditions and its zeros identify the face hit.
-    active_set : tuple of int
-        Coordinates with strictly positive multipliers.
     zeros : int
         Number of entries of ``gradient_image`` within the zero threshold.
     objective : float
@@ -193,7 +239,6 @@ class ConeProjection:
     lambda_hat: np.ndarray
     residual: np.ndarray
     gradient_image: np.ndarray
-    active_set: tuple
     zeros: int
     objective: float
     degenerate: bool
@@ -217,22 +262,6 @@ def check_simplex_point(
     if float(arr.min()) < -tol or abs(float(arr.sum()) - 1.0) > tol:
         raise ValueError(f"{arr.tolist()} is not on the simplex within {tol}")
     return arr
-
-
-def _coerce_omega(omega: Union[SpdMatrix, np.ndarray], dim: int) -> np.ndarray:
-    """Accept either an SpdMatrix or a plain symmetric array of size dim."""
-    if isinstance(omega, SpdMatrix):
-        entries = omega.entries
-    else:
-        entries = np.asarray(omega, dtype=float)
-    if entries.shape != (dim, dim):
-        raise ValueError(f"covariance must have shape {(dim, dim)}, got {entries.shape}")
-    if not np.all(np.isfinite(entries)):
-        raise ValueError("covariance has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(entries))))
-    if float(np.max(np.abs(entries - entries.T))) > 1e-8 * scale:
-        raise ValueError("covariance matrix is not symmetric")
-    return entries
 
 
 def _nnls(design: np.ndarray, target: np.ndarray, max_iter: int) -> np.ndarray:
@@ -301,7 +330,7 @@ def project_cone(
     with ``w' lam = 0``. Because both ``w`` and ``lam`` are nonnegative, the
     equality constraint pins ``lam`` to zero wherever ``w`` is positive, so
     only the coordinates where ``w`` vanishes enter the active-set solve.
-    A Cholesky factor of ``omega`` whitens the problem into an ordinary
+    The Cholesky factor of ``omega`` whitens the problem into an ordinary
     nonnegative least squares.
 
     Parameters
@@ -311,7 +340,8 @@ def project_cone(
     w : array_like, shape (K,)
         Point on the simplex (validated within ``tol.support``).
     omega : SpdMatrix or array_like, shape (K-1, K-1)
-        Positive definite weighting matrix.
+        Positive definite weighting matrix; an array goes through
+        ``SpdMatrix.from_matrix`` with its default condition cap.
     basis : OrthoBasis, optional
         Defaults to the Helmert basis of matching dimension.
     tol : Tolerances, optional
@@ -322,8 +352,8 @@ def project_cone(
 
     Raises
     ------
-    IllConditionedError
-        When ``omega`` is not positive definite.
+    ValueError, IllConditionedError
+        When an array ``omega`` fails ``SpdMatrix.from_matrix``.
     ConvergenceError
         When the active-set iteration exceeds ``tol.max_iter_factor * K``
         iterations.
@@ -336,11 +366,11 @@ def project_cone(
     elif basis.K != K:
         raise ValueError(f"basis dimension {basis.K} does not match input length {f.size}")
     wv = check_simplex_point(w, K, tol.support)
-    entries = _coerce_omega(omega, K - 1)
-    try:
-        chol = np.linalg.cholesky(entries)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError("covariance matrix is not positive definite") from exc
+    if not isinstance(omega, SpdMatrix):
+        omega = SpdMatrix.from_matrix(omega)
+    chol = omega.chol
+    if chol.shape != (K - 1, K - 1):
+        raise ValueError(f"covariance must have shape {(K - 1, K - 1)}, got {chol.shape}")
 
     vanishing = np.flatnonzero(wv <= tol.support)
     lam = np.zeros(K)
@@ -359,8 +389,7 @@ def project_cone(
     gradient_image = basis.b2 @ np.linalg.solve(chol.T, white)
     cutoff = tol.zero * (1.0 + float(np.max(np.abs(gradient_image))))
     zeros = int(np.count_nonzero(np.abs(gradient_image) <= cutoff))
-    support = np.flatnonzero(lam > 0.0)
-    degenerate = bool(support.size and float(lam[support].min()) < _DEGENERACY_TOL)
+    degenerate = bool(np.any((lam > 0.0) & (lam < _DEGENERACY_TOL)))
     lam.setflags(write=False)
     residual.setflags(write=False)
     gradient_image.setflags(write=False)
@@ -368,7 +397,6 @@ def project_cone(
         lambda_hat=lam,
         residual=residual,
         gradient_image=gradient_image,
-        active_set=tuple(int(j) for j in support),
         zeros=zeros,
         objective=objective,
         degenerate=degenerate,

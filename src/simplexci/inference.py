@@ -28,6 +28,7 @@ from .geometry import (
     Tolerances,
     build_basis,
     check_simplex_point,
+    factor_spd,
     project_cone,
     project_cone_batch,
 )
@@ -294,58 +295,25 @@ def point_test(
     )
 
 
-def _factor_covariances(omegas: np.ndarray, cond_cap: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors of a stack of covariances, and which rows have one.
-
-    A row has a factor when it passes ``SpdMatrix.from_matrix``'s rules
-    (finite, symmetric within its default ``sym_tol``, positive definite,
-    condition number within ``cond_cap``), as ``point_test`` requires, and
-    factors. The factor of a failing row is meaningless.
-    """
-    dim = omegas.shape[1]
-    finite = np.isfinite(omegas).all(axis=(1, 2))
-    omegas = np.where(finite[:, None, None], omegas, 0.0)
-    transposed = np.swapaxes(omegas, 1, 2)
-    scale = np.maximum(1.0, np.abs(omegas).max(axis=(1, 2)))
-    asymmetry = np.abs(omegas - transposed).max(axis=(1, 2))
-    ok = finite & (asymmetry <= 1e-10 * scale)
-    sym = 0.5 * (omegas + transposed)
-    audit = np.flatnonzero(ok)
-    eigs = np.linalg.eigvalsh(sym[audit])
-    low, high = eigs[:, 0], eigs[:, -1]
-    cond = np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0.0)
-    ok[audit] = (low > 0.0) & (cond <= cond_cap)
-    sym[~ok] = np.eye(dim)  # a stand-in, so that the stack factors as a whole
-    try:
-        return np.linalg.cholesky(sym), ok
-    except np.linalg.LinAlgError:
-        chol = np.zeros_like(sym)
-        for i, matrix in enumerate(sym):
-            try:
-                chol[i] = np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                ok[i] = False
-        return chol, ok
-
-
 def _batch_tests(
     model: WeightModel, points: np.ndarray, tol: Tolerances, cond_cap: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Statistics and zero counts of ``point_test`` at a batch of points.
 
-    Evaluates the model at every row, validates and factors the
-    covariances, and projects with ``project_cone_batch``. Returns
+    Evaluates the model at every row, checks and factors the covariances
+    with ``factor_spd``, and projects with ``project_cone_batch``. Returns
     ``(statistic, zeros, settled)``; a row is unsettled when its covariance
-    failed validation or factorization or its projection needs the scalar
-    solver; its statistic and zeros are meaningless, and ``point_test``
-    must give its result or error.
+    failed ``factor_spd`` or its projection needs the scalar solver; its
+    statistic and zeros are meaningless, and ``point_test`` must give its
+    result or error.
     """
     settled = np.abs(points.sum(axis=1) - 1.0) <= tol.support
     gradients, omegas = model.evaluate(points)
-    chol, factored = _factor_covariances(omegas, cond_cap)
-    # an unsettled row carries an identity factor, so projecting it is harmless
+    chol, failures = factor_spd(omegas, cond_cap)[1:]
+    settled[list(failures)] = False
+    # a failed row carries an identity factor, so projecting it is harmless
     objective, zeros, solved = project_cone_batch(gradients, points, chol, model.basis, tol)
-    return model.n * objective, zeros, settled & factored & solved
+    return model.n * objective, zeros, settled & solved
 
 
 def confidence_set(
@@ -356,7 +324,6 @@ def confidence_set(
     strict: bool = False,
     tol: Optional[Tolerances] = None,
     cond_cap: float = 1e12,
-    max_points: int = _GRID_CAP,
 ) -> ConfidenceSet:
     """Sweep a simplex lattice and keep the points whose test passes.
 
@@ -372,7 +339,7 @@ def confidence_set(
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     tol = tol if tol is not None else Tolerances()
     res = resolution if resolution is not None else default_resolution(model.K)
-    grid = simplex_grid(model.K, res, max_points=max_points)
+    grid = simplex_grid(model.K, res)
     grid.setflags(write=False)
     batches = [
         _batch_tests(model, grid[start : start + _BATCH_POINTS], tol, cond_cap)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from simplexci.cli import main, read_panel_csv
+from simplexci.cli import RunConfig, build_parser, main, read_panel_csv, resolve_config
 from simplexci.estimators import (
     influence_set,
     make_weight_model,
@@ -230,6 +230,16 @@ def test_csv_row_with_extra_fields_is_a_validation_error(tmp_path, capsys):
     assert "row 3 has too many fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+def test_csv_non_finite_outcome_names_its_row(tmp_path, capsys, cell):
+    bad = tmp_path / "nonfinite.csv"
+    bad.write_text(
+        f"unit,group,time,outcome\na,0,1,1.0\na,0,2,{cell}\n", encoding="utf-8"
+    )
+    assert main(["infer", str(bad)]) == 1
+    assert f"row 3: outcome '{cell}' is not a finite number" in capsys.readouterr().err
+
+
 def test_csv_with_a_byte_order_mark_reads_the_same_panel(tmp_path):
     plain = make_fixture(tmp_path)
     marked = tmp_path / "bom.csv"
@@ -263,6 +273,20 @@ def test_config_file_merge_and_unknown_keys(tmp_path, capsys):
     bad.write_text("bogus=1\n", encoding="utf-8")
     assert main(["project", str(path), "--config", str(bad)]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_config_keys_reach_their_run_config_fields(tmp_path, capsys):
+    parser = build_parser()
+    assert resolve_config(parser.parse_args(["simulate"])) == RunConfig(command="simulate")
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("nj=7\nspec=boundary\nprojection=yes\nformat=csv\nreps=3\n", encoding="utf-8")
+    args = parser.parse_args(["simulate", "--reps", "5", "--config", str(cfg)])
+    assert resolve_config(args) == RunConfig(
+        command="simulate", n_j=7, design="boundary", projection=True, fmt="csv", reps=5
+    )
+    cfg.write_text("strict=maybe\n", encoding="utf-8")
+    assert main(["infer", "panel.csv", "--config", str(cfg)]) == 1
+    assert "config key 'strict': expected a boolean, got 'maybe'" in capsys.readouterr().err
 
 
 def test_bonferroni_parameter_validation(tmp_path, capsys):

@@ -126,10 +126,17 @@ def test_panel_allows_extra_periods_beyond_matching_window():
     unit = np.repeat(np.arange(4), 3)
     group = np.repeat([0, 0, 1, 1], 3)
     time = np.tile([1, 2, 3], 4)
+    outcome = np.arange(12, dtype=float) ** 1.5
     keep = np.ones(12, dtype=bool)
     keep[5] = False  # hole only at period 3, outside the window
-    panel = PanelData.from_long(unit[keep], group[keep], time[keep], np.zeros(11), t_match=2)
-    assert panel.K == 1 or panel.K >= 1
+    panel = PanelData.from_long(unit[keep], group[keep], time[keep], outcome[keep], t_match=2)
+    labels, groups, matrix = panel._matched
+    assert matrix.shape == (4, 2)
+    window = time <= 2
+    trimmed = PanelData.from_long(unit[window], group[window], time[window], outcome[window])
+    want, got = quadratic_components(trimmed), quadratic_components(panel)
+    assert np.array_equal(got.H, want.H) and np.array_equal(got.h, want.h)
+    assert np.array_equal(got.group_means, want.group_means)
 
 
 # ---------------------------------------------------------------------------

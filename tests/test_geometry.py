@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from simplexci.exceptions import ConvergenceError, IllConditionedError
+from simplexci.inference import confidence_set
 from simplexci.geometry import (
     OrthoBasis,
     SpdMatrix,
     Tolerances,
     build_basis,
     check_simplex_point,
+    factor_spd,
     project_cone,
     solve_simplex_qp,
 )
 
+from model_helpers import constant_model
 from oracles import cone_projection_enumeration, qp_simplex_enumeration, span_projection_kkt
 
 
@@ -120,6 +123,104 @@ def test_spd_matrix_rejects_bad_inputs():
         SpdMatrix.from_matrix(np.diag([1.0, 1e-15]))
     with pytest.raises(ValueError):
         SpdMatrix.from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_spd_matrix_is_built_only_by_from_matrix():
+    with pytest.raises(TypeError):
+        SpdMatrix(np.eye(2), np.eye(2))
+    spd = SpdMatrix.from_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    assert np.array_equal(spd.chol, np.linalg.cholesky(spd.entries))
+    assert not spd.entries.flags.writeable and not spd.chol.flags.writeable
+
+
+# one matrix of each kind the covariance rule tells apart
+RULE_CASES = {
+    "good": np.array([[2.0, 0.3], [0.3, 1.0]]),
+    "tilted within 1e-10": np.array([[2.0, 0.3], [0.3 + 1e-11, 1.0]]),
+    "non-finite": np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    "asymmetric by 1e-9": np.array([[2.0, 0.3], [0.3 + 1e-9, 1.0]]),
+    "indefinite": np.array([[1.0, 2.0], [2.0, 1.0]]),
+    "singular": np.array([[1.0, 1.0], [1.0, 1.0]]),
+    "condition 1e14": np.diag([1.0, 1e-14]),
+}
+
+
+def raised_by(fn, *args, **kwargs):
+    with pytest.raises((ValueError, IllConditionedError)) as info:
+        fn(*args, **kwargs)
+    return info.value
+
+
+def test_stacked_rule_agrees_row_for_row_with_from_matrix():
+    stack = np.stack(list(RULE_CASES.values()))
+    entries, chol, failures = factor_spd(stack)
+    assert sorted(failures) == [2, 3, 4, 5, 6]
+    for i, matrix in enumerate(RULE_CASES.values()):
+        if i in failures:
+            exc = raised_by(SpdMatrix.from_matrix, matrix)
+            assert (type(failures[i]), str(failures[i])) == (type(exc), str(exc))
+        else:
+            spd = SpdMatrix.from_matrix(matrix)
+            assert np.array_equal(entries[i], spd.entries)
+            assert np.array_equal(chol[i], spd.chol)
+    # the condition cap is the caller's
+    assert 6 not in factor_spd(stack, cond_cap=1e15)[2]
+
+
+def test_stacked_rule_reports_a_failed_cholesky():
+    # rank-one matrices whose rounded eigenvalues are all positive but whose
+    # Cholesky factorization breaks down; which ones do depends on LAPACK
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        v = rng.standard_normal(3)
+        rank_one = np.outer(v, v)
+        if np.linalg.eigvalsh(rank_one)[0] > 0.0:
+            try:
+                np.linalg.cholesky(rank_one)
+            except np.linalg.LinAlgError:
+                break
+    else:
+        pytest.skip("no rank-one matrix passes eigvalsh yet fails Cholesky here")
+    stack = np.stack([np.eye(3), rank_one, 2.0 * np.eye(3)])
+    entries, chol, failures = factor_spd(stack, cond_cap=np.inf)
+    assert list(failures) == [1]
+    assert isinstance(failures[1], IllConditionedError)
+    assert str(failures[1]) == "covariance matrix is not positive definite"
+    assert np.array_equal(chol[[0, 2]], np.linalg.cholesky(stack[[0, 2]]))
+    exc = raised_by(SpdMatrix.from_matrix, rank_one, cond_cap=np.inf)
+    assert str(exc) == str(failures[1])
+
+
+@pytest.mark.parametrize("case", ["asymmetric by 1e-9", "condition 1e14"])
+def test_every_path_rejects_a_covariance_alike(case):
+    matrix = RULE_CASES[case]
+    exc = raised_by(SpdMatrix.from_matrix, matrix)
+    f = np.array([0.3, -0.2])
+    for w in ([0.2, 0.3, 0.5], [1.0, 0.0, 0.0]):
+        got = raised_by(project_cone, f, np.array(w), matrix)
+        assert (type(got), str(got)) == (type(exc), str(exc))
+    assert list(factor_spd(matrix[None])[2]) == [0]
+    model = constant_model(f, matrix, n=100)
+    with pytest.warns(RuntimeWarning):
+        cs = confidence_set(model, 0.05, resolution=1)
+    assert not cs.member_mask.any()
+    assert sorted(cs.errors) == [0, 1, 2]
+    assert all(message.endswith(f"failed validation: {exc}") for message in cs.errors.values())
+
+
+def test_project_cone_on_an_array_is_project_cone_on_its_spd_matrix():
+    rng = np.random.default_rng(21)
+    tilt = np.array([[0.0, 1e-12], [-1e-12, 0.0]])
+    for w in ([0.2, 0.3, 0.5], [0.0, 0.4, 0.6], [0.0, 0.0, 1.0]):
+        f = rng.standard_normal(2)
+        omega = random_spd(rng, 2) + tilt
+        plain = project_cone(f, np.array(w), omega)
+        wrapped = project_cone(f, np.array(w), SpdMatrix.from_matrix(omega))
+        for name in ("lambda_hat", "residual", "gradient_image"):
+            assert np.array_equal(getattr(plain, name), getattr(wrapped, name))
+        assert (plain.objective, plain.zeros, plain.degenerate) == (
+            wrapped.objective, wrapped.zeros, wrapped.degenerate
+        )
 
 
 def test_check_simplex_point():
