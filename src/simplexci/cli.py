@@ -20,7 +20,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = ["RunConfig", "build_parser", "read_panel_csv", "run", "main"]
 SCHEMA_VERSION = 1
 
 _REQUIRED_COLUMNS = ("unit", "group", "time", "outcome")
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -237,21 +239,74 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command=args.command, input=getattr(args, "input", None), **options)
 
 
+def _open_csv(path: str):
+    try:
+        return open(path, "r", newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
     """Read a long-format panel CSV with header ``unit,group,time,outcome``.
 
-    Diagnostics name the offending row and column. Extra or missing columns
-    are rejected.
+    Diagnostics name the offending row (its line in the file) and column.
+    Extra or missing columns are rejected, and blank lines are skipped.
     """
+    with _open_csv(path) as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        body = list(filter(None, reader))  # csv.reader gives [] for a blank line
+    columns = _panel_columns(header, body)
+    if columns is None:
+        columns = _panel_rows(path)
+    return PanelData.from_long(*columns, t_match=t_match)
+
+
+def _panel_columns(header: Optional[List[str]], body: List[List[str]]):
+    """The four columns of a well-formed CSV, converted a column at a time
+    with the conversions of ``_panel_rows``; None if any check fails."""
+    if header is None or sorted(header) != sorted(_REQUIRED_COLUMNS) or not body:
+        return None
+    if set(map(len, body)) != {len(_REQUIRED_COLUMNS)}:
+        return None
+    unit, group, time, outcome = (
+        map(itemgetter(header.index(column)), body) for column in _REQUIRED_COLUMNS
+    )
+    units = list(map(str.strip, unit))
+    if not all(units):
+        return None
+    try:
+        groups = np.fromiter(map(int, group), np.int64, len(body))
+        times = np.fromiter(map(int, time), np.int64, len(body))
+        outcomes = np.fromiter(map(float, outcome), float, len(body))
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(outcomes).all():
+        return None
+    return units, groups, times, outcomes
+
+
+def _integer_cell(path: str, line: int, row: Dict[str, str], column: str) -> int:
+    try:
+        value = int(row[column])
+    except ValueError:
+        raise DataError(
+            f"{path}: row {line}: {column} {row[column]!r} is not an integer"
+        ) from None
+    if not _INT64.min <= value <= _INT64.max:
+        raise DataError(f"{path}: row {line}: {column} {row[column]!r} is out of range")
+    return value
+
+
+def _panel_rows(path: str) -> Tuple[List[str], List[int], List[int], List[float]]:
+    """Read the CSV one row at a time and raise the message for the first
+    malformed row; ``read_panel_csv`` runs this only when its column checks
+    fail, so every message comes from here."""
     units: List[str] = []
     groups: List[int] = []
     times: List[int] = []
     outcomes: List[float] = []
-    try:
-        handle = open(path, "r", newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
+    with _open_csv(path) as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames
         if fields is None:
@@ -264,35 +319,28 @@ def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
                 + (f"; missing {missing}" if missing else "")
                 + (f"; unexpected {extra}" if extra else "")
             )
-        for rownum, row in enumerate(reader, start=2):
+        for row in reader:
+            # the csv.reader's count: DictReader's own misses the blank
+            # lines it skips
+            line = reader.reader.line_num
             if any(v is None for v in row.values()):
-                raise DataError(f"{path}: row {rownum} has too few fields")
+                raise DataError(f"{path}: row {line} has too few fields")
             if None in row:  # DictReader files surplus fields under the key None
-                raise DataError(f"{path}: row {rownum} has too many fields")
+                raise DataError(f"{path}: row {line} has too many fields")
             unit = row["unit"].strip()
             if not unit:
-                raise DataError(f"{path}: row {rownum}: empty unit label")
-            try:
-                group = int(row["group"])
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {rownum}: group {row['group']!r} is not an integer"
-                ) from None
-            try:
-                period = int(row["time"])
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {rownum}: time {row['time']!r} is not an integer"
-                ) from None
+                raise DataError(f"{path}: row {line}: empty unit label")
+            group = _integer_cell(path, line, row, "group")
+            period = _integer_cell(path, line, row, "time")
             try:
                 outcome = float(row["outcome"])
             except ValueError:
                 raise DataError(
-                    f"{path}: row {rownum}: outcome {row['outcome']!r} is not a number"
+                    f"{path}: row {line}: outcome {row['outcome']!r} is not a number"
                 ) from None
             if not math.isfinite(outcome):
                 raise DataError(
-                    f"{path}: row {rownum}: outcome {row['outcome']!r} is not a finite number"
+                    f"{path}: row {line}: outcome {row['outcome']!r} is not a finite number"
                 )
             units.append(unit)
             groups.append(group)
@@ -300,7 +348,7 @@ def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
             outcomes.append(outcome)
     if not units:
         raise DataError(f"{path}: no data rows")
-    return PanelData.from_long(units, groups, times, outcomes, t_match=t_match)
+    return units, groups, times, outcomes
 
 
 def _json_value(x):

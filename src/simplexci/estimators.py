@@ -95,25 +95,35 @@ class PanelData:
         self.K = len(labels) - 1
         if self.K < 1:
             raise DataError("need at least one untreated group besides group 0")
-        seen = set()
-        for u, t in zip(self.unit.tolist(), self.time.tolist()):
-            key = (u, t)
-            if key in seen:
-                raise DataError(f"duplicate observation for unit {u!r} at period {t}")
-            seen.add(key)
-        # one group per unit
-        unit_group: dict = {}
-        for u, g in zip(self.unit.tolist(), self.group.tolist()):
-            prev = unit_group.setdefault(u, g)
-            if prev != g:
-                raise DataError(f"unit {u!r} appears in groups {prev} and {g}")
-        counts = [0] * (self.K + 1)
-        for g in unit_group.values():
-            counts[g] += 1
-        for g, c in enumerate(counts):
+        units, first, code = np.unique(self.unit, return_index=True, return_inverse=True)
+        # a stable sort by (unit, period) puts the first row of each pair first
+        order = np.lexsort((self.time, code))
+        repeat = (np.diff(code[order]) == 0) & (np.diff(self.time[order]) == 0)
+        if repeat.any():
+            i = int(order[1:][repeat].min())
+            raise DataError(
+                f"duplicate observation for unit {self.unit.tolist()[i]!r} "
+                f"at period {self.time[i]}"
+            )
+        # one group per unit: the group of its first row
+        unit_group = self.group[first]
+        split = np.flatnonzero(self.group != unit_group[code])
+        if split.size:
+            i = split[0]
+            raise DataError(
+                f"unit {self.unit.tolist()[i]!r} appears in groups "
+                f"{unit_group[code[i]]} and {self.group[i]}"
+            )
+        for g, c in enumerate(np.bincount(unit_group, minlength=self.K + 1).tolist()):
             if c < 2:
                 raise DataError(f"group {g} has {c} unit(s); each group needs at least 2")
-        self._unit_group = unit_group
+        # units ordered by (group, label string), independent of row order
+        by_group = np.lexsort((units.astype(str), unit_group))
+        rank = np.empty_like(by_group)
+        rank[by_group] = np.arange(by_group.size)
+        self._labels = units[by_group]
+        self._unit_groups = unit_group[by_group]
+        self._pivot_row = rank[code]
         self._matched  # build the pivot now so balance errors surface at construction
 
     @classmethod
@@ -144,23 +154,19 @@ class PanelData:
         Units are ordered by (group, label string), a deterministic order
         independent of input row order.
         """
-        order = sorted(self._unit_group, key=lambda u: (self._unit_group[u], str(u)))
-        position = {u: i for i, u in enumerate(order)}
-        n = len(order)
         T = self.t_match
-        matrix = np.full((n, T), np.nan)
         in_window = self.time <= T
-        rows = [position[u] for u in self.unit[in_window].tolist()]
-        matrix[rows, self.time[in_window] - 1] = self.outcome[in_window]
-        if np.isnan(matrix).any():
-            holes = int(np.isnan(matrix).sum())
+        # (unit, period) pairs are unique and periods start at 1, so every
+        # cell the window's rows leave unset is a hole
+        holes = self._labels.size * int(T) - int(np.count_nonzero(in_window))
+        if holes:
             raise DataError(
                 f"panel is unbalanced: {holes} missing unit-period cell(s) over "
                 f"matching periods 1..{T}"
             )
-        groups = np.array([self._unit_group[u] for u in order], dtype=int)
-        labels = np.array(order, dtype=object)
-        return labels, groups, matrix
+        matrix = np.empty((self._labels.size, T))
+        matrix[self._pivot_row[in_window], self.time[in_window] - 1] = self.outcome[in_window]
+        return self._labels, self._unit_groups, matrix
 
 
 @dataclass(frozen=True)
@@ -353,10 +359,8 @@ def treatment_functional(
     at_post = panel.time == int(post_period)
     if not at_post.any():
         raise DataError(f"no observations at post period {post_period}")
-    position = {u: i for i, u in enumerate(labels.tolist())}
     y_post = np.full(n, np.nan)
-    for u, y in zip(panel.unit[at_post].tolist(), panel.outcome[at_post].tolist()):
-        y_post[position[u]] = y
+    y_post[panel._pivot_row[at_post]] = panel.outcome[at_post]
     if np.isnan(y_post).any():
         short = sorted(
             {int(groups[i]) for i in np.flatnonzero(np.isnan(y_post))}

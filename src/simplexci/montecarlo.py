@@ -10,7 +10,6 @@ each replication reproducible independently of execution order.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
@@ -170,28 +169,6 @@ class CoverageReport:
         if include_timing:
             doc["timing_seconds"] = self.timing_seconds
         return doc
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing=include_timing), indent=2, sort_keys=True)
-
-    def to_text(self) -> str:
-        """Plain-text table of the same numbers."""
-        lines = [
-            f"design={self.design} K={self.K} n_j={self.n_j} t0={self.t0} "
-            f"alpha={self.alpha} reps={self.reps} seed={self.seed}",
-            f"coverage of the weight vector: {self.coverage:.4f} (failures: {self.failures})",
-        ]
-        if self.resolution is not None:
-            lines.append(f"projection intervals on the 1/{self.resolution} lattice:")
-            lines.append("  coord   coverage   mean length")
-            for j in range(self.K):
-                cov = (self.projection_coverage or [float('nan')] * self.K)[j]
-                length = (self.mean_lengths or [None] * self.K)[j]
-                shown = "n/a" if length is None else f"{length:.4f}"
-                lines.append(f"  {j + 1:<7d} {cov:<10.4f} {shown}")
-            lines.append(f"empty-set rate: {self.empty_rate:.4f}")
-        lines.append(f"elapsed: {self.timing_seconds:.2f}s")
-        return "\n".join(lines)
 
 
 def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageReport:

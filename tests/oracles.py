@@ -261,3 +261,43 @@ def naive_post_functional(unit, group, time, outcome, post, K):
         return math.sqrt(second[0] + np.sum(w**2 * second[1:]))
 
     return theta, v
+
+
+def naive_panel(unit, group, time, outcome, t_match):
+    """The panel checks and the matching pivot, one row at a time.
+
+    Returns the message of the first failing check, or the pivot as
+    (labels, groups, matrix) with units ordered by (group, label string).
+    """
+    labels = sorted(set(group))
+    if labels != list(range(len(labels))):
+        return f"groups must form a contiguous range 0..K, found {labels}"
+    if len(labels) < 2:
+        return "need at least one untreated group besides group 0"
+    seen = set()
+    for u, t in zip(unit, time):
+        if (u, t) in seen:
+            return f"duplicate observation for unit {u!r} at period {t}"
+        seen.add((u, t))
+    unit_group = {}
+    for u, g in zip(unit, group):
+        prev = unit_group.setdefault(u, g)
+        if prev != g:
+            return f"unit {u!r} appears in groups {prev} and {g}"
+    for g in labels:
+        count = sum(1 for v in unit_group.values() if v == g)
+        if count < 2:
+            return f"group {g} has {count} unit(s); each group needs at least 2"
+    order = sorted(unit_group, key=lambda u: (unit_group[u], str(u)))
+    position = {u: i for i, u in enumerate(order)}
+    matrix = np.full((len(order), t_match), np.nan)
+    for u, t, y in zip(unit, time, outcome):
+        if t <= t_match:
+            matrix[position[u], t - 1] = y
+    holes = int(np.isnan(matrix).sum())
+    if holes:
+        return (
+            f"panel is unbalanced: {holes} missing unit-period cell(s) over "
+            f"matching periods 1..{t_match}"
+        )
+    return order, [unit_group[u] for u in order], matrix

@@ -2,14 +2,17 @@
 
 import functools
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from simplexci.cli import RunConfig, build_parser, main, read_panel_csv, resolve_config
+from simplexci.cli import RunConfig, _panel_rows, build_parser, main, read_panel_csv, resolve_config
+from simplexci.exceptions import DataError
 from simplexci.estimators import (
+    PanelData,
     influence_set,
     make_weight_model,
     quadratic_components,
@@ -248,6 +251,152 @@ def test_csv_with_a_byte_order_mark_reads_the_same_panel(tmp_path):
     for column in ("unit", "group", "time", "outcome"):
         assert np.array_equal(getattr(got, column), getattr(want, column))
     assert got.t_match == want.t_match
+
+
+HEADER = "unit,group,time,outcome\n"
+# four units in two groups at periods 1 and 2
+GOOD = "".join(f"{u},{g},{t},{g + t}.5\n" for u, g in zip("abcd", (0, 0, 1, 1)) for t in (1, 2))
+
+# (case, file text, message after "error: ", with {path} for the file)
+MALFORMED = [
+    ("empty file", "", "{path}: file is empty"),
+    ("header only", HEADER, "{path}: no data rows"),
+    ("missing column", "unit,group,outcome\na,0,1.0\n",
+     "{path}: header must be exactly unit,group,time,outcome; missing ['time']"),
+    ("extra column", "unit,group,time,outcome,w\na,0,1,1.0,2\n",
+     "{path}: header must be exactly unit,group,time,outcome; unexpected ['w']"),
+    ("duplicate column", "unit,group,time,outcome,unit\na,0,1,1.0\n",
+     "{path}: row 2 has too few fields"),
+    ("blank header", "\n" + HEADER + GOOD,
+     "{path}: header must be exactly unit,group,time,outcome; "
+     "missing ['unit', 'group', 'time', 'outcome']"),
+    ("short row", HEADER + GOOD + "e,1,1\n", "{path}: row 10 has too few fields"),
+    ("long row", HEADER + "a,0,1,1.0,x\n" + GOOD, "{path}: row 2 has too many fields"),
+    ("empty unit", HEADER + GOOD + ",1,1,1.0\n", "{path}: row 10: empty unit label"),
+    ("blank unit", HEADER + GOOD + "  ,1,1,1.0\n", "{path}: row 10: empty unit label"),
+    ("float group", HEADER + "a,3.0,1,1.0\n" + GOOD,
+     "{path}: row 2: group '3.0' is not an integer"),
+    ("float time", HEADER + GOOD + "e,1, 3.0,1.0\n",
+     "{path}: row 10: time ' 3.0' is not an integer"),
+    ("int() syntax", HEADER + GOOD.replace("c,1,1", "c,+1, 1").replace("d,1,2", "d,0_1,2")
+     + "e,1,1_000,1.0\n",
+     "panel is unbalanced: 4991 missing unit-period cell(s) over matching periods 1..1000"),
+    ("nan outcome", HEADER + GOOD + "e,1,1,nan\n",
+     "{path}: row 10: outcome 'nan' is not a finite number"),
+    ("inf outcome", HEADER + GOOD + "e,1,1,inf\n",
+     "{path}: row 10: outcome 'inf' is not a finite number"),
+    ("overflowing outcome", HEADER + GOOD + "e,1,1,1e400\n",
+     "{path}: row 10: outcome '1e400' is not a finite number"),
+    ("text outcome", HEADER + GOOD + "e,1,1,abc\n",
+     "{path}: row 10: outcome 'abc' is not a number"),
+    ("huge group", HEADER + GOOD + "e,99999999999999999999,1,1.0\n",
+     "{path}: row 10: group '99999999999999999999' is out of range"),
+    ("huge time", HEADER + GOOD + "e,1,-9223372036854775809,1.0\n",
+     "{path}: row 10: time '-9223372036854775809' is out of range"),
+    ("largest time", HEADER + GOOD + "e,1,9223372036854775807,1.0\n",
+     f"panel is unbalanced: {5 * (2**63 - 1) - 9} missing unit-period cell(s) over "
+     f"matching periods 1..{2**63 - 1}"),
+    ("duplicate pair", HEADER + "b,0,1,1.0\na,0,1,1.0\nb,0,1,9.0\n" + GOOD,
+     "duplicate observation for unit 'b' at period 1"),
+    ("unit in two groups", HEADER + GOOD + "b,1,3,1.0\na,1,3,1.0\n",
+     "unit 'b' appears in groups 0 and 1"),
+    ("duplicate before group", HEADER + GOOD + "a,1,3,1.0\nd,1,2,1.0\n",
+     "duplicate observation for unit 'd' at period 2"),
+    ("one-unit group", HEADER + GOOD + "e,2,1,1.0\ne,2,2,1.0\n",
+     "group 2 has 1 unit(s); each group needs at least 2"),
+    ("group before balance", HEADER + GOOD + "e,2,1,1.0\n",
+     "group 2 has 1 unit(s); each group needs at least 2"),
+    ("gap in groups", HEADER + GOOD.replace("c,1,", "c,2,").replace("d,1,", "d,2,"),
+     "groups must form a contiguous range 0..K, found [0, 2]"),
+    ("unbalanced", HEADER + GOOD.replace("d,1,2,3.5\n", ""),
+     "panel is unbalanced: 1 missing unit-period cell(s) over matching periods 1..2"),
+    ("blank lines", HEADER + "\n\na,0,1,xx\n", "{path}: row 4: outcome 'xx' is not a number"),
+    ("blank lines between rows", HEADER + GOOD + "\n \n",
+     "{path}: row 11 has too few fields"),
+    ("quoted label", HEADER + GOOD + '"e,#1",1,1,1.0\n"e,#1",1,1,2.0\n',
+     "duplicate observation for unit 'e,#1' at period 1"),
+    ("quoted line break", HEADER + '"a\nb",0,1,1.0\n' + GOOD + "e,x,1,1.0\n",
+     "{path}: row 12: group 'x' is not an integer"),
+    ("byte-order mark", "\ufeff" + HEADER + GOOD + "e,1,1,zz\n",
+     "{path}: row 10: outcome 'zz' is not a number"),
+]
+
+
+def row_loop_error(path):
+    """The message of the row loop followed by the panel checks."""
+    try:
+        PanelData.from_long(*_panel_rows(str(path)))
+    except Exception as exc:
+        return exc
+    raise AssertionError(f"{path} was read without an error")
+
+
+@pytest.mark.parametrize("case, text, message", MALFORMED, ids=[c[0] for c in MALFORMED])
+def test_malformed_csv_gets_the_row_loop_message(tmp_path, capsys, case, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    want = message.format(path=path)
+    assert main(["infer", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
+    exc = row_loop_error(path)
+    assert isinstance(exc, DataError) and str(exc) == want
+
+
+def load_bench_module(name):
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    sys.path.insert(0, bench)
+    try:
+        return __import__(name)
+    finally:
+        sys.path.remove(bench)
+
+
+def test_well_formed_csv_takes_the_column_path(tmp_path, monkeypatch):
+    inputs = load_bench_module("inputs")
+    workloads = load_bench_module("workloads")
+    workload = workloads.WORKLOADS["bonferroni-large-n"]
+    path = tmp_path / "panel.csv"
+    path.write_bytes(inputs.panel_csv_bytes(workload.panel, seed=1))
+    want = PanelData.from_long(*_panel_rows(str(path)), t_match=workload.post - 1)
+
+    def refuse(path):
+        raise AssertionError("the row loop ran on a well-formed file")
+
+    monkeypatch.setattr("simplexci.cli._panel_rows", refuse)
+    got = read_panel_csv(str(path), t_match=workload.post - 1)
+    for column in ("unit", "group", "time", "outcome"):
+        assert np.array_equal(getattr(got, column), getattr(want, column))
+    for a, b in zip(got._matched, want._matched):
+        assert np.array_equal(a, b)
+
+    # int() syntax, padding, quoting and blank lines take the column path too
+    plain = tmp_path / "plain.csv"
+    plain.write_text(HEADER + GOOD, encoding="utf-8")
+    padded = tmp_path / "padded.csv"
+    padded.write_text(
+        HEADER + "\n" + GOOD.replace("a,0,1", '"a",+0,0_1').replace("b,", " b ,")
+        .replace("d,1,2", "d, 1 ,2 ")
+        + "\n\n", encoding="utf-8",
+    )
+    want, got = read_panel_csv(str(plain)), read_panel_csv(str(padded))
+    for column in ("unit", "group", "time", "outcome"):
+        assert np.array_equal(getattr(got, column), getattr(want, column))
+
+
+@pytest.mark.parametrize("command", ["infer", "project", "bonferroni"])
+def test_row_order_does_not_change_the_output(tmp_path, capsys, command):
+    path = make_fixture(tmp_path, seed=6, total_T=6)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    np.random.default_rng(0).shuffle(rows)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    extra = ["--post", "6"] if command == "bonferroni" else []
+    for fmt in ("json", "csv"):
+        outputs = []
+        for source in (path, shuffled):
+            assert main([command, str(source), "--grid", "4", "--format", fmt] + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 def test_usage_errors_exit_1():

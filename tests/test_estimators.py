@@ -23,6 +23,7 @@ from simplexci.inference import point_test, simplex_grid
 from oracles import (
     naive_group_means,
     naive_influence,
+    naive_panel,
     naive_post_functional,
     naive_quadratics,
     naive_variance,
@@ -137,6 +138,59 @@ def test_panel_allows_extra_periods_beyond_matching_window():
     want, got = quadratic_components(trimmed), quadratic_components(panel)
     assert np.array_equal(got.H, want.H) and np.array_equal(got.h, want.h)
     assert np.array_equal(got.group_means, want.group_means)
+
+
+def faulty_panel(rng):
+    """Shuffled long panel with integer or string unit labels, extra
+    periods past the window and up to three random faults."""
+    K, n_j, T = int(rng.integers(1, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    n_units = (K + 1) * n_j
+    if rng.random() < 0.5:
+        names = rng.permutation(40)[:n_units].tolist()  # 9 < 10 but "9" > "10"
+    else:
+        names = [f"u{i}" for i in rng.permutation(40)[:n_units]]
+    rows = [
+        [names[i], i % (K + 1), t, float(rng.standard_normal())]
+        for i in range(n_units)
+        for t in range(1, T + 2)
+    ]
+    for _ in range(int(rng.integers(0, 4))):
+        fault = int(rng.integers(4))
+        row = rows[int(rng.integers(len(rows)))]
+        if fault == 0:  # a second outcome for one (unit, period)
+            rows.append([row[0], row[1], row[2], 0.5])
+        elif fault == 1:  # one row filed in another group
+            row[1] = (row[1] + 1) % (K + 1)
+        elif fault == 2:  # a missing cell
+            rows.remove(row)
+        else:  # a unit moved, with all its rows, to another group
+            moved = (row[1] + 1) % (K + 1)
+            for other in rows:
+                if other[0] == row[0]:
+                    other[1] = moved
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    return [list(column) for column in zip(*rows)], T
+
+
+def test_panel_checks_match_the_row_by_row_reference():
+    rng = np.random.default_rng(16)
+    outcomes = set()
+    for _ in range(400):
+        (unit, group, time, outcome), T = faulty_panel(rng)
+        want = naive_panel(unit, group, time, outcome, T)
+        try:
+            panel = PanelData(unit, group, time, outcome, t_match=T)
+        except DataError as exc:
+            assert str(exc) == want
+            outcomes.add(str(exc).split(" ")[0])
+            continue
+        labels, groups, matrix = panel._matched
+        assert labels.tolist() == want[0]
+        assert groups.tolist() == want[1]
+        assert np.array_equal(matrix, want[2])
+        outcomes.add("ok")
+    # every check was reached
+    assert outcomes == {"ok", "duplicate", "unit", "group", "groups", "need", "panel"}
 
 
 # ---------------------------------------------------------------------------
