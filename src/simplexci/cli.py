@@ -313,11 +313,13 @@ def _panel_rows(path: str) -> Tuple[List[str], List[int], List[int], List[float]
             raise DataError(f"{path}: file is empty")
         missing = [c for c in _REQUIRED_COLUMNS if c not in fields]
         extra = [c for c in fields if c not in _REQUIRED_COLUMNS]
-        if missing or extra:
+        repeated = list(dict.fromkeys(c for i, c in enumerate(fields) if c in fields[:i]))
+        if missing or extra or repeated:
             raise DataError(
                 f"{path}: header must be exactly {','.join(_REQUIRED_COLUMNS)}"
                 + (f"; missing {missing}" if missing else "")
                 + (f"; unexpected {extra}" if extra else "")
+                + (f"; repeated {repeated}" if repeated else "")
             )
         for row in reader:
             # the csv.reader's count: DictReader's own misses the blank

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .exceptions import DataError
-from .geometry import OrthoBasis, SpdMatrix, build_basis, check_simplex_point
+from .geometry import OrthoBasis, SpdMatrix, build_basis, check_simplex_point, symmetric_psd
 from .inference import WeightModel
 
 __all__ = [
@@ -37,18 +37,26 @@ __all__ = [
 
 
 def _integer_column(name: str, values) -> np.ndarray:
-    """``values`` as an integer array; a non-finite or non-integral entry
-    raises ``DataError`` naming the column, its position and its value."""
+    """``values`` as an integer array; a non-finite, non-integral or
+    out-of-int64 entry raises ``DataError`` naming the column, its position
+    and its value."""
     arr = np.asarray(values)
-    if arr.dtype.kind in "iu":
+    if arr.dtype.kind == "i" or (arr.dtype.kind == "u" and arr.max(initial=0) < 2**63):
         return arr.astype(int, copy=False)
     floats = arr.astype(float, copy=False)
     with np.errstate(invalid="ignore"):
         ints = floats.astype(int)
-    bad = np.flatnonzero(ints != floats)
+    # numpy holds integers beyond int64 as uint64, objects or rounded
+    # floats, so a list's own entries are compared
+    exact = floats
+    if arr.dtype.kind in "uO" or not isinstance(values, np.ndarray):
+        exact = np.asarray(values, dtype=object).ravel()
+    bad = np.flatnonzero(exact != ints)
     if bad.size:
-        i = bad[0]
-        raise DataError(f"column {name} has a non-integer entry {floats[i]} at position {i}")
+        i, value = bad[0], exact[bad[0]]
+        if isinstance(value, int) or float(value).is_integer():
+            raise DataError(f"column {name} has an out-of-range entry {value} at position {i}")
+        raise DataError(f"column {name} has a non-integer entry {value} at position {i}")
     return ints
 
 
@@ -194,11 +202,7 @@ class QuadraticComponents:
             raise ValueError(f"H must have shape {(K, K)}, got {H.shape}")
         if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
             raise ValueError("quadratic components have non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(H))))
-        if float(np.max(np.abs(H - H.T))) > 1e-10 * scale:
-            raise ValueError("H is not symmetric within 1e-10")
-        if float(np.linalg.eigvalsh(0.5 * (H + H.T))[0]) < -1e-10 * scale:
-            raise ValueError("H is not positive semidefinite")
+        symmetric_psd(H, "H")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "h", h)
 

@@ -1,9 +1,11 @@
 """Geometry of the probability simplex.
 
 This module provides the deterministic orthonormal basis of the orthogonal
-complement of the ones vector, weighted projections onto the polyhedral cone
-attached to a simplex point, and an active-set solver for quadratic programs
-over the simplex.
+complement of the ones vector, the rules for a usable covariance and
+hessian, weighted projections onto the polyhedral cone attached to a simplex
+point (one batched active-set solver, of which ``project_cone`` is the
+stack of one), and an active-set solver for quadratic programs over the
+simplex.
 
 All functions are pure and the returned containers are read-only, so results
 can be shared freely across threads.
@@ -11,7 +13,6 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,11 +33,13 @@ __all__ = [
     "project_cone",
     "project_cone_batch",
     "solve_simplex_qp",
+    "symmetric_psd",
 ]
 
 _ORTHO_TOL = 1e-12
 _DEGENERACY_TOL = 1e-10
-# largest asymmetry of a usable covariance, relative to max(1, max |entry|)
+# largest asymmetry of a usable covariance or hessian, and most negative
+# eigenvalue of a usable hessian, relative to max(1, max |entry|)
 _SYM_TOL = 1e-10
 
 
@@ -54,7 +57,9 @@ class Tolerances:
         Relative threshold for counting zeros of the mapped residual; the
         effective cutoff is ``zero * (1 + max_abs_entry)``.
     max_iter_factor : int
-        Active-set iteration cap, expressed as a multiple of the dimension.
+        Iteration cap of the active-set solvers as a multiple of ``K``: it
+        caps a cone projection's least-squares solves and the simplex QP's
+        iterations.
     """
 
     support: float = 1e-10
@@ -264,57 +269,6 @@ def check_simplex_point(
     return arr
 
 
-def _nnls(design: np.ndarray, target: np.ndarray, max_iter: int) -> np.ndarray:
-    """Lawson-Hanson nonnegative least squares.
-
-    Solves ``min ||design @ x - target||_2`` subject to ``x >= 0`` by the
-    classical active-set iteration. The passive-set least-squares solves use
-    ``lstsq``; for the cones handled here every column subset has full rank,
-    so the inner solutions are unique.
-    """
-    m, n = design.shape
-    x = np.zeros(n)
-    if n == 0:
-        return x
-    passive = np.zeros(n, dtype=bool)
-    grad = design.T @ target
-    dual_tol = 1e-11 * max(1.0, float(np.max(np.abs(grad))))
-    iters = 0
-    while True:
-        candidates = ~passive
-        if not candidates.any():
-            break
-        masked = np.where(candidates, grad, -np.inf)
-        enter = int(np.argmax(masked))
-        if masked[enter] <= dual_tol:
-            break
-        passive[enter] = True
-        while True:
-            iters += 1
-            if iters > max_iter:
-                raise ConvergenceError(
-                    f"nonnegative least squares exceeded {max_iter} iterations"
-                )
-            z = np.zeros(n)
-            z[passive] = np.linalg.lstsq(design[:, passive], target, rcond=None)[0]
-            if float(z[passive].min()) > 0.0:
-                x = z
-                break
-            negative = passive & (z <= 0.0)
-            movable = negative & ((x - z) > 0.0)
-            if movable.any():
-                alpha = float((x[movable] / (x[movable] - z[movable])).min())
-            else:
-                alpha = 0.0
-            x = x + alpha * (z - x)
-            hit = passive & negative & (x <= 1e-12 * max(1.0, float(np.max(x))))
-            x[hit] = 0.0
-            passive[hit] = False
-            x[~passive] = 0.0
-        grad = design.T @ (target - design @ x)
-    return x
-
-
 def project_cone(
     f_hat: Iterable[float],
     w: Iterable[float],
@@ -331,7 +285,8 @@ def project_cone(
     equality constraint pins ``lam`` to zero wherever ``w`` is positive, so
     only the coordinates where ``w`` vanishes enter the active-set solve.
     The Cholesky factor of ``omega`` whitens the problem into an ordinary
-    nonnegative least squares.
+    nonnegative least squares, solved by ``project_cone_batch`` as a stack
+    of one.
 
     Parameters
     ----------
@@ -355,8 +310,8 @@ def project_cone(
     ValueError, IllConditionedError
         When an array ``omega`` fails ``SpdMatrix.from_matrix``.
     ConvergenceError
-        When the active-set iteration exceeds ``tol.max_iter_factor * K``
-        iterations.
+        When the active-set iteration needs more than
+        ``tol.max_iter_factor * K`` least-squares solves.
     """
     tol = tol if tol is not None else Tolerances()
     f = np.asarray(f_hat, dtype=float).ravel()
@@ -372,35 +327,21 @@ def project_cone(
     if chol.shape != (K - 1, K - 1):
         raise ValueError(f"covariance must have shape {(K - 1, K - 1)}, got {chol.shape}")
 
-    vanishing = np.flatnonzero(wv <= tol.support)
-    lam = np.zeros(K)
-    if vanishing.size:
-        generators = basis.b2[vanishing].T  # columns are basis rows on the zero set
-        design = np.linalg.solve(chol, generators)
-        target = np.linalg.solve(chol, f)
-        coef = _nnls(design, target, max_iter=tol.max_iter_factor * K)
-        lam[vanishing] = coef
-        residual = f - generators @ coef
-    else:
-        residual = f.copy()
-
-    white = np.linalg.solve(chol, residual)
-    objective = float(white @ white)
-    gradient_image = basis.b2 @ np.linalg.solve(chol.T, white)
-    cutoff = tol.zero * (1.0 + float(np.max(np.abs(gradient_image))))
-    zeros = int(np.count_nonzero(np.abs(gradient_image) <= cutoff))
-    degenerate = bool(np.any((lam > 0.0) & (lam < _DEGENERACY_TOL)))
-    lam.setflags(write=False)
-    residual.setflags(write=False)
-    gradient_image.setflags(write=False)
-    return ConeProjection(
-        lambda_hat=lam,
-        residual=residual,
-        gradient_image=gradient_image,
-        zeros=zeros,
-        objective=objective,
-        degenerate=degenerate,
+    lam, residual, objective, gradient_image, zeros, over_cap = (
+        column[0] for column in project_cone_batch(f[None], wv[None], chol[None], basis, tol)
     )
+    if over_cap:
+        raise _cap_error(K, tol)
+    degenerate = bool(np.any((lam > 0.0) & (lam < _DEGENERACY_TOL)))
+    for column in (lam, residual, gradient_image):
+        column.setflags(write=False)
+    return ConeProjection(lam, residual, gradient_image, int(zeros), float(objective), degenerate)
+
+
+def _cap_error(K: int, tol: Tolerances) -> ConvergenceError:
+    """The error of a cone projection that exceeds its iteration cap."""
+    cap = tol.max_iter_factor * K
+    return ConvergenceError(f"nonnegative least squares exceeded {cap} iterations")
 
 
 def project_cone_batch(
@@ -409,82 +350,139 @@ def project_cone_batch(
     chol: np.ndarray,
     basis: OrthoBasis,
     tol: Optional[Tolerances] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted cone projections of many ``(f_hat, w, omega)`` triples at once.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted cone projections of a stack of ``(f_hat, w, omega)`` triples.
 
-    Row ``i`` solves the problem of ``project_cone(f_hat[i], w[i], omega_i)``
-    given the lower Cholesky factor ``chol[i]`` of ``omega_i``. Rows are
-    grouped by the size of the vanishing set ``Z`` of ``w``. A group tries
-    the subsets of ``Z`` in order of increasing size, over its still
-    unsolved rows and by position within each row's own ``Z``, and a row
-    accepts the first subset whose least-squares multipliers are strictly
-    positive and whose remaining gradient-image entries on ``Z`` are at
-    most the dual tolerance of ``project_cone``'s active-set solver. Those
-    are the KKT conditions of the projection, so the accepted subset is the
-    support of its unique solution. Zeros are counted with
-    ``project_cone``'s cutoff. The inputs are not validated: ``w`` must hold
-    simplex points and ``chol`` nonsingular factors.
+    Row ``i`` solves ``project_cone(f_hat[i], w[i], omega_i)`` given the
+    lower Cholesky factor ``chol[i]`` of ``omega_i``; inputs are not
+    validated. Whitened, each row is a nonnegative least squares over the
+    generators on the zero set of ``w[i]``, solved by the active set of
+    Lawson and Hanson (1974, *Solving Least Squares Problems*, ch. 23) in
+    lockstep over the rows, as in Bro and De Jong (1997). Each iteration, a
+    row whose last solution was positive adds its generator of largest
+    dual if that exceeds ``1e-11 * max(1, max |dual at lam = 0|)``, and is
+    settled otherwise; a row whose solution was not positive steps back
+    toward its last positive point and drops the generators that reach
+    zero. All unsettled rows then share one batched QR solve.
 
-    Returns ``(objective, zeros, solved)``. A group stops after
-    ``tol.max_iter_factor * K`` subsets; its rows left unsolved then, or
-    without any feasible subset, have ``solved`` False and meaningless
-    ``objective`` and ``zeros``, and need ``project_cone``.
+    Returns ``(lam, residual, objective, gradient_image, zeros, over_cap)``,
+    row by row the ``ConeProjection`` fields (``lam`` is ``lambda_hat``).
+    ``over_cap`` marks the rows that needed more than
+    ``tol.max_iter_factor * K`` least-squares solves; their other entries
+    are meaningless.
     """
     tol = tol if tol is not None else Tolerances()
     f = np.asarray(f_hat, dtype=float)
     n_rows, dim = f.shape
     K = dim + 1
     b2 = basis.b2
-    target = np.linalg.solve(chol, f[..., None])[..., 0]
     lam = np.zeros((n_rows, K))
+    over_cap = np.zeros(n_rows, dtype=bool)
+    # whitened generators L^-1 B2' and target L^-1 f, with L = chol
+    gens = np.linalg.solve(chol, b2.T[None])
+    target = np.linalg.solve(chol, f[..., None])[..., 0]
     vanishing = np.asarray(w) <= tol.support
-    sizes = vanishing.sum(axis=1)
-    solved = sizes == 0
-    for size in range(1, K):
-        rows = np.flatnonzero(sizes == size)
-        if rows.size == 0:
-            continue
-        zset = np.nonzero(vanishing[rows])[1].reshape(rows.size, size)
-        # whitened generators: column j of row i is L_i^-1 B2[zset[i, j]]'
-        gens = np.linalg.solve(chol[rows], np.swapaxes(b2[zset], 1, 2))
-        white = target[rows]
-        # the active-set solver's dual tolerance, from the gradient at lam = 0
-        start = np.abs(np.einsum("mdz,md->mz", gens, white)).max(axis=1)
-        dual_tol = 1e-11 * np.maximum(1.0, start)
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(range(size), k) for k in range(size + 1)
-        )
-        pending = np.arange(rows.size)
-        for subset in itertools.islice(subsets, tol.max_iter_factor * K):
-            active = list(subset)
-            rest = [j for j in range(size) if j not in subset]
-            open_gens = gens[pending]
-            t = white[pending]
-            ok = np.ones(pending.size, dtype=bool)
-            if active:
-                design = open_gens[:, :, active]
-                q, r = np.linalg.qr(design)
-                coef = np.linalg.solve(r, np.einsum("mds,md->ms", q, t)[..., None])[..., 0]
-                t = t - np.einsum("mds,ms->md", design, coef)
-                ok = (coef > 0.0).all(axis=1)
-            dual = np.einsum("mdz,md->mz", open_gens[:, :, rest], t)
-            ok &= (dual <= dual_tol[pending, None]).all(axis=1)
-            done = pending[ok]
-            if active:
-                lam[rows[done][:, None], zset[done][:, active]] = coef[ok]
-            solved[rows[done]] = True
-            pending = pending[~ok]
-            if pending.size == 0:
+    live = np.flatnonzero(vanishing.any(axis=1))  # rows still iterating
+    if live.size:
+        # only the columns on a row's zero set may enter its passive set
+        A, t, allowed = gens[live], target[live], vanishing[live]
+        x = np.zeros((live.size, K))
+        passive = np.zeros((live.size, K), dtype=bool)
+        adding = np.ones(live.size, dtype=bool)  # the row's last solution was positive
+        solves = 0
+        while True:
+            residual = t - (A @ x[:, :, None])[..., 0]
+            dual = (residual[:, None, :] @ A)[:, 0]
+            if solves == 0:  # the dual at lam = 0 sets the tolerance
+                dual_tol = 1e-11 * np.maximum(1.0, np.abs(dual * allowed).max(axis=1))
+            dual[~allowed | passive | ~adding[:, None]] = -np.inf
+            enter = dual.argmax(axis=1)
+            grows = dual.max(axis=1) > dual_tol
+            passive[grows, enter[grows]] = True
+            done = adding & ~grows
+            settled = np.count_nonzero(done)
+            if settled:
+                lam[live[done]] = x[done]
+                if settled == len(live):
+                    break
+                keep = ~done
+                live, A, t, allowed, x, passive, dual_tol = (
+                    a[keep] for a in (live, A, t, allowed, x, passive, dual_tol)
+                )
+            solves += 1
+            if solves > tol.max_iter_factor * K:
+                over_cap[live] = True
                 break
+            z = _passive_lstsq(A, t, passive)
+            adding = ((z > 0.0) | ~passive).all(axis=1)
+            if not adding.all():
+                # the other rows step from x toward z until a passive entry
+                # reaches zero, and drop the passive entries at zero
+                negative = passive & (z <= 0.0)
+                movable = negative & (x - z > 0.0)
+                ratio = np.divide(x, x - z, out=np.full_like(x, np.inf), where=movable)
+                step = np.where(movable.any(axis=1), ratio.min(axis=1), 0.0)
+                z = np.where(adding[:, None], z, x + step[:, None] * (z - x))
+                floor = 1e-12 * np.maximum(1.0, z.max(axis=1))
+                passive &= adding[:, None] | ~(negative & (z <= floor[:, None]))
+                z[~passive] = 0.0
+            x = z
 
     residual = f - lam @ b2
-    white = np.linalg.solve(chol, residual[..., None])
-    objective = np.einsum("nd,nd->n", white[..., 0], white[..., 0])
-    gradient_image = np.linalg.solve(np.swapaxes(chol, 1, 2), white)[..., 0] @ b2.T
+    white = target - (gens @ lam[..., None])[..., 0]  # L^-1 residual
+    objective = np.einsum("nd,nd->n", white, white)
+    gradient_image = (white[:, None, :] @ gens)[:, 0]  # B2 omega^-1 residual
     magnitude = np.abs(gradient_image)
     cutoff = tol.zero * (1.0 + magnitude.max(axis=1))
-    zeros = np.count_nonzero(magnitude <= cutoff[:, None], axis=1)
-    return objective, zeros, solved
+    zeros = (magnitude <= cutoff[:, None]).sum(axis=1)
+    return lam, residual, objective, gradient_image, zeros, over_cap
+
+
+def _passive_lstsq(A: np.ndarray, t: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Row ``i``'s least-squares coefficients of ``t[i]`` on the columns of
+    ``A[i]`` marked in ``passive[i]`` (of full rank), zero elsewhere.
+
+    Passive columns move to the front of each row, and the columns past a
+    row's passive count are zeroed. One batched QR of the columns with
+    ``t`` appended gives ``R`` and ``Q't``; back substitution skips the
+    zeroed columns.
+    """
+    m, dim, K = A.shape
+    count = passive.sum(axis=1)
+    width = int(count.max())
+    each = np.arange(m)[:, None]
+    cols = np.argsort(~passive, axis=1, kind="stable")[:, :width]
+    real = np.arange(width) < count[:, None]
+    design = np.empty((m, dim, width + 1))
+    design[..., :width] = np.swapaxes(A[each, :, cols], 1, 2) * real[:, None, :]
+    design[..., width] = t
+    rt = np.linalg.qr(design, mode="raw")[0]  # R transposed, over the reflectors
+    coef = np.zeros((m, width))
+    for k in reversed(range(width)):  # back substitution
+        rest = rt[:, width, k] - (rt[:, k + 1 : width, k] * coef[:, k + 1 :]).sum(axis=1)
+        np.divide(rest, rt[:, k, k], out=coef[:, k], where=real[:, k])
+    z = np.zeros((m, K))
+    z[each, cols] = coef
+    return z
+
+
+def symmetric_psd(matrix: np.ndarray, name: str) -> Tuple[np.ndarray, float]:
+    """The package's one rule for a quadratic objective's hessian.
+
+    The finite square ``matrix`` must be symmetric, and its symmetrized
+    form positive semidefinite, within ``1e-10 * max(1, max |entry|)``, or
+    ``ValueError`` names it as ``name``. Returns the symmetrized form and
+    its smallest eigenvalue.
+    """
+    H = np.asarray(matrix, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(H))))
+    if float(np.max(np.abs(H - H.T))) > _SYM_TOL * scale:
+        raise ValueError(f"{name} is not symmetric within {_SYM_TOL}")
+    H = 0.5 * (H + H.T)
+    smallest = float(np.linalg.eigvalsh(H)[0])
+    if smallest < -_SYM_TOL * scale:
+        raise ValueError(f"{name} is not positive semidefinite")
+    return H, smallest
 
 
 def solve_simplex_qp(
@@ -504,7 +502,7 @@ def solve_simplex_qp(
     Parameters
     ----------
     hessian : array_like, shape (K, K)
-        Symmetric positive semidefinite matrix.
+        Symmetric positive semidefinite matrix, by ``symmetric_psd``'s rule.
     linear : array_like, shape (K,)
         Linear coefficient vector.
     tol : Tolerances, optional
@@ -518,6 +516,9 @@ def solve_simplex_qp(
 
     Raises
     ------
+    ValueError
+        For a malformed or non-finite input, or a hessian that fails
+        ``symmetric_psd``.
     ConvergenceError
         When the iteration cap is exceeded.
     """
@@ -532,12 +533,7 @@ def solve_simplex_qp(
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
         raise ValueError("QP inputs have non-finite entries")
     scale = max(1.0, float(np.max(np.abs(H))))
-    if float(np.max(np.abs(H - H.T))) > 1e-8 * scale:
-        raise ValueError("hessian is not symmetric")
-    H = 0.5 * (H + H.T)
-    smallest = float(np.linalg.eigvalsh(H)[0])
-    if smallest < -1e-8 * scale:
-        raise ValueError("hessian is not positive semidefinite")
+    H, smallest = symmetric_psd(H, "hessian")
     # a singular hessian leaves faces without stationary points; a ridge far
     # below every tolerance makes each subproblem strictly convex while
     # moving the objective by at most ridge/2

@@ -21,11 +21,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .distributions import chi2_quantile, normal_quantile
-from .exceptions import ConvergenceError, IllConditionedError
+from .exceptions import IllConditionedError
 from .geometry import (
     OrthoBasis,
     SpdMatrix,
     Tolerances,
+    _cap_error,
     build_basis,
     check_simplex_point,
     factor_spd,
@@ -276,9 +277,7 @@ def point_test(
     try:
         omega = SpdMatrix.from_matrix(omegas[0], cond_cap=cond_cap)
     except (ValueError, IllConditionedError) as exc:
-        raise IllConditionedError(
-            f"covariance matrix at w={wv.tolist()} failed validation: {exc}"
-        ) from exc
+        raise _covariance_error(wv, exc) from exc
     proj = project_cone(gradients[0], wv, omega, basis=model.basis, tol=tol)
     statistic = model.n * proj.objective
     dof = max(model.K - 1 - proj.zeros, 1)
@@ -295,25 +294,9 @@ def point_test(
     )
 
 
-def _batch_tests(
-    model: WeightModel, points: np.ndarray, tol: Tolerances, cond_cap: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Statistics and zero counts of ``point_test`` at a batch of points.
-
-    Evaluates the model at every row, checks and factors the covariances
-    with ``factor_spd``, and projects with ``project_cone_batch``. Returns
-    ``(statistic, zeros, settled)``; a row is unsettled when its covariance
-    failed ``factor_spd`` or its projection needs the scalar solver; its
-    statistic and zeros are meaningless, and ``point_test`` must give its
-    result or error.
-    """
-    settled = np.abs(points.sum(axis=1) - 1.0) <= tol.support
-    gradients, omegas = model.evaluate(points)
-    chol, failures = factor_spd(omegas, cond_cap)[1:]
-    settled[list(failures)] = False
-    # a failed row carries an identity factor, so projecting it is harmless
-    objective, zeros, solved = project_cone_batch(gradients, points, chol, model.basis, tol)
-    return model.n * objective, zeros, settled & solved
+def _covariance_error(w: np.ndarray, exc: Exception) -> IllConditionedError:
+    """The error of a point whose covariance failed ``factor_spd``."""
+    return IllConditionedError(f"covariance matrix at w={w.tolist()} failed validation: {exc}")
 
 
 def confidence_set(
@@ -328,46 +311,58 @@ def confidence_set(
     """Sweep a simplex lattice and keep the points whose test passes.
 
     Every point gets ``point_test``'s result, computed for batches of
-    points at once; points a batch cannot settle are tested one by one with
-    ``point_test`` itself. Numerical failures at individual points
-    (an ill-conditioned covariance, a projection that does not converge)
-    skip that point: it is not a member, its message goes to the set's
-    ``errors``, and a warning is issued; with ``strict=True`` the first one
-    in lattice order raises instead.
+    points at once: ``factor_spd`` checks and factors the covariances and
+    ``project_cone_batch`` projects. A covariance that does not depend on
+    ``w`` (``M[K, K]`` is the only nonzero block of ``model.M``) is checked
+    and factored once per sweep. A point whose covariance fails or whose
+    projection goes over its iteration cap is skipped with the error
+    ``point_test`` would raise: it is not a member, the message goes to
+    the set's ``errors``, and a warning is issued; with ``strict=True`` the
+    first one in lattice order raises instead.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     tol = tol if tol is not None else Tolerances()
-    res = resolution if resolution is not None else default_resolution(model.K)
-    grid = simplex_grid(model.K, res)
+    K = model.K
+    res = resolution if resolution is not None else default_resolution(K)
+    grid = simplex_grid(K, res)
     grid.setflags(write=False)
-    batches = [
-        _batch_tests(model, grid[start : start + _BATCH_POINTS], tol, cond_cap)
-        for start in range(0, len(grid), _BATCH_POINTS)
-    ]
-    statistic, zeros, settled = (np.concatenate(column) for column in zip(*batches))
-    errors: Dict[int, str] = {}
-    for i in np.flatnonzero(~settled).tolist():
-        try:
-            test = point_test(model, grid[i], alpha, tol=tol, cond_cap=cond_cap)
-        except (IllConditionedError, ConvergenceError) as exc:
-            if strict:
-                raise
-            warnings.warn(
-                f"skipping grid point {grid[i].tolist()}: {exc}", RuntimeWarning, stacklevel=2
-            )
-            statistic[i], zeros[i], errors[i] = math.inf, 0, str(exc)
-        else:
-            statistic[i], zeros[i] = test.statistic, test.zeros
-    dof = np.maximum(model.K - 1 - zeros, 1)
+    fixed = None  # the check of a covariance M[K, K] that does not depend on w
+    if not (model.M[:K].any() or model.M[K, :K].any()):
+        fixed = factor_spd(model.M[K, K][None], cond_cap)
+    statistic, zeros = np.empty(len(grid)), np.empty(len(grid), dtype=int)
+    errors: Dict[int, Exception] = {}
+    for start in range(0, len(grid), _BATCH_POINTS):
+        points = grid[start : start + _BATCH_POINTS]
+        gradients, omegas = model.evaluate(points)
+        _, chol, failures = fixed or factor_spd(omegas, cond_cap)
+        if fixed and failures:
+            failures = dict.fromkeys(range(len(points)), failures[0])
+        chol = np.broadcast_to(chol, omegas.shape)
+        # a failed row carries an identity factor, so projecting it is harmless
+        projection = project_cone_batch(gradients, points, chol, model.basis, tol)
+        statistic[start : start + len(points)] = model.n * projection[2]
+        zeros[start : start + len(points)] = projection[4]
+        failed = {i: _cap_error(K, tol) for i in np.flatnonzero(projection[5]).tolist()}
+        failed.update((i, _covariance_error(points[i], exc)) for i, exc in failures.items())
+        errors.update((start + i, exc) for i, exc in sorted(failed.items()))
+    for i, exc in errors.items():
+        if strict:
+            raise exc
+        message = f"skipping grid point {grid[i].tolist()}: {exc}"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+    skipped = list(errors)
+    statistic[skipped], zeros[skipped] = math.inf, 0
+    dof = np.maximum(K - 1 - zeros, 1)
     tested = np.ones(len(grid), dtype=bool)
-    tested[list(errors)] = False
+    tested[skipped] = False
     critical = np.full(len(grid), math.nan)
     for k in np.unique(dof[tested]).tolist():
         critical[tested & (dof == k)] = chi2_quantile(1.0 - alpha, k)
     return ConfidenceSet(
         alpha=alpha, grid=grid, resolution=res, statistic=statistic, zeros=zeros, dof=dof,
-        critical=critical, member_mask=statistic <= critical, errors=errors,
+        critical=critical, member_mask=statistic <= critical,
+        errors={i: str(exc) for i, exc in errors.items()},
     )
 
 

@@ -266,7 +266,9 @@ MALFORMED = [
     ("extra column", "unit,group,time,outcome,w\na,0,1,1.0,2\n",
      "{path}: header must be exactly unit,group,time,outcome; unexpected ['w']"),
     ("duplicate column", "unit,group,time,outcome,unit\na,0,1,1.0\n",
-     "{path}: row 2 has too few fields"),
+     "{path}: header must be exactly unit,group,time,outcome; repeated ['unit']"),
+    ("repeated column", "unit,group,time,outcome,outcome\n" + GOOD.replace(".5\n", ".5,1.0\n"),
+     "{path}: header must be exactly unit,group,time,outcome; repeated ['outcome']"),
     ("blank header", "\n" + HEADER + GOOD,
      "{path}: header must be exactly unit,group,time,outcome; "
      "missing ['unit', 'group', 'time', 'outcome']"),

@@ -105,6 +105,21 @@ def test_panel_rejects_non_integer_groups_and_periods():
     assert panel.t_match == 2
 
 
+def test_panel_names_integers_beyond_int64_exactly():
+    unit = np.repeat(np.arange(8), 2)
+    group = np.repeat([0, 0, 1, 1], 4).tolist()
+    time = np.tile([1, 2], 8)
+    y = np.zeros(16)
+    # numpy holds these as objects, as uint64 and as float64
+    for column in ([10**20], [2**63], np.array([2**63], dtype=np.uint64), [-(2**63) - 1]):
+        big = np.asarray(column, dtype=object)[0]
+        with pytest.raises(DataError) as exc:
+            PanelData.from_long(unit, group[:7] + list(column) + group[8:], time, y)
+        assert str(exc.value) == f"column group has an out-of-range entry {big} at position 7"
+    with pytest.raises(DataError, match=r"^column time has an out-of-range entry 1e\+20 at position 0$"):
+        PanelData.from_long(unit, group, [1e20] + time[1:].tolist(), y)
+
+
 def test_panel_rejects_single_unit_groups():
     unit = np.repeat([0, 1, 2], 2)
     group = np.repeat([0, 0, 1], 2)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from simplexci.estimators import QuadraticComponents
 from simplexci.exceptions import ConvergenceError, IllConditionedError
 from simplexci.inference import confidence_set
 from simplexci.geometry import (
@@ -15,6 +16,7 @@ from simplexci.geometry import (
     check_simplex_point,
     factor_spd,
     project_cone,
+    project_cone_batch,
     solve_simplex_qp,
 )
 
@@ -292,6 +294,39 @@ def test_projection_matches_subset_enumeration():
         assert proj.zeros == zeros, (trial, K)
 
 
+def test_batched_projection_steps_back_and_matches_the_oracle(monkeypatch):
+    # correlated weightings at vertices send many least-squares
+    # solutions out of the cone, so rows step back and drop generators
+    from simplexci import geometry
+
+    lstsq = geometry._passive_lstsq
+    left_the_cone = []
+
+    def recording_lstsq(A, t, passive):
+        z = lstsq(A, t, passive)
+        left_the_cone.append(int(((z <= 0.0) & passive).any(axis=1).sum()))
+        return z
+
+    monkeypatch.setattr(geometry, "_passive_lstsq", recording_lstsq)
+    rng = np.random.default_rng(5)
+    for K in (5, 7, 9):
+        n, b2 = 60, build_basis(K).b2
+        a = rng.standard_normal((n, K - 1, K - 1))
+        omega = a @ np.swapaxes(a, 1, 2) + 0.05 * np.eye(K - 1)
+        f = 3.0 * rng.standard_normal((n, K - 1))
+        w = np.eye(K)[rng.integers(0, K, n)]
+        lam, _, objective, _, zeros, over_cap = project_cone_batch(
+            f, w, factor_spd(omega)[1], build_basis(K)
+        )
+        assert not over_cap.any()
+        for i in range(n):
+            obj, lam_star, _, zeros_star = cone_projection_enumeration(f[i], w[i], omega[i], b2)
+            assert objective[i] == pytest.approx(obj, rel=1e-9, abs=1e-12), (K, i)
+            assert zeros[i] == zeros_star, (K, i)
+            assert np.allclose(lam[i], lam_star, atol=1e-8 * (1.0 + np.abs(lam_star).max()))
+    assert sum(left_the_cone) >= 5
+
+
 def test_moreau_decomposition_and_orthogonality():
     rng = np.random.default_rng(7)
     for _ in range(300):
@@ -462,6 +497,12 @@ def test_qp_validation_and_iteration_cap():
         solve_simplex_qp(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros(2))
     with pytest.raises(ValueError):
         solve_simplex_qp(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
+    # the 1e-10 rule that QuadraticComponents applies
+    for H in ([[1.0, 5e-9], [0.0, 1.0]], [[1.0, 0.0], [0.0, -5e-9]]):
+        with pytest.raises(ValueError):
+            solve_simplex_qp(np.array(H), np.zeros(2))
+        with pytest.raises(ValueError):
+            QuadraticComponents(H=np.array(H), h=np.zeros(2))
     with pytest.raises(ValueError):
         solve_simplex_qp(np.full((2, 2), np.nan), np.zeros(2))
     with pytest.raises(ConvergenceError):

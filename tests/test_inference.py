@@ -14,7 +14,7 @@ from simplexci.estimators import (
     quadratic_components,
 )
 from simplexci.exceptions import ConvergenceError, IllConditionedError
-from simplexci.geometry import Tolerances, build_basis
+from simplexci.geometry import Tolerances, build_basis, factor_spd
 from simplexci.inference import (
     ConfidenceSet,
     Interval,
@@ -382,18 +382,18 @@ def assert_same_records(got, want):
             assert math.isinf(a.statistic) and math.isnan(a.critical)
 
 
-def sweep_models(K):
+def sweep_models(K, plugin_only=False):
     """Plug-in and fixed-covariance models of a panel whose true weight sits
     on an edge, so that boundary projections hit faces of their cones."""
     spec = McSpec(K=K, n_j=30, design="boundary", reps=1, seed=K)
     panel = generate_panel(spec, K, K + 1)
     components = quadratic_components(panel)
     influence = influence_set(panel, components)
-    v_star = bootstrap_variance(panel, spec.w0, 200, seed=K)
-    return {
-        "plugin": make_weight_model(components, influence),
-        "fixed": make_weight_model(components, influence, mode="fixed", v_fixed=v_star),
-    }
+    models = {"plugin": make_weight_model(components, influence)}
+    if not plugin_only:
+        v_star = bootstrap_variance(panel, spec.w0, 200, seed=K)
+        models["fixed"] = make_weight_model(components, influence, mode="fixed", v_fixed=v_star)
+    return models
 
 
 @pytest.mark.parametrize("K,resolution", [(3, 20), (4, 12), (5, 8), (6, 7)])
@@ -410,26 +410,42 @@ def test_batched_sweep_matches_scalar_point_test(K, resolution, covariance):
     assert any(r.zeros > 0 for r in cs.records)
 
 
-def test_batched_sweep_hands_large_enumerations_to_the_scalar_path(monkeypatch):
-    # at K=9 a vertex has 8 vanishing coordinates; a subset budget of
-    # max_iter_factor * K = 18 leaves the vertex and edge points whose
-    # projection face needs a larger subset to the scalar point test
-    from simplexci import inference
+@pytest.mark.parametrize("K", range(3, 13))
+def test_sweep_matches_the_enumeration_oracle(K):
+    # a seeded sample of boundary lattice points of a panel whose true weight
+    # sits on an edge; the oracle tries all 2^|Z| supports per point
+    model = sweep_models(K, plugin_only=True)["plugin"]
+    resolution = 4 if K >= 6 else 8
+    cs = confidence_set(model, 0.05, resolution)
+    assert not cs.errors  # no point is left over the iteration cap
+    boundary = np.flatnonzero((cs.grid == 0.0).any(axis=1))
+    sample = np.random.default_rng(K).choice(boundary, size=min(16, boundary.size), replace=False)
+    assert cs.zeros[sample].any()  # some projections land on a face
+    b2 = model.basis.b2
+    for i in sample.tolist():
+        w = cs.grid[i]
+        gradients, omegas = model.evaluate(w[None, :])
+        objective, _, _, zeros = cone_projection_enumeration(gradients[0], w, omegas[0], b2)
+        assert cs.zeros[i] == zeros, w
+        assert cs.statistic[i] == pytest.approx(model.n * objective, rel=1e-9, abs=1e-12), w
 
-    model, _ = panel_model(K=9, n_j=30, seed=3)
-    tol = Tolerances(max_iter_factor=2)
-    handed = []
 
-    def counting_point_test(model, w, alpha, **options):
-        handed.append(int(np.count_nonzero(np.asarray(w) == 0.0)))
-        return point_test(model, w, alpha, **options)
-
-    monkeypatch.setattr(inference, "point_test", counting_point_test)
-    cs = confidence_set(model, 0.05, 3, tol=tol)
-    want, _ = scalar_sweep(model, 0.05, 3, tol=tol)
+def test_sweep_skips_points_over_the_iteration_cap_with_the_scalar_error():
+    # with max_iter_factor=0 every boundary point whose gradient leaves the
+    # polar cone needs a least-squares solve, which is over the cap
+    model, _ = panel_model(K=5, n_j=30, seed=3)
+    tol = Tolerances(max_iter_factor=0)
+    want, messages = scalar_sweep(model, 0.05, 4, tol=tol)
+    assert 0 < len(messages) < len(want)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cs = confidence_set(model, 0.05, 4, tol=tol)
     assert_same_records(cs.records, want)
-    assert 8 in handed and 7 in handed  # vertices and edges
-    assert len(handed) < len(cs.records)
+    assert [str(w.message) for w in caught] == messages
+    assert set(cs.errors.values()) == {"nonnegative least squares exceeded 0 iterations"}
+    with pytest.raises(ConvergenceError) as exc:
+        confidence_set(model, 0.05, 4, tol=tol, strict=True)
+    assert str(exc.value) == next(r.error for r in want if r.error is not None)
 
 
 def test_batched_sweep_keeps_skip_records_warnings_and_strict_order():
@@ -455,6 +471,24 @@ def test_batched_sweep_keeps_skip_records_warnings_and_strict_order():
         confidence_set(model, 0.05, 10, cond_cap=1.9, strict=True)
     assert str(exc.value) == first.error
     assert f"w={first.w.tolist()}" in first.error
+
+
+def test_constant_covariance_is_checked_once_per_sweep(monkeypatch):
+    from simplexci import inference
+
+    stacks = []
+
+    def counting_factor_spd(matrices, cond_cap=1e12):
+        stacks.append(len(matrices))
+        return factor_spd(matrices, cond_cap)
+
+    monkeypatch.setattr(inference, "factor_spd", counting_factor_spd)
+    models = sweep_models(4)
+    assert len(confidence_set(models["fixed"], 0.05, 12).grid) == 455
+    assert stacks == [1]
+    stacks.clear()
+    confidence_set(models["plugin"], 0.05, 12)
+    assert sum(stacks) == 455
 
 
 def test_fixed_covariance_obeys_the_condition_cap():
