@@ -5,8 +5,9 @@ record of every point, ``project`` reduces the sweep to per-coordinate
 intervals, ``bonferroni`` combines a high-level weight set with a normal
 interval for the post-period treatment functional, and ``simulate`` runs a
 coverage experiment. Outputs are JSON documents (with a ``schema_version``
-field) or CSV tables; all numbers round-trip at 17 significant digits and
-repeated runs with the same inputs and seeds are byte-identical.
+field) or CSV tables. Every float round-trips: CSV writes 17 significant
+digits, JSON the shortest ``repr`` that reads back the same float. Repeated
+runs with the same inputs and seeds are byte-identical.
 
 Exit codes: 0 on success, 1 on validation errors (malformed CSV or
 configuration), 2 on numerical failures.
@@ -21,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -370,23 +371,64 @@ def _interval_doc(interval) -> dict:
     }
 
 
-# Names of a lattice point's results, as JSON keys and CSV columns.
-_RESULT_KEYS = ("T", "d", "k", "critical", "member")
+def _each_distinct(column: np.ndarray, fmt: Callable) -> list:
+    """``fmt`` of every entry of ``column``, nested as ``column.tolist()``;
+    each distinct value is formatted once. (``np.unique`` merges ``-0.0``
+    with ``0.0``; lattice coordinates, zero counts, dof and critical values
+    hold no ``-0.0``.)"""
+    distinct, inverse = np.unique(column, return_inverse=True)
+    table = np.array([fmt(x) for x in distinct.tolist()], dtype=object)
+    return table[inverse.reshape(column.shape)].tolist()
 
 
-def _infer_rows(cs: ConfidenceSet):
-    """Each lattice point's ``w`` and its results in the order of
-    ``_RESULT_KEYS``, as Python values in lattice order."""
-    columns = (cs.statistic, cs.zeros, cs.dof, cs.critical, cs.member_mask)
-    return zip(cs.grid.tolist(), zip(*(column.tolist() for column in columns)))
+def _json_cell(x) -> str:
+    return json.dumps(_json_value(x))
+
+
+def _infer_json(cs: ConfidenceSet, header: dict) -> str:
+    """The ``infer`` document: ``header`` plus one record per lattice point
+    under ``records``, byte for byte as ``json.dumps(..., indent=2,
+    sort_keys=True)`` writes it, but formatted from the columns with one
+    template per record. Floats are ``repr``, as in ``json``; a non-finite
+    ``T`` or ``critical`` is ``null``; ``error`` appears only on skipped
+    points."""
+    n, K = cs.grid.shape
+    template = (
+        '    {\n      "T": %s,\n      "critical": %s,\n      "d": %s,\n%s      "k": %s,\n'
+        '      "member": %s,\n      "w": [\n        '
+        + ",\n        ".join(["%s"] * K)
+        + "\n      ]\n    }"
+    )
+    error = [""] * n
+    for i, message in cs.errors.items():
+        error[i] = f'      "error": {json.dumps(message)},\n'
+    # statistics are all distinct, so each is written directly, by json's repr
+    statistic = [repr(x) if math.isfinite(x) else "null" for x in cs.statistic.tolist()]
+    rows = zip(
+        statistic,
+        _each_distinct(cs.critical, _json_cell),
+        _each_distinct(cs.zeros, _json_cell),
+        error,
+        _each_distinct(cs.dof, _json_cell),
+        _each_distinct(cs.member_mask, _json_cell),
+        *_each_distinct(cs.grid.T, _json_cell),
+    )
+    records = "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n  ]"
+    head, _, tail = json.dumps({**header, "records": None}, indent=2, sort_keys=True).partition(
+        '"records": null'
+    )
+    return f'{head}"records": {records}{tail}\n'
 
 
 def _infer_csv(cs: ConfidenceSet) -> str:
     K = cs.grid.shape[1]
-    lines = [",".join([f"w_{j + 1}" for j in range(K)] + list(_RESULT_KEYS))]
-    for w, values in _infer_rows(cs):
-        lines.append(",".join(_csv_cell(x) for x in (*w, *values)))
-    return "\n".join(lines) + "\n"
+    header = ",".join([f"w_{j + 1}" for j in range(K)] + ["T", "d", "k", "critical", "member"])
+    columns = (
+        *_each_distinct(cs.grid.T, _csv_cell),
+        map(_fmt, cs.statistic.tolist()),
+        *(_each_distinct(c, _csv_cell) for c in (cs.zeros, cs.dof, cs.critical, cs.member_mask)),
+    )
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def _intervals_csv(first_column: str, rows: List[tuple]) -> str:
@@ -499,14 +541,7 @@ def run(cfg: RunConfig) -> int:
         if cfg.fmt == "csv":
             _write(_infer_csv(cs), cfg.out)
         else:
-            doc = _sweep_doc(cfg, cs, w_hat, model.n)
-            doc["records"] = [
-                dict(zip(_RESULT_KEYS, map(_json_value, values)), w=w)
-                for w, values in _infer_rows(cs)
-            ]
-            for i, message in cs.errors.items():
-                doc["records"][i]["error"] = message
-            _write_json(doc, cfg.out)
+            _write(_infer_json(cs, _sweep_doc(cfg, cs, w_hat, model.n)), cfg.out)
         return 0
 
     intervals = []

@@ -146,28 +146,33 @@ def factor_spd(
     a = np.asarray(matrices, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    finite = np.isfinite(a).all(axis=(1, 2))
-    a = np.where(finite[:, None, None], a, 0.0)
-    transposed = np.swapaxes(a, 1, 2)
-    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
-    symmetric = np.abs(a - transposed).max(axis=(1, 2)) <= _SYM_TOL * scale
-    entries = 0.5 * (a + transposed)
-    usable = finite & symmetric
-    failures: Dict[int, Exception] = {
+    transposed = a.transpose(0, 2, 1)
+    magnitude = np.abs(a).max(axis=(1, 2))  # not finite exactly when an entry is not
+    finite = np.isfinite(magnitude)
+    # the arithmetic of a matrix with an infinite entry may meet inf - inf;
+    # those results are never read
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(1.0, magnitude)
+        usable = finite & (np.abs(a - transposed).max(axis=(1, 2)) <= _SYM_TOL * scale)
+        entries = 0.5 * (a + transposed)
+    failures: Dict[int, Exception] = {} if usable.all() else {
         i: ValueError("matrix has non-finite entries" if not finite[i]
                       else f"matrix is not symmetric within {_SYM_TOL}")
         for i in np.flatnonzero(~usable).tolist()
     }
-    audit = np.flatnonzero(usable)
-    eigs = np.linalg.eigvalsh(entries[audit])
+    audit = np.flatnonzero(usable).tolist() if failures else range(len(a))
+    eigs = np.linalg.eigvalsh(entries[audit] if failures else entries)
     low, high = eigs[:, 0], eigs[:, -1]
-    cond = np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0.0)
-    for j in np.flatnonzero((low <= 0.0) | (cond > cond_cap)).tolist():
-        if low[j] <= 0.0:
-            message = f"matrix is not positive definite (min eigenvalue {low[j]:.6e})"
-        else:
-            message = f"condition number {cond[j]:.6e} exceeds the cap {cond_cap:.1e}"
-        failures[audit[j].item()] = IllConditionedError(message)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero low eigenvalue
+        bad = ~(low > 0.0) | (high / low > cond_cap)
+    if bad.any():
+        for j in np.flatnonzero(bad).tolist():
+            if low[j] <= 0.0:
+                message = f"matrix is not positive definite (min eigenvalue {low[j]:.6e})"
+            else:
+                cond = high[j] / low[j] if low[j] > 0.0 else math.inf  # low[j] may be NaN
+                message = f"condition number {cond:.6e} exceeds the cap {cond_cap:.1e}"
+            failures[audit[j]] = IllConditionedError(message)
     if failures:
         entries[list(failures)] = np.eye(a.shape[1])  # so that the stack factors as a whole
     try:

@@ -1,14 +1,18 @@
 """End-to-end tests of the command-line front end."""
 
+import dataclasses
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from simplexci import cli
 from simplexci.cli import RunConfig, _panel_rows, build_parser, main, read_panel_csv, resolve_config
 from simplexci.exceptions import DataError
 from simplexci.estimators import (
@@ -96,14 +100,19 @@ def test_infer_csv_round_trips_floats(tmp_path):
         assert cells[7] == ("true" if want.member else "false")
 
 
-def test_infer_reports_skipped_points_in_both_formats(tmp_path, capsys, monkeypatch):
-    path = make_fixture(tmp_path, seed=4)
+def skipping_sweep(path):
+    """``confidence_set`` with a condition cap that, on the grid-4 lattice of
+    ``path``, skips some points and keeps others."""
     _, model, _ = library_sweep(path)
     _, omegas = model.evaluate(simplex_grid(3, 4))
     eigs = np.linalg.eigvalsh(omegas)
     conds = eigs[:, -1] / eigs[:, 0]
-    # a cap between the extremes skips some lattice points and keeps others
-    capped = functools.partial(confidence_set, cond_cap=0.5 * (conds.min() + conds.max()))
+    return model, functools.partial(confidence_set, cond_cap=0.5 * (conds.min() + conds.max()))
+
+
+def test_infer_reports_skipped_points_in_both_formats(tmp_path, capsys, monkeypatch):
+    path = make_fixture(tmp_path, seed=4)
+    model, capped = skipping_sweep(path)
     with pytest.warns(RuntimeWarning):
         cs = capped(model, 0.05, 4)
     errors = [r.error is not None for r in cs.records]
@@ -138,6 +147,125 @@ def test_infer_reports_skipped_points_in_both_formats(tmp_path, capsys, monkeypa
             assert (float(cells[3]), float(cells[6])) == (want.statistic, want.critical)
         else:
             assert (cells[3], cells[6]) == ("inf", "nan")
+
+
+def reference_infer_json(header, cs):
+    """The ``infer`` document built as one dict per lattice point and written
+    by ``json.dumps``: the construction the records writer replaced."""
+    keys = ("T", "d", "k", "critical", "member")
+    columns = (cs.statistic, cs.zeros, cs.dof, cs.critical, cs.member_mask)
+    records = [
+        dict(zip(keys, [None if isinstance(x, float) and not math.isfinite(x) else x
+                        for x in values]), w=w)
+        for w, values in zip(cs.grid.tolist(), zip(*(column.tolist() for column in columns)))
+    ]
+    for i, message in cs.errors.items():
+        records[i]["error"] = message
+    return json.dumps({**header, "records": records}, indent=2, sort_keys=True) + "\n"
+
+
+def reference_infer_csv(cs):
+    """The ``infer`` CSV written one cell at a time."""
+    def cell(x):
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+    K = cs.grid.shape[1]
+    lines = [",".join([f"w_{j + 1}" for j in range(K)] + ["T", "d", "k", "critical", "member"])]
+    columns = (cs.statistic, cs.zeros, cs.dof, cs.critical, cs.member_mask)
+    for w, values in zip(cs.grid.tolist(), zip(*(column.tolist() for column in columns))):
+        lines.append(",".join(cell(x) for x in (*w, *values)))
+    return "\n".join(lines) + "\n"
+
+
+def assert_infer_bytes_match_the_reference(argv, tmp_path, capsys, monkeypatch):
+    """Run ``infer`` in both formats, to stdout and to ``--out``, and compare
+    every output with the reference built from the same sweep and header."""
+    seen = {}
+    for name in ("confidence_set", "_sweep_doc"):
+        def recorded(*args, _inner=getattr(cli, name), _name=name, **kwargs):
+            seen[_name] = result = _inner(*args, **kwargs)
+            return result
+        monkeypatch.setattr(cli, name, recorded)
+    out = tmp_path / "out.txt"
+    for fmt in ("json", "csv"):
+        for target in ([], ["--out", str(out)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert main(["infer", *argv, "--format", fmt, *target]) == 0
+            got = out.read_bytes() if target else capsys.readouterr().out.encode("utf-8")
+            cs = seen["confidence_set"]
+            if fmt == "json":
+                want = reference_infer_json(seen["_sweep_doc"], cs)
+            else:
+                want = reference_infer_csv(cs)
+            assert got == want.encode("utf-8")
+    return seen["confidence_set"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_infer_writes_the_json_dumps_bytes_on_the_benchmark_input(
+    seed, tmp_path, capsys, monkeypatch
+):
+    inputs = load_bench_module("inputs")
+    workloads = load_bench_module("workloads")
+    workload = workloads.WORKLOADS["infer-k3"]
+    path, _ = inputs.write_panel(workload.panel, seed, str(tmp_path))
+    argv = workload.argv(path, seed)[1:]
+    cs = assert_infer_bytes_match_the_reference(argv, tmp_path, capsys, monkeypatch)
+    assert len(cs.statistic) == workload.items and cs.member_mask.any()
+
+
+@pytest.mark.parametrize(
+    "K, options",
+    [
+        (2, ["--grid", "4"]),
+        (3, ["--grid", "1"]),
+        # the header gains bootstrap_draws and seed, on both sides of records
+        (3, ["--grid", "4", "--variance", "bootstrap", "--bootstrap-draws", "100",
+             "--seed", "3"]),
+    ],
+    ids=["K2", "grid1", "bootstrap"],
+)
+def test_infer_writes_the_json_dumps_bytes(K, options, tmp_path, capsys, monkeypatch):
+    path = make_fixture(tmp_path, seed=7, K=K)
+    assert_infer_bytes_match_the_reference([str(path), *options], tmp_path, capsys, monkeypatch)
+
+
+def test_infer_writes_the_json_dumps_bytes_of_skipped_points(tmp_path, capsys, monkeypatch):
+    path = make_fixture(tmp_path, seed=4)
+    _, capped = skipping_sweep(path)
+    monkeypatch.setattr(cli, "confidence_set", capped)
+    cs = assert_infer_bytes_match_the_reference(
+        [str(path), "--grid", "4"], tmp_path, capsys, monkeypatch
+    )
+    assert cs.errors and len(cs.errors) < len(cs.statistic)
+
+
+def test_infer_escapes_error_messages_as_json_dumps_does(tmp_path, capsys, monkeypatch):
+    path = make_fixture(tmp_path, seed=5)
+    message = 'cov at "w": C:\\tmp\\x\nsecond line, \u00e9t\u00e9 \u2603'
+
+    def skip_some(*args, **kwargs):
+        cs = confidence_set(*args, **kwargs)
+        skipped = [0, 4, len(cs.statistic) - 1]
+        columns = {name: getattr(cs, name).copy()
+                   for name in ("statistic", "zeros", "dof", "critical", "member_mask")}
+        columns["statistic"][skipped] = math.inf
+        columns["zeros"][skipped] = 0
+        columns["dof"][skipped] = cs.grid.shape[1] - 1
+        columns["critical"][skipped] = math.nan
+        columns["member_mask"][skipped] = False
+        return dataclasses.replace(cs, **columns, errors=dict.fromkeys(skipped, message))
+
+    monkeypatch.setattr(cli, "confidence_set", skip_some)
+    assert_infer_bytes_match_the_reference(
+        [str(path), "--grid", "4"], tmp_path, capsys, monkeypatch
+    )
+    main(["infer", str(path), "--grid", "4"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["records"][4]["error"] == message
 
 
 def test_project_matches_library_in_both_formats(tmp_path, capsys):
