@@ -110,9 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="simplexci", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_input: bool) -> None:
-        if with_input:
-            p.add_argument("input", help="panel CSV with columns unit,group,time,outcome")
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--alpha", type=float, default=None, help="test level (default 0.05)")
         p.add_argument("--grid", type=int, default=None, help="lattice resolution")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -137,24 +135,21 @@ def build_parser() -> argparse.ArgumentParser:
             help="raise on per-point numerical failures instead of skipping",
         )
 
-    p_infer = sub.add_parser("infer", help="test every lattice point and report the records")
-    add_common(p_infer, with_input=True)
-    add_variance(p_infer)
-
-    p_project = sub.add_parser("project", help="per-coordinate interval of the confidence set")
-    add_common(p_project, with_input=True)
-    add_variance(p_project)
-
-    p_bonf = sub.add_parser(
-        "bonferroni", help="interval for the post-period treated-minus-synthetic difference"
-    )
-    add_common(p_bonf, with_input=True)
-    add_variance(p_bonf)
+    for name, text in (
+        ("infer", "test every lattice point and report the records"),
+        ("project", "per-coordinate interval of the confidence set"),
+        ("bonferroni", "interval for the post-period treated-minus-synthetic difference"),
+    ):
+        p_sweep = sub.add_parser(name, help=text)
+        p_sweep.add_argument("input", help="panel CSV with columns unit,group,time,outcome")
+        add_common(p_sweep)
+        add_variance(p_sweep)
+    p_bonf = sub.choices["bonferroni"]
     p_bonf.add_argument("--kappa", type=float, default=None, help="weight-set share of the level (default 0.005)")
     p_bonf.add_argument("--post", type=int, default=None, help="post-treatment period")
 
     p_sim = sub.add_parser("simulate", help="run a coverage experiment")
-    add_common(p_sim, with_input=False)
+    add_common(p_sim)
     p_sim.add_argument("--K", type=int, default=None, help="number of untreated groups (default 3)")
     p_sim.add_argument(
         "--nj", dest="n_j", metavar="NJ", type=int, default=None,
@@ -303,10 +298,7 @@ def _panel_rows(path: str) -> Tuple[List[str], List[int], List[int], List[float]
     """Read the CSV one row at a time and raise the message for the first
     malformed row; ``read_panel_csv`` runs this only when its column checks
     fail, so every message comes from here."""
-    units: List[str] = []
-    groups: List[int] = []
-    times: List[int] = []
-    outcomes: List[float] = []
+    rows: List[Tuple[str, int, int, float]] = []
     with _open_csv(path) as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames
@@ -345,22 +337,16 @@ def _panel_rows(path: str) -> Tuple[List[str], List[int], List[int], List[float]
                 raise DataError(
                     f"{path}: row {line}: outcome {row['outcome']!r} is not a finite number"
                 )
-            units.append(unit)
-            groups.append(group)
-            times.append(period)
-            outcomes.append(outcome)
-    if not units:
+            rows.append((unit, group, period, outcome))
+    if not rows:
         raise DataError(f"{path}: no data rows")
+    units, groups, times, outcomes = map(list, zip(*rows))
     return units, groups, times, outcomes
 
 
 def _json_value(x):
     """``x``, or None for a non-finite float, which JSON cannot hold."""
     return None if isinstance(x, float) and not math.isfinite(x) else x
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _interval_doc(interval) -> dict:
@@ -422,40 +408,30 @@ def _infer_json(cs: ConfidenceSet, header: dict) -> str:
 
 def _infer_csv(cs: ConfidenceSet) -> str:
     K = cs.grid.shape[1]
-    header = ",".join([f"w_{j + 1}" for j in range(K)] + ["T", "d", "k", "critical", "member"])
+    header = [f"w_{j + 1}" for j in range(K)] + ["T", "d", "k", "critical", "member"]
     columns = (
         *_each_distinct(cs.grid.T, _csv_cell),
-        map(_fmt, cs.statistic.tolist()),
+        # statistics are all distinct, so each is formatted directly, as
+        # _csv_cell formats a float
+        (f"{x:.17g}" for x in cs.statistic.tolist()),
         *(_each_distinct(c, _csv_cell) for c in (cs.zeros, cs.dof, cs.critical, cs.member_mask)),
     )
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+    return _csv(header, zip(*columns))
 
 
-def _intervals_csv(first_column: str, rows: List[tuple]) -> str:
-    """CSV table of ``(label, interval document)`` rows."""
-    lines = [f"{first_column},lower,upper,empty"]
-    for label, item in rows:
-        cells = [_csv_cell(item[key]) for key in ("lower", "upper", "empty")]
-        lines.append(",".join([label] + cells))
-    return "\n".join(lines) + "\n"
+def _csv(header, rows) -> str:
+    """The CSV table of ``header`` and ``rows``, whose cells are strings."""
+    return "\n".join(map(",".join, [header, *rows])) + "\n"
 
 
-def _keyvalue_csv(doc: dict, prefix: str = "") -> List[str]:
-    lines: List[str] = []
-    for key in sorted(doc):
-        value = doc[key]
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            lines.extend(_keyvalue_csv(value, prefix=f"{name}."))
-        elif isinstance(value, (list, tuple)):
-            for i, item in enumerate(value):
-                if isinstance(item, dict):
-                    lines.extend(_keyvalue_csv(item, prefix=f"{name}.{i}."))
-                else:
-                    lines.append(f"{name}.{i},{_csv_cell(item)}")
-        else:
-            lines.append(f"{name},{_csv_cell(value)}")
-    return lines
+def _flatten(value, key: str = ""):
+    """``(dotted key, value)`` pairs of the leaves of a document, with the
+    keys of a dict in sorted order and a list's positions as its keys."""
+    if not isinstance(value, (dict, list, tuple)):
+        yield key, value
+        return
+    for name, item in sorted(value.items()) if isinstance(value, dict) else enumerate(value):
+        yield from _flatten(item, f"{key}.{name}" if key else str(name))
 
 
 def _csv_cell(value) -> str:
@@ -464,32 +440,29 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt(value)
+        return f"{value:.17g}"
     return str(value)
 
 
 def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _write_json(doc: dict, out: Optional[str]) -> None:
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+    except OSError as exc:
+        raise DataError(f"cannot write {out}: {exc}") from exc
 
 
 def _build_model(cfg: RunConfig, panel: PanelData):
     comps = quadratic_components(panel)
     infl = influence_set(panel, comps)
     w_hat = solve_simplex_qp(comps.H, comps.h)
-    if cfg.variance == "bootstrap":
-        v_star = bootstrap_variance(panel, w_hat, cfg.bootstrap_draws, cfg.seed)
-        model = make_weight_model(comps, infl, mode="fixed", v_fixed=v_star)
-    else:
-        model = make_weight_model(comps, infl)
-    return model, w_hat
+    if cfg.variance == "plugin":
+        return make_weight_model(comps, infl), w_hat
+    v_star = bootstrap_variance(panel, w_hat, cfg.bootstrap_draws, cfg.seed)
+    return make_weight_model(comps, infl, mode="fixed", v_fixed=v_star), w_hat
 
 
 def _sweep_doc(cfg: RunConfig, cs: ConfidenceSet, w_hat, n: int) -> dict:
@@ -509,9 +482,11 @@ def _sweep_doc(cfg: RunConfig, cs: ConfidenceSet, w_hat, n: int) -> dict:
     return doc
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one resolved invocation and write its output."""
-    cfg.validate()
+_BOUNDS = itemgetter("lower", "upper", "empty")
+
+
+def _output(cfg: RunConfig) -> str:
+    """The text one invocation writes: its JSON document, or its CSV table."""
     if cfg.command == "simulate":
         spec = McSpec(
             K=cfg.K,
@@ -525,62 +500,49 @@ def run(cfg: RunConfig) -> int:
         report = coverage_experiment(spec, projection=cfg.projection)
         doc = {"schema_version": SCHEMA_VERSION, "command": "simulate"}
         doc.update(report.to_dict(include_timing=False))
-        if cfg.fmt == "json":
-            _write_json(doc, cfg.out)
-        else:
-            _write("key,value\n" + "\n".join(_keyvalue_csv(doc)) + "\n", cfg.out)
-        return 0
-
-    t_match = cfg.post - 1 if cfg.command == "bonferroni" else None
-    panel = read_panel_csv(cfg.input, t_match=t_match)
-    model, w_hat = _build_model(cfg, panel)
-    level = cfg.kappa if cfg.command == "bonferroni" else cfg.alpha
-    cs = confidence_set(model, level, cfg.grid, strict=cfg.strict)
-
-    if cfg.command == "infer":
-        if cfg.fmt == "csv":
-            _write(_infer_csv(cs), cfg.out)
-        else:
-            _write(_infer_json(cs, _sweep_doc(cfg, cs, w_hat, model.n)), cfg.out)
-        return 0
-
-    intervals = []
-    for j in range(model.K):
-        interval = projection_interval(cs, j)
-        entry = {"coordinate": j + 1}
-        entry.update(_interval_doc(interval))
-        intervals.append(entry)
-
-    if cfg.command == "project":
-        if cfg.fmt == "csv":
-            rows = [(str(item["coordinate"]), item) for item in intervals]
-            _write(_intervals_csv("coordinate", rows), cfg.out)
-        else:
-            doc = _sweep_doc(cfg, cs, w_hat, model.n)
-            doc["intervals"] = intervals
-            _write_json(doc, cfg.out)
-        return 0
-
-    # bonferroni
-    theta_hat, v_hat = treatment_functional(panel, cfg.post)
-    theta_interval = bonferroni_interval(
-        cs, theta_hat, v_hat, model.n, alpha=cfg.alpha, kappa=cfg.kappa
-    )
-    doc = _sweep_doc(cfg, cs, w_hat, model.n)
-    doc["kappa"] = cfg.kappa
-    doc["post_period"] = cfg.post
-    doc["theta_interval"] = _interval_doc(theta_interval)
-    doc["weight_set"] = {
-        "grid_size": int(cs.grid.shape[0]),
-        "members": int(cs.member_mask.sum()),
-        "projection_intervals": intervals,
-    }
-    if cfg.fmt == "csv":
-        rows = [("theta", doc["theta_interval"])]
-        rows += [(f"w_{item['coordinate']}", item) for item in intervals]
-        _write(_intervals_csv("quantity", rows), cfg.out)
+        header, rows = ("key", "value"), _flatten(doc)
     else:
-        _write_json(doc, cfg.out)
+        t_match = cfg.post - 1 if cfg.command == "bonferroni" else None
+        panel = read_panel_csv(cfg.input, t_match=t_match)
+        model, w_hat = _build_model(cfg, panel)
+        level = cfg.kappa if cfg.command == "bonferroni" else cfg.alpha
+        cs = confidence_set(model, level, cfg.grid, strict=cfg.strict)
+        doc = _sweep_doc(cfg, cs, w_hat, model.n)
+        if cfg.command == "infer":
+            return _infer_csv(cs) if cfg.fmt == "csv" else _infer_json(cs, doc)
+        intervals = [
+            {"coordinate": j + 1, **_interval_doc(projection_interval(cs, j))}
+            for j in range(model.K)
+        ]
+        if cfg.command == "project":
+            doc["intervals"] = intervals
+            header = ("coordinate", "lower", "upper", "empty")
+            rows = [(item["coordinate"], *_BOUNDS(item)) for item in intervals]
+        else:
+            theta_hat, v_hat = treatment_functional(panel, cfg.post)
+            theta_interval = bonferroni_interval(
+                cs, theta_hat, v_hat, model.n, alpha=cfg.alpha, kappa=cfg.kappa
+            )
+            doc["kappa"] = cfg.kappa
+            doc["post_period"] = cfg.post
+            doc["theta_interval"] = _interval_doc(theta_interval)
+            doc["weight_set"] = {
+                "grid_size": int(cs.grid.shape[0]),
+                "members": int(cs.member_mask.sum()),
+                "projection_intervals": intervals,
+            }
+            header = ("quantity", "lower", "upper", "empty")
+            rows = [("theta", *_BOUNDS(doc["theta_interval"]))]
+            rows += [(f"w_{item['coordinate']}", *_BOUNDS(item)) for item in intervals]
+    if cfg.fmt == "json":
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _csv(header, (map(_csv_cell, row) for row in rows))
+
+
+def run(cfg: RunConfig) -> int:
+    """Execute one resolved invocation and write its output."""
+    cfg.validate()
+    _write(_output(cfg), cfg.out)
     return 0
 
 

@@ -10,6 +10,7 @@ the analytic density and are accurate to well below 1e-9 in absolute terms.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 from .exceptions import ConvergenceError
@@ -26,8 +27,8 @@ __all__ = [
 
 _MAX_ITER = 600
 _REL_EPS = 1e-17
-# Newton-bisection steps allowed to a chi-square quantile; bisection alone
-# pins a double within about 64.
+# Newton-bisection steps allowed to a quantile; bisection alone pins a
+# double within about 64.
 _QUANTILE_MAX_ITER = 200
 
 
@@ -96,9 +97,15 @@ def regularized_gamma_p(a: float, x: float) -> float:
     return max(1.0 - _upper_contfrac(a, x), 0.0)
 
 
-def _check_dof(k: int) -> None:
-    if not isinstance(k, (int,)) or isinstance(k, bool) or k < 1:
+def _check_dof(k: int) -> int:
+    """``k`` as a Python int; any integral type but ``bool`` is accepted."""
+    try:
+        dof = operator.index(k)
+    except TypeError:
+        dof = 0
+    if isinstance(k, bool) or dof < 1:
         raise ValueError(f"degrees of freedom must be an integer >= 1, got {k!r}")
+    return dof
 
 
 def _check_prob(p: float) -> None:
@@ -108,7 +115,7 @@ def _check_prob(p: float) -> None:
 
 def chi2_cdf(x: float, k: int) -> float:
     """Chi-square cumulative distribution function with k degrees of freedom."""
-    _check_dof(k)
+    k = _check_dof(k)
     if x <= 0.0:
         return 0.0
     return regularized_gamma_p(0.5 * k, 0.5 * x)
@@ -116,7 +123,7 @@ def chi2_cdf(x: float, k: int) -> float:
 
 def chi2_pdf(x: float, k: int) -> float:
     """Chi-square density with k degrees of freedom."""
-    _check_dof(k)
+    k = _check_dof(k)
     if x <= 0.0:
         return 0.0
     half_k = 0.5 * k
@@ -132,7 +139,8 @@ def chi2_quantile(p: float, k: int) -> float:
     p : float
         Probability level, strictly between 0 and 1.
     k : int
-        Degrees of freedom, integer >= 1.
+        Degrees of freedom, an integer >= 1 of any integral type (a numpy
+        integer included, but not ``bool``).
 
     Returns
     -------
@@ -153,36 +161,43 @@ def chi2_quantile(p: float, k: int) -> float:
     bool never aliases a cached int key.
     """
     _check_prob(p)
-    _check_dof(k)
-    return _chi2_quantile_cached(float(p), int(k))
+    return _chi2_quantile_cached(float(p), _check_dof(k))
 
 
-@lru_cache(maxsize=4096)
-def _chi2_quantile_cached(p: float, k: int) -> float:
+def _invert(cdf, pdf, p: float, hi: float, rtol: float, what: str) -> float:
+    """The root of ``cdf(x) = p`` on ``[0, inf)``: ``hi`` doubles until it
+    brackets the root, then Newton steps on ``pdf`` run, with bisection for
+    a step that leaves the bracket, until a step moves by at most ``rtol *
+    (1 + |x|)``. Raises ``ConvergenceError`` naming ``what`` after
+    ``_QUANTILE_MAX_ITER`` steps."""
     lo = 0.0
-    hi = float(k) + 10.0
-    while chi2_cdf(hi, k) < p:
+    while cdf(hi) < p:
         hi *= 2.0
     x = 0.5 * (lo + hi)
     for _ in range(_QUANTILE_MAX_ITER):
-        err = chi2_cdf(x, k) - p
+        err = cdf(x) - p
         if err > 0.0:
             hi = x
         else:
             lo = x
-        dens = chi2_pdf(x, k)
+        dens = pdf(x)
         if dens > 0.0:
             nxt = x - err / dens
         else:
             nxt = 0.5 * (lo + hi)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 1e-14 * (1.0 + abs(nxt)):
+        if abs(nxt - x) <= rtol * (1.0 + abs(nxt)):
             return nxt
         x = nxt
-    raise ConvergenceError(
-        f"chi-square quantile at p={p!r} with k={k} did not converge in "
-        f"{_QUANTILE_MAX_ITER} iterations"
+    raise ConvergenceError(f"{what} did not converge in {_QUANTILE_MAX_ITER} iterations")
+
+
+@lru_cache(maxsize=4096)
+def _chi2_quantile_cached(p: float, k: int) -> float:
+    return _invert(
+        lambda x: chi2_cdf(x, k), lambda x: chi2_pdf(x, k), p, k + 10.0, 1e-14,
+        f"chi-square quantile at p={p!r} with k={k}",
     )
 
 
@@ -211,21 +226,4 @@ def _normal_quantile_cached(p: float) -> float:
         return 0.0
     if p < 0.5:
         return -_normal_quantile_cached(1.0 - p)
-    lo = 0.0
-    hi = 10.0
-    while normal_cdf(hi) < p:
-        hi *= 2.0
-    z = 0.5 * (lo + hi)
-    for _ in range(200):
-        err = normal_cdf(z) - p
-        if err > 0.0:
-            hi = z
-        else:
-            lo = z
-        nxt = z - err / normal_pdf(z)
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - z) <= 1e-15 * (1.0 + abs(nxt)):
-            return nxt
-        z = nxt
-    return z
+    return _invert(normal_cdf, normal_pdf, p, 10.0, 1e-15, f"normal quantile at p={p!r}")

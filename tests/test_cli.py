@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from simplexci import cli
+from simplexci import cli, montecarlo
 from simplexci.cli import RunConfig, _panel_rows, build_parser, main, read_panel_csv, resolve_config
 from simplexci.exceptions import DataError
 from simplexci.estimators import (
@@ -149,58 +149,156 @@ def test_infer_reports_skipped_points_in_both_formats(tmp_path, capsys, monkeypa
             assert (cells[3], cells[6]) == ("inf", "nan")
 
 
+def reference_value(x):
+    """``x``, or None for a non-finite float, as the documents hold it."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def reference_cell(x):
+    """One CSV cell: empty for None, ``true``/``false``, 17 significant digits."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
+def reference_json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def reference_csv(lines):
+    return "\n".join(",".join(map(reference_cell, line)) for line in lines) + "\n"
+
+
 def reference_infer_json(header, cs):
     """The ``infer`` document built as one dict per lattice point and written
     by ``json.dumps``: the construction the records writer replaced."""
     keys = ("T", "d", "k", "critical", "member")
     columns = (cs.statistic, cs.zeros, cs.dof, cs.critical, cs.member_mask)
     records = [
-        dict(zip(keys, [None if isinstance(x, float) and not math.isfinite(x) else x
-                        for x in values]), w=w)
+        dict(zip(keys, map(reference_value, values)), w=w)
         for w, values in zip(cs.grid.tolist(), zip(*(column.tolist() for column in columns)))
     ]
     for i, message in cs.errors.items():
         records[i]["error"] = message
-    return json.dumps({**header, "records": records}, indent=2, sort_keys=True) + "\n"
+    return reference_json({**header, "records": records})
 
 
 def reference_infer_csv(cs):
     """The ``infer`` CSV written one cell at a time."""
-    def cell(x):
-        if isinstance(x, bool):
-            return "true" if x else "false"
-        return f"{x:.17g}" if isinstance(x, float) else str(x)
-
     K = cs.grid.shape[1]
-    lines = [",".join([f"w_{j + 1}" for j in range(K)] + ["T", "d", "k", "critical", "member"])]
+    lines = [[f"w_{j + 1}" for j in range(K)] + ["T", "d", "k", "critical", "member"]]
     columns = (cs.statistic, cs.zeros, cs.dof, cs.critical, cs.member_mask)
     for w, values in zip(cs.grid.tolist(), zip(*(column.tolist() for column in columns))):
-        lines.append(",".join(cell(x) for x in (*w, *values)))
-    return "\n".join(lines) + "\n"
+        lines.append([*w, *values])
+    return reference_csv(lines)
 
 
-def assert_infer_bytes_match_the_reference(argv, tmp_path, capsys, monkeypatch):
-    """Run ``infer`` in both formats, to stdout and to ``--out``, and compare
-    every output with the reference built from the same sweep and header."""
+def reference_interval(interval):
+    """An interval as the documents hold it: null bounds when it is empty."""
+    return {
+        "lower": None if interval.empty else reference_value(interval.lower),
+        "upper": None if interval.empty else reference_value(interval.upper),
+        "empty": interval.empty,
+    }
+
+
+def reference_intervals(cs):
+    return [
+        {"coordinate": j + 1, **reference_interval(projection_interval(cs, j))}
+        for j in range(cs.grid.shape[1])
+    ]
+
+
+def reference_project(fmt, seen):
+    intervals = reference_intervals(seen["confidence_set"])
+    if fmt == "json":
+        return reference_json({**seen["_sweep_doc"], "intervals": intervals})
+    rows = [[item[key] for key in ("coordinate", "lower", "upper", "empty")] for item in intervals]
+    return reference_csv([["coordinate", "lower", "upper", "empty"], *rows])
+
+
+def reference_bonferroni(fmt, seen, cfg):
+    cs = seen["confidence_set"]
+    intervals = reference_intervals(cs)
+    theta = reference_interval(seen["bonferroni_interval"])
+    if fmt == "json":
+        return reference_json({
+            **seen["_sweep_doc"],
+            "kappa": cfg["kappa"],
+            "post_period": cfg["post"],
+            "theta_interval": theta,
+            "weight_set": {
+                "grid_size": int(cs.grid.shape[0]),
+                "members": int(cs.member_mask.sum()),
+                "projection_intervals": intervals,
+            },
+        })
+    bounds = ("lower", "upper", "empty")
+    rows = [["theta", *(theta[key] for key in bounds)]]
+    rows += [[f"w_{item['coordinate']}", *(item[key] for key in bounds)] for item in intervals]
+    return reference_csv([["quantity", *bounds], *rows])
+
+
+def reference_keyvalue(doc, prefix=""):
+    """``key,value`` rows of a document: dotted keys in sorted order, with
+    list positions as keys."""
+    rows = []
+    for key in sorted(doc):
+        value, name = doc[key], f"{prefix}{key}"
+        if isinstance(value, dict):
+            rows += reference_keyvalue(value, f"{name}.")
+        elif isinstance(value, list):
+            rows += [[f"{name}.{i}", item] for i, item in enumerate(value)]
+        else:
+            rows.append([name, value])
+    return rows
+
+
+def reference_simulate(fmt, seen):
+    doc = {"schema_version": 1, "command": "simulate",
+           **seen["coverage_experiment"].to_dict(include_timing=False)}
+    if fmt == "json":
+        return reference_json(doc)
+    return reference_csv([["key", "value"], *reference_keyvalue(doc)])
+
+
+def assert_bytes_match_the_reference(argv, names, reference, tmp_path, capsys, monkeypatch):
+    """Run ``argv`` in both formats, to stdout and to ``--out``, and compare
+    every output with ``reference(fmt, seen)``, where ``seen`` maps each of
+    the ``cli`` functions ``names`` to what it returned in that run (a copy,
+    for a dict)."""
     seen = {}
-    for name in ("confidence_set", "_sweep_doc"):
+    for name in names:
         def recorded(*args, _inner=getattr(cli, name), _name=name, **kwargs):
-            seen[_name] = result = _inner(*args, **kwargs)
+            result = _inner(*args, **kwargs)
+            seen[_name] = dict(result) if isinstance(result, dict) else result
             return result
         monkeypatch.setattr(cli, name, recorded)
     out = tmp_path / "out.txt"
     for fmt in ("json", "csv"):
         for target in ([], ["--out", str(out)]):
+            seen.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                assert main(["infer", *argv, "--format", fmt, *target]) == 0
+                assert main([*argv, "--format", fmt, *target]) == 0
             got = out.read_bytes() if target else capsys.readouterr().out.encode("utf-8")
-            cs = seen["confidence_set"]
-            if fmt == "json":
-                want = reference_infer_json(seen["_sweep_doc"], cs)
-            else:
-                want = reference_infer_csv(cs)
-            assert got == want.encode("utf-8")
+            assert got == reference(fmt, seen).encode("utf-8")
+    return seen
+
+
+def assert_infer_bytes_match_the_reference(argv, tmp_path, capsys, monkeypatch):
+    """``assert_bytes_match_the_reference`` for ``infer``; returns the sweep."""
+    def reference(fmt, seen):
+        if fmt == "json":
+            return reference_infer_json(seen["_sweep_doc"], seen["confidence_set"])
+        return reference_infer_csv(seen["confidence_set"])
+
+    seen = assert_bytes_match_the_reference(
+        ["infer", *argv], ("confidence_set", "_sweep_doc"), reference,
+        tmp_path, capsys, monkeypatch,
+    )
     return seen["confidence_set"]
 
 
@@ -266,6 +364,87 @@ def test_infer_escapes_error_messages_as_json_dumps_does(tmp_path, capsys, monke
     main(["infer", str(path), "--grid", "4"])
     doc = json.loads(capsys.readouterr().out)
     assert doc["records"][4]["error"] == message
+
+
+def emptied(sweep):
+    """``sweep`` with every member dropped, so every interval is empty."""
+    def without_members(*args, **kwargs):
+        cs = sweep(*args, **kwargs)
+        return dataclasses.replace(cs, member_mask=np.zeros_like(cs.member_mask))
+    return without_members
+
+
+BOOTSTRAP = ["--variance", "bootstrap", "--bootstrap-draws", "100", "--seed", "3"]
+
+
+@pytest.mark.parametrize(
+    "K, options, empty",
+    [(3, [], False), (4, BOOTSTRAP, False), (3, [], True)],
+    ids=["plugin", "bootstrap", "empty"],
+)
+def test_project_writes_the_reference_bytes(K, options, empty, tmp_path, capsys, monkeypatch):
+    path = make_fixture(tmp_path, seed=8, K=K)
+    if empty:
+        monkeypatch.setattr(cli, "confidence_set", emptied(confidence_set))
+    seen = assert_bytes_match_the_reference(
+        ["project", str(path), "--grid", "5", *options], ("confidence_set", "_sweep_doc"),
+        reference_project, tmp_path, capsys, monkeypatch,
+    )
+    assert seen["confidence_set"].member_mask.any() is not empty
+    if empty:
+        main(["project", str(path), "--grid", "5"])
+        intervals = json.loads(capsys.readouterr().out)["intervals"]
+        assert all(i["lower"] is i["upper"] is None and i["empty"] for i in intervals)
+
+
+@pytest.mark.parametrize(
+    "K, options, empty",
+    [(3, [], False), (4, BOOTSTRAP, False), (3, [], True)],
+    ids=["plugin", "bootstrap", "empty"],
+)
+def test_bonferroni_writes_the_reference_bytes(K, options, empty, tmp_path, capsys, monkeypatch):
+    path = make_fixture(tmp_path, seed=3, K=K, total_T=6)
+    if empty:
+        monkeypatch.setattr(cli, "confidence_set", emptied(confidence_set))
+    cfg = {"kappa": 0.01, "post": 6}
+    seen = assert_bytes_match_the_reference(
+        ["bonferroni", str(path), "--grid", "5", "--post", "6", "--kappa", "0.01", *options],
+        ("confidence_set", "_sweep_doc", "bonferroni_interval"),
+        functools.partial(reference_bonferroni, cfg=cfg), tmp_path, capsys, monkeypatch,
+    )
+    assert seen["bonferroni_interval"].empty is empty
+
+
+@pytest.mark.parametrize(
+    "options, empty",
+    [([], False), (["--projection"], False), (["--projection"], True)],
+    ids=["plain", "projection", "projection-empty"],
+)
+def test_simulate_writes_the_reference_bytes(options, empty, tmp_path, capsys, monkeypatch):
+    if empty:
+        monkeypatch.setattr(
+            "simplexci.montecarlo.confidence_set", emptied(montecarlo.confidence_set)
+        )
+    seen = assert_bytes_match_the_reference(
+        ["simulate", "--K", "3", "--nj", "10", "--reps", "3", "--seed", "7", "--grid", "6",
+         *options],
+        ("coverage_experiment",), reference_simulate, tmp_path, capsys, monkeypatch,
+    )
+    report = seen["coverage_experiment"]
+    if empty:
+        assert report.mean_lengths == [None] * 3 and report.empty_rate == 1.0
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/dir/x.json"])
+def test_unwritable_out_is_a_validation_error(target, tmp_path, capsys):
+    path = make_fixture(tmp_path, seed=1)
+    out = tmp_path / target
+    if target == "directory":
+        out.mkdir()
+    assert main(["project", str(path), "--grid", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_project_matches_library_in_both_formats(tmp_path, capsys):

@@ -16,7 +16,9 @@ from simplexci.distributions import (
     regularized_gamma_p,
 )
 from simplexci.exceptions import ConvergenceError
+from simplexci.inference import confidence_set
 
+from model_helpers import constant_model
 from oracles import chi2_quantile_quadrature, normal_quantile_erf
 
 P_GRID = [0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.975, 0.99, 0.995]
@@ -53,6 +55,41 @@ def test_chi2_quantile_raises_instead_of_returning_an_unconverged_iterate(monkey
     monkeypatch.setattr(distributions, "_QUANTILE_MAX_ITER", 2)
     with pytest.raises(ConvergenceError, match=r"p=0\.9123 with k=7"):
         chi2_quantile(0.9123, 7)
+
+
+def test_normal_quantile_raises_instead_of_returning_an_unconverged_iterate(monkeypatch):
+    monkeypatch.setattr(distributions, "_QUANTILE_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match=r"normal quantile at p=0\.9123 "):
+        normal_quantile(0.9123)
+    # the reflected lower tail inverts the same upper-tail root
+    with pytest.raises(ConvergenceError, match=r"normal quantile at p=0\.9124 "):
+        normal_quantile(1.0 - 0.9124)
+
+
+def test_numpy_integer_dof_from_a_confidence_set(monkeypatch):
+    cs = confidence_set(constant_model([0.3, -0.2], np.eye(2), 50), 0.05, resolution=4)
+    k = cs.dof[0]
+    assert isinstance(k, np.integer) and not isinstance(k, int)
+    assert chi2_cdf(3.0, k) == chi2_cdf(3.0, int(k))
+    assert chi2_pdf(3.0, k) == chi2_pdf(3.0, int(k))
+    # the quantile cache is keyed by a Python int, whatever type came in
+    keys = []
+
+    def recorded(p, dof, _inner=distributions._chi2_quantile_cached):
+        keys.append(dof)
+        return _inner(p, dof)
+
+    monkeypatch.setattr(distributions, "_chi2_quantile_cached", recorded)
+    assert chi2_quantile(0.95, k) == chi2_quantile(0.95, int(k))
+    assert [type(key) for key in keys] == [int, int]
+
+
+@pytest.mark.parametrize("k", [2.0, np.float64(2.0), True, np.bool_(True), "2", np.int64(0)])
+def test_non_integral_or_boolean_dof_is_rejected(k):
+    for call in (lambda: chi2_quantile(0.95, k), lambda: chi2_cdf(1.0, k),
+                 lambda: chi2_pdf(1.0, k)):
+        with pytest.raises(ValueError, match="degrees of freedom must be an integer >= 1"):
+            call()
 
 
 def test_chi2_cdf_quantile_round_trip():
