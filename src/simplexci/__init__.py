@@ -36,7 +36,6 @@ from .geometry import (
     ConeProjection,
     OrthoBasis,
     SpdMatrix,
-    Tolerances,
     build_basis,
     check_simplex_point,
     project_cone,
@@ -64,7 +63,6 @@ __all__ = [
     "IllConditionedError",
     "OrthoBasis",
     "SpdMatrix",
-    "Tolerances",
     "ConeProjection",
     "build_basis",
     "check_simplex_point",

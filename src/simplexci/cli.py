@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
@@ -95,6 +97,14 @@ class RunConfig:
                 )
         if self.command == "simulate" and self.reps < 1:
             raise DataError(f"--reps must be at least 1, got {self.reps}")
+        # the two failures of opening --out that show before the file exists,
+        # so that they are reported before the computation, with open's text
+        if self.out is not None:
+            parent = os.path.dirname(self.out) or "."
+            if os.path.isdir(self.out) or not os.path.isdir(parent):
+                code = errno.EISDIR if os.path.isdir(self.out) else errno.ENOENT
+                exc = OSError(code, os.strerror(code), self.out)
+                raise DataError(f"cannot write {self.out}: {exc}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -499,7 +509,7 @@ def _output(cfg: RunConfig) -> str:
         )
         report = coverage_experiment(spec, projection=cfg.projection)
         doc = {"schema_version": SCHEMA_VERSION, "command": "simulate"}
-        doc.update(report.to_dict(include_timing=False))
+        doc.update(report.to_dict())
         header, rows = ("key", "value"), _flatten(doc)
     else:
         t_match = cfg.post - 1 if cfg.command == "bonferroni" else None

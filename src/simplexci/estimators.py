@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .exceptions import DataError
-from .geometry import OrthoBasis, SpdMatrix, build_basis, check_simplex_point, symmetric_psd
+from .geometry import SpdMatrix, build_basis, check_simplex_point, symmetric_psd
 from .inference import WeightModel
 
 __all__ = [
@@ -398,42 +398,35 @@ def treatment_functional(
 
 def make_weight_model(
     components: QuadraticComponents,
-    influence: Optional[InfluenceSet] = None,
+    influence: InfluenceSet,
     *,
     mode: str = "pointwise",
     v_fixed: Optional[np.ndarray] = None,
-    n: Optional[int] = None,
-    basis: Optional[OrthoBasis] = None,
 ) -> WeightModel:
     """Assemble the WeightModel consumed by the pointwise tests.
 
     The gradient ``B2'(H w - h)`` is ``G v`` with ``v = (w, 1)`` and
-    ``G = B2'[H | -h]``. In ``"pointwise"`` mode (requires ``influence``)
-    the covariance is the transformed plug-in covariance re-evaluated at
+    ``G = B2'[H | -h]``, with ``B2`` the Helmert basis. In ``"pointwise"``
+    mode the covariance is the transformed plug-in covariance re-evaluated at
     each candidate: unit i's rotated influence at ``w`` is ``R_i v`` with
     ``R_i = B2'[psi_H[i] | -psi_h[i]]``, so ``M[a, b]`` is the mean of
     ``R_i[:, a] R_i[:, b]'`` over units, built once in O(n K^4). In
     ``"fixed"`` mode the K x K covariance ``v_fixed`` (for example a
     bootstrap covariance at the estimated weights) is transformed and
     validated by ``SpdMatrix.from_matrix`` once and becomes the constant
-    block ``M[K, K]``; ``n`` defaults to the size of ``influence``. Any
+    block ``M[K, K]``. The sample size is that of ``influence``. Any
     quadratic objective can be routed through here by constructing
     ``QuadraticComponents`` and ``InfluenceSet`` from user-supplied arrays.
     """
     K = components.h.size
     if K < 2:
         raise ValueError("need at least two untreated groups for weights on a simplex")
-    b = basis if basis is not None else build_basis(K)
-    if b.K != K:
-        raise ValueError(f"basis dimension {b.K} does not match K={K}")
-    b2 = b.b2
+    b2 = build_basis(K).b2
     G = b2.T @ np.column_stack([components.H, -components.h])
+    size = influence.n
     if mode == "pointwise":
-        if influence is None:
-            raise ValueError("pointwise mode requires an InfluenceSet")
         if influence.psi_h.shape[1] != K:
             raise ValueError("influence dimension does not match components")
-        size = influence.n
         lifted = np.concatenate([influence.psi_H, -influence.psi_h[:, :, None]], axis=2)
         rotated = np.matmul(b2.T, lifted).reshape(size, -1)
         gram = rotated.T @ rotated / size
@@ -444,14 +437,8 @@ def make_weight_model(
         v = np.asarray(v_fixed, dtype=float)
         if v.shape != (K, K):
             raise ValueError(f"v_fixed must have shape {(K, K)}, got {v.shape}")
-        if n is not None:
-            size = n
-        elif influence is not None:
-            size = influence.n
-        else:
-            raise ValueError("fixed mode needs n (or an InfluenceSet to take it from)")
         M = np.zeros((K + 1, K + 1, K - 1, K - 1))
         M[K, K] = SpdMatrix.from_matrix(b2.T @ v @ b2).entries
     else:
         raise ValueError(f"mode must be 'pointwise' or 'fixed', got {mode!r}")
-    return WeightModel(G=G, M=M, n=size, basis=b)
+    return WeightModel(G=G, M=M, n=size)

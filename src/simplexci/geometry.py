@@ -25,7 +25,6 @@ from .exceptions import ConvergenceError, IllConditionedError
 __all__ = [
     "OrthoBasis",
     "SpdMatrix",
-    "Tolerances",
     "ConeProjection",
     "build_basis",
     "check_simplex_point",
@@ -41,30 +40,16 @@ _DEGENERACY_TOL = 1e-10
 # largest asymmetry of a usable covariance or hessian, and most negative
 # eigenvalue of a usable hessian, relative to max(1, max |entry|)
 _SYM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances shared by the projection and QP routines.
-
-    Attributes
-    ----------
-    support : float
-        Weight entries at or below this value count as zero when forming the
-        index set of vanishing coordinates (and when validating that a point
-        lies on the simplex).
-    zero : float
-        Relative threshold for counting zeros of the mapped residual; the
-        effective cutoff is ``zero * (1 + max_abs_entry)``.
-    max_iter_factor : int
-        Iteration cap of the active-set solvers as a multiple of ``K``: it
-        caps a cone projection's least-squares solves and the simplex QP's
-        iterations.
-    """
-
-    support: float = 1e-10
-    zero: float = 1e-8
-    max_iter_factor: int = 50
+# weight entries at or below this count as zero, and a simplex point may miss
+# nonnegativity and unit sum by this much
+_SUPPORT_TOL = 1e-10
+# an entry of the mapped residual counts as zero when it is at most
+# _ZERO_TOL * (1 + max |entry|)
+_ZERO_TOL = 1e-8
+# iteration cap of the active-set solvers, as a multiple of K
+_MAX_ITER_FACTOR = 50
+# largest condition number of a usable covariance
+_COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -125,16 +110,14 @@ def build_basis(K: int) -> OrthoBasis:
     return OrthoBasis(K, b2)
 
 
-def factor_spd(
-    matrices: np.ndarray, cond_cap: float = 1e12
-) -> Tuple[np.ndarray, np.ndarray, Dict[int, Exception]]:
+def factor_spd(matrices: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[int, Exception]]:
     """Check a stack of covariance matrices and factor the ones that pass.
 
     This is the package's one rule for a usable covariance. Matrix ``i`` of
     the ``(N, d, d)`` stack passes when its entries are finite, it is
     symmetric within ``1e-10 * max(1, max |entry|)``, and its symmetrized
-    form is positive definite with condition number at most ``cond_cap``
-    and has a Cholesky factor.
+    form is positive definite with condition number at most 1e12 and has
+    a Cholesky factor.
 
     Returns ``(entries, chol, failures)``: the symmetrized matrices, their
     lower Cholesky factors, and a dict from the index of each failing
@@ -164,14 +147,14 @@ def factor_spd(
     eigs = np.linalg.eigvalsh(entries[audit] if failures else entries)
     low, high = eigs[:, 0], eigs[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero low eigenvalue
-        bad = ~(low > 0.0) | (high / low > cond_cap)
+        bad = ~(low > 0.0) | (high / low > _COND_CAP)
     if bad.any():
         for j in np.flatnonzero(bad).tolist():
             if low[j] <= 0.0:
                 message = f"matrix is not positive definite (min eigenvalue {low[j]:.6e})"
             else:
                 cond = high[j] / low[j] if low[j] > 0.0 else math.inf  # low[j] may be NaN
-                message = f"condition number {cond:.6e} exceeds the cap {cond_cap:.1e}"
+                message = f"condition number {cond:.6e} exceeds the cap {_COND_CAP:.1e}"
             failures[audit[j]] = IllConditionedError(message)
     if failures:
         entries[list(failures)] = np.eye(a.shape[1])  # so that the stack factors as a whole
@@ -203,17 +186,17 @@ class SpdMatrix:
         raise TypeError("an SpdMatrix is built by SpdMatrix.from_matrix, which validates it")
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, *, cond_cap: float = 1e12) -> "SpdMatrix":
+    def from_matrix(cls, matrix: np.ndarray) -> "SpdMatrix":
         """Validate ``matrix`` by ``factor_spd``'s rule and keep its factor.
 
         Raises ``ValueError`` for malformed input (shape, non-finite entries,
         asymmetry) and ``IllConditionedError`` when the matrix is not
-        positive definite or its condition number exceeds ``cond_cap``.
+        positive definite or its condition number exceeds 1e12.
         """
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        entries, chol, failures = factor_spd(a[None], cond_cap)
+        entries, chol, failures = factor_spd(a[None])
         if failures:
             raise failures[0]
         spd = object.__new__(cls)
@@ -254,13 +237,11 @@ class ConeProjection:
     degenerate: bool
 
 
-def check_simplex_point(
-    w: Iterable[float], K: Optional[int] = None, tol: float = 1e-10
-) -> np.ndarray:
+def check_simplex_point(w: Iterable[float], K: Optional[int] = None) -> np.ndarray:
     """Validate that ``w`` lies on the probability simplex and return it.
 
-    Entries may dip below zero by at most ``tol`` and the total must equal
-    one within ``tol``.
+    Entries may dip below zero by at most 1e-10 and the total must equal
+    one within 1e-10.
     """
     arr = np.asarray(w, dtype=float).ravel()
     if K is not None and arr.size != K:
@@ -269,8 +250,8 @@ def check_simplex_point(
         raise ValueError("weight vectors need at least two coordinates")
     if not np.all(np.isfinite(arr)):
         raise ValueError("weight vector has non-finite entries")
-    if float(arr.min()) < -tol or abs(float(arr.sum()) - 1.0) > tol:
-        raise ValueError(f"{arr.tolist()} is not on the simplex within {tol}")
+    if float(arr.min()) < -_SUPPORT_TOL or abs(float(arr.sum()) - 1.0) > _SUPPORT_TOL:
+        raise ValueError(f"{arr.tolist()} is not on the simplex within {_SUPPORT_TOL}")
     return arr
 
 
@@ -279,7 +260,6 @@ def project_cone(
     w: Iterable[float],
     omega: Union[SpdMatrix, np.ndarray],
     basis: Optional[OrthoBasis] = None,
-    tol: Optional[Tolerances] = None,
 ) -> ConeProjection:
     """Weighted projection of ``f_hat`` onto the cone attached to ``w``.
 
@@ -298,13 +278,12 @@ def project_cone(
     f_hat : array_like, shape (K-1,)
         Vector to project, expressed in basis coordinates.
     w : array_like, shape (K,)
-        Point on the simplex (validated within ``tol.support``).
+        Point on the simplex (validated by ``check_simplex_point``).
     omega : SpdMatrix or array_like, shape (K-1, K-1)
         Positive definite weighting matrix; an array goes through
-        ``SpdMatrix.from_matrix`` with its default condition cap.
+        ``SpdMatrix.from_matrix``.
     basis : OrthoBasis, optional
         Defaults to the Helmert basis of matching dimension.
-    tol : Tolerances, optional
 
     Returns
     -------
@@ -315,17 +294,16 @@ def project_cone(
     ValueError, IllConditionedError
         When an array ``omega`` fails ``SpdMatrix.from_matrix``.
     ConvergenceError
-        When the active-set iteration needs more than
-        ``tol.max_iter_factor * K`` least-squares solves.
+        When the active-set iteration needs more than ``50 * K``
+        least-squares solves.
     """
-    tol = tol if tol is not None else Tolerances()
     f = np.asarray(f_hat, dtype=float).ravel()
     K = f.size + 1
     if basis is None:
         basis = build_basis(K)
     elif basis.K != K:
         raise ValueError(f"basis dimension {basis.K} does not match input length {f.size}")
-    wv = check_simplex_point(w, K, tol.support)
+    wv = check_simplex_point(w, K)
     if not isinstance(omega, SpdMatrix):
         omega = SpdMatrix.from_matrix(omega)
     chol = omega.chol
@@ -333,19 +311,19 @@ def project_cone(
         raise ValueError(f"covariance must have shape {(K - 1, K - 1)}, got {chol.shape}")
 
     lam, residual, objective, gradient_image, zeros, over_cap = (
-        column[0] for column in project_cone_batch(f[None], wv[None], chol[None], basis, tol)
+        column[0] for column in project_cone_batch(f[None], wv[None], chol[None], basis)
     )
     if over_cap:
-        raise _cap_error(K, tol)
+        raise _cap_error(K)
     degenerate = bool(np.any((lam > 0.0) & (lam < _DEGENERACY_TOL)))
     for column in (lam, residual, gradient_image):
         column.setflags(write=False)
     return ConeProjection(lam, residual, gradient_image, int(zeros), float(objective), degenerate)
 
 
-def _cap_error(K: int, tol: Tolerances) -> ConvergenceError:
+def _cap_error(K: int) -> ConvergenceError:
     """The error of a cone projection that exceeds its iteration cap."""
-    cap = tol.max_iter_factor * K
+    cap = _MAX_ITER_FACTOR * K
     return ConvergenceError(f"nonnegative least squares exceeded {cap} iterations")
 
 
@@ -354,7 +332,6 @@ def project_cone_batch(
     w: np.ndarray,
     chol: np.ndarray,
     basis: OrthoBasis,
-    tol: Optional[Tolerances] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weighted cone projections of a stack of ``(f_hat, w, omega)`` triples.
 
@@ -372,11 +349,9 @@ def project_cone_batch(
 
     Returns ``(lam, residual, objective, gradient_image, zeros, over_cap)``,
     row by row the ``ConeProjection`` fields (``lam`` is ``lambda_hat``).
-    ``over_cap`` marks the rows that needed more than
-    ``tol.max_iter_factor * K`` least-squares solves; their other entries
-    are meaningless.
+    ``over_cap`` marks the rows that needed more than ``50 * K``
+    least-squares solves; their other entries are meaningless.
     """
-    tol = tol if tol is not None else Tolerances()
     f = np.asarray(f_hat, dtype=float)
     n_rows, dim = f.shape
     K = dim + 1
@@ -386,7 +361,7 @@ def project_cone_batch(
     # whitened generators L^-1 B2' and target L^-1 f, with L = chol
     gens = np.linalg.solve(chol, b2.T[None])
     target = np.linalg.solve(chol, f[..., None])[..., 0]
-    vanishing = np.asarray(w) <= tol.support
+    vanishing = np.asarray(w) <= _SUPPORT_TOL
     live = np.flatnonzero(vanishing.any(axis=1))  # rows still iterating
     if live.size:
         # only the columns on a row's zero set may enter its passive set
@@ -415,7 +390,7 @@ def project_cone_batch(
                     a[keep] for a in (live, A, t, allowed, x, passive, dual_tol)
                 )
             solves += 1
-            if solves > tol.max_iter_factor * K:
+            if solves > _MAX_ITER_FACTOR * K:
                 over_cap[live] = True
                 break
             z = _passive_lstsq(A, t, passive)
@@ -438,7 +413,7 @@ def project_cone_batch(
     objective = np.einsum("nd,nd->n", white, white)
     gradient_image = (white[:, None, :] @ gens)[:, 0]  # B2 omega^-1 residual
     magnitude = np.abs(gradient_image)
-    cutoff = tol.zero * (1.0 + magnitude.max(axis=1))
+    cutoff = _ZERO_TOL * (1.0 + magnitude.max(axis=1))
     zeros = (magnitude <= cutoff[:, None]).sum(axis=1)
     return lam, residual, objective, gradient_image, zeros, over_cap
 
@@ -490,12 +465,7 @@ def symmetric_psd(matrix: np.ndarray, name: str) -> Tuple[np.ndarray, float]:
     return H, smallest
 
 
-def solve_simplex_qp(
-    hessian: np.ndarray,
-    linear: Iterable[float],
-    tol: Optional[Tolerances] = None,
-    max_iter: Optional[int] = None,
-) -> np.ndarray:
+def solve_simplex_qp(hessian: np.ndarray, linear: Iterable[float]) -> np.ndarray:
     """Minimize ``0.5 w'Hw - w'h`` over the probability simplex.
 
     A primal active-set iteration keeps the sum-to-one equality in every
@@ -510,9 +480,6 @@ def solve_simplex_qp(
         Symmetric positive semidefinite matrix, by ``symmetric_psd``'s rule.
     linear : array_like, shape (K,)
         Linear coefficient vector.
-    tol : Tolerances, optional
-    max_iter : int, optional
-        Defaults to ``tol.max_iter_factor * K``.
 
     Returns
     -------
@@ -525,9 +492,8 @@ def solve_simplex_qp(
         For a malformed or non-finite input, or a hessian that fails
         ``symmetric_psd``.
     ConvergenceError
-        When the iteration cap is exceeded.
+        When it needs more than ``50 * K`` active-set iterations.
     """
-    tol = tol if tol is not None else Tolerances()
     H = np.asarray(hessian, dtype=float)
     h = np.asarray(linear, dtype=float).ravel()
     K = h.size
@@ -545,7 +511,7 @@ def solve_simplex_qp(
     ridge = 1e-11 * scale
     if smallest < ridge:
         H = H + (ridge - min(smallest, 0.0)) * np.eye(K)
-    cap = max_iter if max_iter is not None else tol.max_iter_factor * K
+    cap = _MAX_ITER_FACTOR * K
     dual_tol = 1e-10 * (1.0 + float(np.max(np.abs(h))) + scale)
 
     w = np.full(K, 1.0 / K)

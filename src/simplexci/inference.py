@@ -25,7 +25,6 @@ from .exceptions import IllConditionedError
 from .geometry import (
     OrthoBasis,
     SpdMatrix,
-    Tolerances,
     _cap_error,
     build_basis,
     check_simplex_point,
@@ -204,22 +203,22 @@ def default_resolution(K: int) -> int:
     return 10
 
 
-def simplex_grid(K: int, resolution: int, max_points: int = _GRID_CAP) -> np.ndarray:
+def simplex_grid(K: int, resolution: int) -> np.ndarray:
     """Lattice of simplex points with coordinates in multiples of 1/resolution.
 
     Rows enumerate all length-K compositions of ``resolution`` divided by
     ``resolution``, in ascending lexicographic order, so the output is
     deterministic. The row count is ``comb(resolution + K - 1, K - 1)``;
-    resolutions whose lattice would exceed ``max_points`` are rejected.
+    resolutions whose lattice would exceed 5,000,000 points are rejected.
     """
     if K < 2:
         raise ValueError(f"K must be at least 2, got {K}")
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution}")
     size = math.comb(resolution + K - 1, K - 1)
-    if size > max_points:
+    if size > _GRID_CAP:
         raise ValueError(
-            f"lattice would hold {size} points, above the cap {max_points}; "
+            f"lattice would hold {size} points, above the cap {_GRID_CAP}; "
             "use a coarser resolution"
         )
     bars = itertools.combinations(range(resolution + K - 1), K - 1)
@@ -237,21 +236,15 @@ def simplex_grid(K: int, resolution: int, max_points: int = _GRID_CAP) -> np.nda
     return counts / float(resolution)
 
 
-def point_test(
-    model: WeightModel,
-    w: np.ndarray,
-    alpha: float,
-    *,
-    tol: Optional[Tolerances] = None,
-    cond_cap: float = 1e12,
-) -> PointTest:
+def point_test(model: WeightModel, w: np.ndarray, alpha: float) -> PointTest:
     """Test whether the candidate weight ``w`` is compatible with the data.
 
     Runs the three steps at ``w``: project the transformed gradient estimate
     onto the cone in the inverse-covariance norm, count the zeros of the
     mapped residual, and compare ``n`` times the squared residual norm with
     the chi-square quantile at ``1 - alpha`` whose degrees of freedom are
-    ``max(K - 1 - zeros, 1)``.
+    ``max(K - 1 - zeros, 1)``. A covariance at ``w`` that fails
+    ``factor_spd`` raises ``IllConditionedError`` naming ``w``.
 
     Parameters
     ----------
@@ -260,10 +253,6 @@ def point_test(
         Candidate weight on the simplex.
     alpha : float
         Test level in (0, 1).
-    tol : Tolerances, optional
-    cond_cap : float
-        Condition-number cap for the covariance matrix; violations raise
-        ``IllConditionedError`` naming the offending point.
 
     Returns
     -------
@@ -271,14 +260,13 @@ def point_test(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    tol = tol if tol is not None else Tolerances()
-    wv = check_simplex_point(w, model.K, tol.support)
+    wv = check_simplex_point(w, model.K)
     gradients, omegas = model.evaluate(wv[None, :])
     try:
-        omega = SpdMatrix.from_matrix(omegas[0], cond_cap=cond_cap)
+        omega = SpdMatrix.from_matrix(omegas[0])
     except (ValueError, IllConditionedError) as exc:
         raise _covariance_error(wv, exc) from exc
-    proj = project_cone(gradients[0], wv, omega, basis=model.basis, tol=tol)
+    proj = project_cone(gradients[0], wv, omega, basis=model.basis)
     statistic = model.n * proj.objective
     dof = max(model.K - 1 - proj.zeros, 1)
     critical = chi2_quantile(1.0 - alpha, dof)
@@ -305,8 +293,6 @@ def confidence_set(
     resolution: Optional[int] = None,
     *,
     strict: bool = False,
-    tol: Optional[Tolerances] = None,
-    cond_cap: float = 1e12,
 ) -> ConfidenceSet:
     """Sweep a simplex lattice and keep the points whose test passes.
 
@@ -322,28 +308,27 @@ def confidence_set(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    tol = tol if tol is not None else Tolerances()
     K = model.K
     res = resolution if resolution is not None else default_resolution(K)
     grid = simplex_grid(K, res)
     grid.setflags(write=False)
     fixed = None  # the check of a covariance M[K, K] that does not depend on w
     if not (model.M[:K].any() or model.M[K, :K].any()):
-        fixed = factor_spd(model.M[K, K][None], cond_cap)
+        fixed = factor_spd(model.M[K, K][None])
     statistic, zeros = np.empty(len(grid)), np.empty(len(grid), dtype=int)
     errors: Dict[int, Exception] = {}
     for start in range(0, len(grid), _BATCH_POINTS):
         points = grid[start : start + _BATCH_POINTS]
         gradients, omegas = model.evaluate(points)
-        _, chol, failures = fixed or factor_spd(omegas, cond_cap)
+        _, chol, failures = fixed or factor_spd(omegas)
         if fixed and failures:
             failures = dict.fromkeys(range(len(points)), failures[0])
         chol = np.broadcast_to(chol, omegas.shape)
         # a failed row carries an identity factor, so projecting it is harmless
-        projection = project_cone_batch(gradients, points, chol, model.basis, tol)
+        projection = project_cone_batch(gradients, points, chol, model.basis)
         statistic[start : start + len(points)] = model.n * projection[2]
         zeros[start : start + len(points)] = projection[4]
-        failed = {i: _cap_error(K, tol) for i in np.flatnonzero(projection[5]).tolist()}
+        failed = {i: _cap_error(K) for i in np.flatnonzero(projection[5]).tolist()}
         failed.update((i, _covariance_error(points[i], exc)) for i, exc in failures.items())
         errors.update((start + i, exc) for i, exc in sorted(failed.items()))
     for i, exc in errors.items():

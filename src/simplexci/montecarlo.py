@@ -128,8 +128,8 @@ class CoverageReport:
     ``projection_coverage`` and ``mean_lengths`` hold per-coordinate results
     (lengths averaged over non-empty sets only), ``empty_rate`` the share of
     swept replications whose set had no members, and ``resolution`` the grid
-    resolution used. ``timing_seconds`` is wall-clock time; it is excluded
-    from serialized output by default so reruns are byte-identical.
+    resolution used. ``timing_seconds`` is wall-clock time; ``to_dict`` leaves
+    it out so reruns are byte-identical.
     """
 
     K: int
@@ -148,7 +148,7 @@ class CoverageReport:
     empty_rate: Optional[float] = None
     timing_seconds: float = 0.0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         doc = {
             "K": self.K,
             "n_j": self.n_j,
@@ -166,8 +166,6 @@ class CoverageReport:
             doc["projection_coverage"] = list(self.projection_coverage or [])
             doc["mean_lengths"] = list(self.mean_lengths or [])
             doc["empty_rate"] = self.empty_rate
-        if include_timing:
-            doc["timing_seconds"] = self.timing_seconds
         return doc
 
 

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from simplexci import cli, montecarlo
+from simplexci import cli, geometry, montecarlo
 from simplexci.cli import RunConfig, _panel_rows, build_parser, main, read_panel_csv, resolve_config
 from simplexci.exceptions import DataError
 from simplexci.estimators import (
@@ -100,24 +100,24 @@ def test_infer_csv_round_trips_floats(tmp_path):
         assert cells[7] == ("true" if want.member else "false")
 
 
-def skipping_sweep(path):
-    """``confidence_set`` with a condition cap that, on the grid-4 lattice of
-    ``path``, skips some points and keeps others."""
+def skipping_cap(path, monkeypatch):
+    """The plug-in model of ``path``, with the condition cap set so that the
+    sweep of its grid-4 lattice skips some points and keeps others."""
     _, model, _ = library_sweep(path)
     _, omegas = model.evaluate(simplex_grid(3, 4))
     eigs = np.linalg.eigvalsh(omegas)
     conds = eigs[:, -1] / eigs[:, 0]
-    return model, functools.partial(confidence_set, cond_cap=0.5 * (conds.min() + conds.max()))
+    monkeypatch.setattr(geometry, "_COND_CAP", 0.5 * (conds.min() + conds.max()))
+    return model
 
 
 def test_infer_reports_skipped_points_in_both_formats(tmp_path, capsys, monkeypatch):
     path = make_fixture(tmp_path, seed=4)
-    model, capped = skipping_sweep(path)
+    model = skipping_cap(path, monkeypatch)
     with pytest.warns(RuntimeWarning):
-        cs = capped(model, 0.05, 4)
+        cs = confidence_set(model, 0.05, 4)
     errors = [r.error is not None for r in cs.records]
     assert any(errors) and not all(errors)
-    monkeypatch.setattr("simplexci.cli.confidence_set", capped)
 
     with pytest.warns(RuntimeWarning):
         assert main(["infer", str(path), "--grid", "4"]) == 0
@@ -258,7 +258,7 @@ def reference_keyvalue(doc, prefix=""):
 
 def reference_simulate(fmt, seen):
     doc = {"schema_version": 1, "command": "simulate",
-           **seen["coverage_experiment"].to_dict(include_timing=False)}
+           **seen["coverage_experiment"].to_dict()}
     if fmt == "json":
         return reference_json(doc)
     return reference_csv([["key", "value"], *reference_keyvalue(doc)])
@@ -333,8 +333,7 @@ def test_infer_writes_the_json_dumps_bytes(K, options, tmp_path, capsys, monkeyp
 
 def test_infer_writes_the_json_dumps_bytes_of_skipped_points(tmp_path, capsys, monkeypatch):
     path = make_fixture(tmp_path, seed=4)
-    _, capped = skipping_sweep(path)
-    monkeypatch.setattr(cli, "confidence_set", capped)
+    skipping_cap(path, monkeypatch)
     cs = assert_infer_bytes_match_the_reference(
         [str(path), "--grid", "4"], tmp_path, capsys, monkeypatch
     )
@@ -436,15 +435,23 @@ def test_simulate_writes_the_reference_bytes(options, empty, tmp_path, capsys, m
 
 
 @pytest.mark.parametrize("target", ["directory", "missing/dir/x.json"])
-def test_unwritable_out_is_a_validation_error(target, tmp_path, capsys):
+def test_unwritable_out_is_a_validation_error(target, tmp_path, capsys, monkeypatch):
     path = make_fixture(tmp_path, seed=1)
     out = tmp_path / target
     if target == "directory":
         out.mkdir()
-    assert main(["project", str(path), "--grid", "4", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+
+    def compute(*args, **kwargs):
+        raise AssertionError("the computation ran before --out was checked")
+
+    # the path is checked before the input is read or the simulation runs
+    monkeypatch.setattr(cli, "read_panel_csv", compute)
+    monkeypatch.setattr(cli, "coverage_experiment", compute)
+    for argv in (["project", str(path), "--grid", "4"], ["simulate", "--reps", "2"]):
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: [Errno ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_project_matches_library_in_both_formats(tmp_path, capsys):

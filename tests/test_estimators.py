@@ -413,16 +413,12 @@ def test_make_weight_model_argument_validation():
     rng = np.random.default_rng(28)
     panel = random_panel(rng, n_j=3, T=4)
     comps = quadratic_components(panel)
+    influence = influence_set(panel, comps)
     with pytest.raises(ValueError):
-        make_weight_model(comps)  # pointwise without influence
+        make_weight_model(comps, influence, mode="fixed")  # fixed without v_fixed
+    assert make_weight_model(comps, influence, mode="fixed", v_fixed=np.eye(3)).n == influence.n
     with pytest.raises(ValueError):
-        make_weight_model(comps, mode="fixed")  # fixed without v_fixed
-    with pytest.raises(ValueError):
-        make_weight_model(comps, mode="fixed", v_fixed=np.eye(3))  # missing n
-    model = make_weight_model(comps, mode="fixed", v_fixed=np.eye(3), n=44)
-    assert model.n == 44
-    with pytest.raises(ValueError):
-        make_weight_model(comps, mode="other")
+        make_weight_model(comps, influence, mode="other")
 
 
 def test_influence_set_rejects_uncentered_arrays():

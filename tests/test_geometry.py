@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from simplexci import geometry, inference
 from simplexci.estimators import QuadraticComponents
 from simplexci.exceptions import ConvergenceError, IllConditionedError
 from simplexci.inference import confidence_set
 from simplexci.geometry import (
     OrthoBasis,
     SpdMatrix,
-    Tolerances,
     build_basis,
     check_simplex_point,
     factor_spd,
@@ -153,7 +153,7 @@ def raised_by(fn, *args, **kwargs):
     return info.value
 
 
-def test_stacked_rule_agrees_row_for_row_with_from_matrix():
+def test_stacked_rule_agrees_row_for_row_with_from_matrix(monkeypatch):
     stack = np.stack(list(RULE_CASES.values()))
     entries, chol, failures = factor_spd(stack)
     assert sorted(failures) == [2, 3, 4, 5, 6]
@@ -165,11 +165,12 @@ def test_stacked_rule_agrees_row_for_row_with_from_matrix():
             spd = SpdMatrix.from_matrix(matrix)
             assert np.array_equal(entries[i], spd.entries)
             assert np.array_equal(chol[i], spd.chol)
-    # the condition cap is the caller's
-    assert 6 not in factor_spd(stack, cond_cap=1e15)[2]
+    # the condition cap is read when the rule runs
+    monkeypatch.setattr(geometry, "_COND_CAP", 1e15)
+    assert 6 not in factor_spd(stack)[2]
 
 
-def test_stacked_rule_reports_a_failed_cholesky():
+def test_stacked_rule_reports_a_failed_cholesky(monkeypatch):
     # rank-one matrices whose rounded eigenvalues are all positive but whose
     # Cholesky factorization breaks down; which ones do depends on LAPACK
     rng = np.random.default_rng(0)
@@ -184,12 +185,13 @@ def test_stacked_rule_reports_a_failed_cholesky():
     else:
         pytest.skip("no rank-one matrix passes eigvalsh yet fails Cholesky here")
     stack = np.stack([np.eye(3), rank_one, 2.0 * np.eye(3)])
-    entries, chol, failures = factor_spd(stack, cond_cap=np.inf)
+    monkeypatch.setattr(geometry, "_COND_CAP", np.inf)
+    entries, chol, failures = factor_spd(stack)
     assert list(failures) == [1]
     assert isinstance(failures[1], IllConditionedError)
     assert str(failures[1]) == "covariance matrix is not positive definite"
     assert np.array_equal(chol[[0, 2]], np.linalg.cholesky(stack[[0, 2]]))
-    exc = raised_by(SpdMatrix.from_matrix, rank_one, cond_cap=np.inf)
+    exc = raised_by(SpdMatrix.from_matrix, rank_one)
     assert str(exc) == str(failures[1])
 
 
@@ -418,15 +420,15 @@ def test_statistics_are_basis_invariant():
         assert first.zeros == second.zeros
 
 
-def test_projection_honours_iteration_cap():
+def test_projection_honours_iteration_cap(monkeypatch):
     rng = np.random.default_rng(13)
     b2 = build_basis(3).b2
     f = b2.T @ np.array([0.0, 1.0, 1.0])
-    strict = Tolerances(max_iter_factor=0)
+    monkeypatch.setattr(geometry, "_MAX_ITER_FACTOR", 0)
     with pytest.raises(ConvergenceError):
-        project_cone(f, np.array([1.0, 0.0, 0.0]), np.eye(2), tol=strict)
+        project_cone(f, np.array([1.0, 0.0, 0.0]), np.eye(2))
     # an input already in the polar cone needs no pivots and still succeeds
-    easy = project_cone(-f, np.array([1.0, 0.0, 0.0]), np.eye(2), tol=strict)
+    easy = project_cone(-f, np.array([1.0, 0.0, 0.0]), np.eye(2))
     assert easy.objective > 0.0
 
 
@@ -492,7 +494,7 @@ def test_qp_kkt_multipliers_are_consistent():
             assert np.all(grad[~inside] + nu >= -1e-7 * (1.0 + np.abs(nu)))
 
 
-def test_qp_validation_and_iteration_cap():
+def test_qp_validation_and_iteration_cap(monkeypatch):
     with pytest.raises(ValueError):
         solve_simplex_qp(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros(2))
     with pytest.raises(ValueError):
@@ -505,12 +507,14 @@ def test_qp_validation_and_iteration_cap():
             QuadraticComponents(H=np.array(H), h=np.zeros(2))
     with pytest.raises(ValueError):
         solve_simplex_qp(np.full((2, 2), np.nan), np.zeros(2))
-    with pytest.raises(ConvergenceError):
-        solve_simplex_qp(np.eye(3), np.array([5.0, 0.0, 0.0]), max_iter=1)
+    monkeypatch.setattr(geometry, "_MAX_ITER_FACTOR", 0)
+    with pytest.raises(ConvergenceError, match="exceeded 0 active-set iterations"):
+        solve_simplex_qp(np.eye(3), np.array([5.0, 0.0, 0.0]))
 
 
 def test_tolerances_defaults():
-    tol = Tolerances()
-    assert tol.support == pytest.approx(1e-10)
-    assert tol.zero == pytest.approx(1e-8)
-    assert tol.max_iter_factor == 50
+    assert geometry._SUPPORT_TOL == 1e-10
+    assert geometry._ZERO_TOL == 1e-8
+    assert geometry._MAX_ITER_FACTOR == 50
+    assert geometry._COND_CAP == 1e12
+    assert inference._GRID_CAP == 5_000_000

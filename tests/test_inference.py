@@ -6,15 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
+from simplexci import geometry, inference
 from simplexci.distributions import chi2_quantile, normal_quantile
 from simplexci.estimators import (
+    PanelData,
     bootstrap_variance,
     influence_set,
     make_weight_model,
     quadratic_components,
 )
 from simplexci.exceptions import ConvergenceError, IllConditionedError
-from simplexci.geometry import Tolerances, build_basis, factor_spd
+from simplexci.geometry import build_basis, factor_spd
 from simplexci.inference import (
     ConfidenceSet,
     Interval,
@@ -70,11 +72,12 @@ def test_simplex_grid_counts_and_membership():
     assert np.array_equal(order, np.arange(len(grid)))
 
 
-def test_simplex_grid_rejects_oversized_lattices():
+def test_simplex_grid_rejects_oversized_lattices(monkeypatch):
     with pytest.raises(ValueError):
         simplex_grid(3, 5000)
-    with pytest.raises(ValueError):
-        simplex_grid(4, 100, max_points=1000)
+    monkeypatch.setattr(inference, "_GRID_CAP", 1000)
+    with pytest.raises(ValueError, match="above the cap 1000"):
+        simplex_grid(4, 100)
     with pytest.raises(ValueError):
         simplex_grid(1, 10)
     with pytest.raises(ValueError):
@@ -217,6 +220,38 @@ def test_alpha_monotonicity_nests_the_sets():
     assert np.all(tight.member_mask <= loose.member_mask)
 
 
+@pytest.mark.parametrize(
+    "seed, perm",
+    [(0, [2, 0, 1]), (1, [1, 0, 2]), (2, [2, 0, 1, 3]), (3, [3, 2, 1, 0]),
+     (4, [2, 4, 3, 0, 1]), (5, [4, 0, 1, 2, 3])],
+)
+def test_relabelling_donor_groups_permutes_the_confidence_set(seed, perm):
+    # donor group j + 1 becomes group perm[j] + 1 and the treated group 0
+    # keeps its label, so weight coordinate j moves to position perm[j]
+    K, perm = len(perm), np.array(perm)
+    resolution = {3: 14, 4: 8, 5: 6}[K]
+    spec = McSpec(K=K, n_j=30, design="boundary", reps=1, seed=seed)
+    panel = generate_panel(spec, seed, seed + 1)
+    relabel = np.concatenate([[0], perm + 1])
+    sets = []
+    for group in (panel.group, relabel[panel.group]):
+        relabelled = PanelData.from_long(panel.unit, group, panel.time, panel.outcome)
+        components = quadratic_components(relabelled)
+        model = make_weight_model(components, influence_set(relabelled, components))
+        sets.append(confidence_set(model, 0.05, resolution))
+    base, moved = sets
+    assert base.member_mask.any() and not base.member_mask.all() and base.zeros.any()
+    moved_grid = np.empty_like(base.grid)
+    moved_grid[:, perm] = base.grid
+    index = {w: i for i, w in enumerate(map(tuple, moved.grid.tolist()))}
+    match = np.array([index[w] for w in map(tuple, moved_grid.tolist())])
+    assert np.array_equal(moved.zeros[match], base.zeros)
+    assert np.array_equal(moved.dof[match], base.dof)
+    assert np.array_equal(moved.member_mask[match], base.member_mask)
+    gap = np.abs(moved.statistic[match] - base.statistic)
+    assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(base.statistic)))
+
+
 def test_sweep_warns_and_skips_on_singular_points():
     # Omega(w) = I + 4 w_2 w_3 [[0, 1], [1, 0]] is singular on the res-2
     # lattice only at (0, 0.5, 0.5)
@@ -335,9 +370,7 @@ def test_fixed_mode_reuses_one_covariance():
     influence = influence_set(panel, components)
     w_hat = np.array([0.2, 0.4, 0.4])
     v_fixed = variance_at(influence, w_hat)
-    fixed = make_weight_model(
-        components, mode="fixed", v_fixed=v_fixed, n=influence.n
-    )
+    fixed = make_weight_model(components, influence, mode="fixed", v_fixed=v_fixed)
     b2 = build_basis(3).b2
     constant = fixed.M[3, 3]
     assert np.allclose(constant, b2.T @ v_fixed @ b2, atol=1e-14)
@@ -352,13 +385,13 @@ def test_fixed_mode_reuses_one_covariance():
 # the batched sweep against the scalar point test
 
 
-def scalar_sweep(model, alpha, resolution, **options):
+def scalar_sweep(model, alpha, resolution):
     """Per-point reference: ``point_test`` at every lattice point, with the
     skip record and warning text a sweep gives a numerically failed point."""
     records, messages = [], []
     for row in simplex_grid(model.K, resolution):
         try:
-            records.append(point_test(model, row, alpha, **options))
+            records.append(point_test(model, row, alpha))
         except (IllConditionedError, ConvergenceError) as exc:
             messages.append(f"skipping grid point {row.tolist()}: {exc}")
             records.append(
@@ -430,31 +463,32 @@ def test_sweep_matches_the_enumeration_oracle(K):
         assert cs.statistic[i] == pytest.approx(model.n * objective, rel=1e-9, abs=1e-12), w
 
 
-def test_sweep_skips_points_over_the_iteration_cap_with_the_scalar_error():
-    # with max_iter_factor=0 every boundary point whose gradient leaves the
-    # polar cone needs a least-squares solve, which is over the cap
+def test_sweep_skips_points_over_the_iteration_cap_with_the_scalar_error(monkeypatch):
+    # with an iteration cap of 0 every boundary point whose gradient leaves
+    # the polar cone needs a least-squares solve, which is over the cap
     model, _ = panel_model(K=5, n_j=30, seed=3)
-    tol = Tolerances(max_iter_factor=0)
-    want, messages = scalar_sweep(model, 0.05, 4, tol=tol)
+    monkeypatch.setattr(geometry, "_MAX_ITER_FACTOR", 0)
+    want, messages = scalar_sweep(model, 0.05, 4)
     assert 0 < len(messages) < len(want)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cs = confidence_set(model, 0.05, 4, tol=tol)
+        cs = confidence_set(model, 0.05, 4)
     assert_same_records(cs.records, want)
     assert [str(w.message) for w in caught] == messages
     assert set(cs.errors.values()) == {"nonnegative least squares exceeded 0 iterations"}
     with pytest.raises(ConvergenceError) as exc:
-        confidence_set(model, 0.05, 4, tol=tol, strict=True)
+        confidence_set(model, 0.05, 4, strict=True)
     assert str(exc.value) == next(r.error for r in want if r.error is not None)
 
 
-def test_batched_sweep_keeps_skip_records_warnings_and_strict_order():
+def test_batched_sweep_keeps_skip_records_warnings_and_strict_order(monkeypatch):
     model, _ = panel_model(K=3, n_j=40, seed=3)
-    want, messages = scalar_sweep(model, 0.05, 10, cond_cap=1.9)
+    monkeypatch.setattr(geometry, "_COND_CAP", 1.9)
+    want, messages = scalar_sweep(model, 0.05, 10)
     assert 0 < len(messages) < len(want)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cs = confidence_set(model, 0.05, 10, cond_cap=1.9)
+        cs = confidence_set(model, 0.05, 10)
     assert_same_records(cs.records, want)
     assert [str(w.message) for w in caught] == messages
     assert all(w.category is RuntimeWarning for w in caught)
@@ -468,19 +502,17 @@ def test_batched_sweep_keeps_skip_records_warnings_and_strict_order():
     # strict mode raises the error of the first failing point in lattice order
     first = next(r for r in want if r.error is not None)
     with pytest.raises(IllConditionedError) as exc:
-        confidence_set(model, 0.05, 10, cond_cap=1.9, strict=True)
+        confidence_set(model, 0.05, 10, strict=True)
     assert str(exc.value) == first.error
     assert f"w={first.w.tolist()}" in first.error
 
 
 def test_constant_covariance_is_checked_once_per_sweep(monkeypatch):
-    from simplexci import inference
-
     stacks = []
 
-    def counting_factor_spd(matrices, cond_cap=1e12):
+    def counting_factor_spd(matrices):
         stacks.append(len(matrices))
-        return factor_spd(matrices, cond_cap)
+        return factor_spd(matrices)
 
     monkeypatch.setattr(inference, "factor_spd", counting_factor_spd)
     models = sweep_models(4)
@@ -491,17 +523,17 @@ def test_constant_covariance_is_checked_once_per_sweep(monkeypatch):
     assert sum(stacks) == 455
 
 
-def test_fixed_covariance_obeys_the_condition_cap():
+def test_fixed_covariance_obeys_the_condition_cap(monkeypatch):
     model = sweep_models(3)["fixed"]
     eigs = np.linalg.eigvalsh(model.M[3, 3])
-    cap = 0.5 * eigs[-1] / eigs[0]
-    want, messages = scalar_sweep(model, 0.05, 6, cond_cap=cap)
+    monkeypatch.setattr(geometry, "_COND_CAP", 0.5 * eigs[-1] / eigs[0])
+    want, messages = scalar_sweep(model, 0.05, 6)
     assert len(messages) == len(want)  # every point exceeds the cap
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cs = confidence_set(model, 0.05, 6, cond_cap=cap)
+        cs = confidence_set(model, 0.05, 6)
     assert_same_records(cs.records, want)
     assert [str(w.message) for w in caught] == messages
     with pytest.raises(IllConditionedError) as exc:
-        confidence_set(model, 0.05, 6, cond_cap=cap, strict=True)
+        confidence_set(model, 0.05, 6, strict=True)
     assert str(exc.value) == want[0].error

@@ -67,7 +67,6 @@ def test_coverage_experiment_is_deterministic():
     assert first.to_dict() == second.to_dict()
     # timing is wall clock and must stay out of the serialized form
     assert "timing_seconds" not in first.to_dict()
-    assert "timing_seconds" in first.to_dict(include_timing=True)
 
 
 def test_projection_coverage_dominates_point_coverage_on_grid():
