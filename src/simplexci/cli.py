@@ -86,6 +86,8 @@ class RunConfig:
             raise DataError(
                 f"--bootstrap-draws must be at least 100, got {self.bootstrap_draws}"
             )
+        if (self.variance == "bootstrap" or self.command == "simulate") and self.seed < 0:
+            raise DataError(f"--seed must be a non-negative integer, got {self.seed}")
         if self.command == "bonferroni":
             if self.post is None:
                 raise DataError("bonferroni requires --post")

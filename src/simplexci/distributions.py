@@ -123,7 +123,10 @@ def chi2_cdf(x: float, k: int) -> float:
 
 def chi2_pdf(x: float, k: int) -> float:
     """Chi-square density with k degrees of freedom."""
-    k = _check_dof(k)
+    return _chi2_pdf(x, _check_dof(k))
+
+
+def _chi2_pdf(x: float, k: int) -> float:
     if x <= 0.0:
         return 0.0
     half_k = 0.5 * k
@@ -195,9 +198,10 @@ def _invert(cdf, pdf, p: float, hi: float, rtol: float, what: str) -> float:
 
 @lru_cache(maxsize=4096)
 def _chi2_quantile_cached(p: float, k: int) -> float:
+    # ``k`` is checked, and ``_invert`` evaluates only at x > 0
     return _invert(
-        lambda x: chi2_cdf(x, k), lambda x: chi2_pdf(x, k), p, k + 10.0, 1e-14,
-        f"chi-square quantile at p={p!r} with k={k}",
+        lambda x: regularized_gamma_p(0.5 * k, 0.5 * x), lambda x: _chi2_pdf(x, k),
+        p, k + 10.0, 1e-14, f"chi-square quantile at p={p!r} with k={k}",
     )
 
 

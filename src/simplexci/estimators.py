@@ -246,17 +246,27 @@ class InfluenceSet:
         object.__setattr__(self, "psi_h", psi_h)
 
 
+def _group_means(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Group means along axis -2 of ``rows``, ``(..., n, T)`` to ``(..., K + 1, T)``,
+    for units ordered by group as in the matching pivot. Each group's block
+    is summed as ``mean(axis=0)`` sums it, so the means are bit for bit
+    those (``np.add.reduceat`` sums differently)."""
+    ends = np.cumsum(sizes).tolist()
+    sums = [rows[..., end - size:end, :].sum(axis=-2) for size, end in zip(sizes.tolist(), ends)]
+    return np.stack(sums, axis=-2) / sizes[:, None]
+
+
 def quadratic_components(panel: PanelData) -> QuadraticComponents:
     """Group means over matching periods and the implied quadratic objective."""
     _, groups, matrix = panel._matched
-    K = panel.K
     T = panel.t_match
     n = matrix.shape[0]
-    means = np.vstack([matrix[groups == j].mean(axis=0) for j in range(K + 1)])
+    sizes = np.bincount(groups)
+    means = _group_means(matrix, sizes)
     untreated = means[1:]
     H = untreated @ untreated.T / T
     h = untreated @ means[0] / T
-    probs = np.bincount(groups, minlength=K + 1) / n
+    probs = sizes / n
     return QuadraticComponents(H=H, h=h, group_means=means, group_probs=probs)
 
 
@@ -313,36 +323,46 @@ def variance_at(influence: InfluenceSet, w) -> np.ndarray:
     return per_unit.T @ per_unit / influence.n
 
 
+# Bytes of resampled rows ``bootstrap_variance`` gathers at once: it runs as
+# many draws per chunk as fit (at least one), so memory stays flat in draws.
+_BOOTSTRAP_CHUNK_BYTES = 1 << 20
+
+
 def bootstrap_variance(panel: PanelData, w_hat, n_draws: int, seed: int) -> np.ndarray:
     """Bootstrap covariance of the scaled gradient estimate at ``w_hat``.
 
     Units are resampled with replacement within each group (group sizes held
     fixed), the group means and the gradient at ``w_hat`` are recomputed per
     draw, and the second-moment matrix of the scaled deviations from the
-    original gradient is returned. Each draw uses an independent substream
-    spawned from ``seed`` and draws are reduced in a fixed order, so the
-    result is reproducible even if the draws were evaluated concurrently.
+    original gradient is returned. Draw ``d`` resamples with the ``d``-th
+    substream spawned from ``seed``, one bounded integer per unit, group by
+    group. Draws run in chunks: a chunk's resampled rows are gathered and
+    averaged as one array, and the outer products of the deviations are
+    added in draw order, so the result does not depend on the chunk size.
     """
     if n_draws < 100:
         raise ValueError(f"bootstrap needs at least 100 draws, got {n_draws}")
     wv = check_simplex_point(w_hat, panel.K)
     _, groups, matrix = panel._matched
     n, T = matrix.shape
-    K = panel.K
-    means = np.vstack([matrix[groups == j].mean(axis=0) for j in range(K + 1)])
+    sizes = np.bincount(groups)
+    means = _group_means(matrix, sizes)
     gradient = (means[1:] @ (means[1:].T @ wv)) / T - means[1:] @ means[0] / T
-    rows_by_group = [np.flatnonzero(groups == j) for j in range(K + 1)]
-    children = np.random.SeedSequence(seed).spawn(n_draws)
-    accum = np.zeros((K, K))
-    star = np.empty_like(means)
-    for child in children:
-        rng = np.random.default_rng(child)
-        for j, rows in enumerate(rows_by_group):
-            take = rows[rng.integers(0, rows.size, rows.size)]
-            star[j] = matrix[take].mean(axis=0)
-        grad_star = (star[1:] @ (star[1:].T @ wv)) / T - star[1:] @ star[0] / T
-        delta = grad_star - gradient
-        accum += np.outer(delta, delta)
+    # one call with a bound per unit draws the stream of one call per group
+    bounds = np.repeat(sizes, sizes)
+    offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    chunk = max(1, _BOOTSTRAP_CHUNK_BYTES // (n * T * 8))
+    root = np.random.SeedSequence(seed)
+    accum = np.zeros((panel.K, panel.K))
+    for done in range(0, n_draws, chunk):
+        children = root.spawn(min(chunk, n_draws - done))
+        take = np.stack(
+            [offsets + np.random.default_rng(child).integers(0, bounds) for child in children]
+        )
+        for star in _group_means(matrix[take], sizes):
+            grad_star = (star[1:] @ (star[1:].T @ wv)) / T - star[1:] @ star[0] / T
+            delta = grad_star - gradient
+            accum += np.outer(delta, delta)
     return n * accum / n_draws
 
 
@@ -372,8 +392,8 @@ def treatment_functional(
         raise DataError(
             f"groups {short} have units without an outcome at post period {post_period}"
         )
-    sizes = np.bincount(groups, minlength=K + 1)
-    mean_post = np.array([y_post[groups == j].mean() for j in range(K + 1)])
+    sizes = np.bincount(groups)
+    mean_post = _group_means(y_post[:, None], sizes)[:, 0]
     probs = sizes / n
     scaled = (y_post - mean_post[groups]) / probs[groups]
     second_moment = np.zeros(K + 1)

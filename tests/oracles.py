@@ -238,6 +238,32 @@ def naive_variance(psi_H, psi_h, w):
     return acc / n
 
 
+def bootstrap_variance_loop(groups, matrix, wv, n_draws, seed):
+    """The bootstrap covariance drawn one group at a time.
+
+    The former body of ``estimators.bootstrap_variance``, after its checks:
+    ``groups`` and ``matrix`` are the matching pivot and ``wv`` a checked
+    simplex point.
+    """
+    n, T = matrix.shape
+    K = int(groups.max())
+    means = np.vstack([matrix[groups == j].mean(axis=0) for j in range(K + 1)])
+    gradient = (means[1:] @ (means[1:].T @ wv)) / T - means[1:] @ means[0] / T
+    rows_by_group = [np.flatnonzero(groups == j) for j in range(K + 1)]
+    children = np.random.SeedSequence(seed).spawn(n_draws)
+    accum = np.zeros((K, K))
+    star = np.empty_like(means)
+    for child in children:
+        rng = np.random.default_rng(child)
+        for j, rows in enumerate(rows_by_group):
+            take = rows[rng.integers(0, rows.size, rows.size)]
+            star[j] = matrix[take].mean(axis=0)
+        grad_star = (star[1:] @ (star[1:].T @ wv)) / T - star[1:] @ star[0] / T
+        delta = grad_star - gradient
+        accum += np.outer(delta, delta)
+    return n * accum / n_draws
+
+
 def naive_post_functional(unit, group, time, outcome, post, K):
     """Post-period level functional and its variance, by explicit loops."""
     rows = [(g, u, y) for u, g, t, y in zip(unit, group, time, outcome) if t == post]

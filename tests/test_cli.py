@@ -764,6 +764,16 @@ def test_bonferroni_parameter_validation(tmp_path, capsys):
     assert "kappa" in capsys.readouterr().err
 
 
+def test_negative_seed_is_a_validation_error(tmp_path, capsys):
+    path = make_fixture(tmp_path, seed=5)
+    for argv in (
+        ["project", str(path), "--variance", "bootstrap", "--bootstrap-draws", "100"],
+        ["simulate", "--K", "3", "--nj", "10", "--reps", "2"],
+    ):
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 def test_degenerate_panel_strict_is_a_numerical_error(tmp_path, capsys):
     # constant outcomes give a zero covariance everywhere on the lattice
     rows = ["unit,group,time,outcome"]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from simplexci import estimators
 from simplexci.estimators import (
     InfluenceSet,
     PanelData,
@@ -21,6 +22,7 @@ from simplexci.geometry import build_basis, solve_simplex_qp
 from simplexci.inference import point_test, simplex_grid
 
 from oracles import (
+    bootstrap_variance_loop,
     naive_group_means,
     naive_influence,
     naive_panel,
@@ -305,6 +307,55 @@ def test_bootstrap_variance_is_deterministic():
     assert np.array_equal(first, second)
     other = bootstrap_variance(panel, w, n_draws=150, seed=10)
     assert not np.array_equal(first, other)
+
+
+def sized_panel(rng, sizes, T):
+    """Balanced long panel with ``sizes[g]`` units in group g, rows shuffled."""
+    sizes = np.asarray(sizes)
+    unit = np.repeat(np.arange(sizes.sum()), T)
+    group = np.repeat(np.repeat(np.arange(sizes.size), sizes), T)
+    time = np.tile(np.arange(1, T + 1), sizes.sum())
+    outcome = group + rng.standard_normal(unit.size)
+    order = rng.permutation(unit.size)
+    return PanelData.from_long(unit[order], group[order], time[order], outcome[order])
+
+
+@pytest.mark.parametrize(
+    "sizes, T, n_draws, chunks",
+    [
+        ((2, 3, 57, 8), 4, 100, 1),
+        ((2, 3, 57, 8), 4, 101, 1),
+        ((2, 3, 57, 8), 4, 1100, 3),
+        # one period: a group's sum over its units is numpy's pairwise sum
+        ((9, 12, 30), 1, 101, 1),
+        # more than the chunk budget for one draw's rows
+        ((4000, 5000, 4200), 10, 100, 100),
+    ],
+    ids=["100 draws", "101 draws", "partial last chunk", "one period", "one draw per chunk"],
+)
+def test_bootstrap_variance_matches_the_per_group_loop(sizes, T, n_draws, chunks):
+    rng = np.random.default_rng(len(sizes) + T)
+    panel = sized_panel(rng, sizes, T)
+    _, groups, matrix = panel._matched
+    per_chunk = max(1, estimators._BOOTSTRAP_CHUNK_BYTES // matrix.nbytes)
+    assert -(-n_draws // per_chunk) == chunks
+    w = rng.dirichlet(np.ones(panel.K))
+    expected = bootstrap_variance_loop(groups, matrix, w, n_draws, seed=11)
+    assert np.array_equal(bootstrap_variance(panel, w, n_draws, seed=11), expected)
+
+
+def test_one_bound_per_unit_draws_the_per_group_stream():
+    # bootstrap_variance draws every group's units with one call; a numpy
+    # whose array-bound integers stop matching one call per group must fail
+    # here instead of shifting bootstrap output
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        sizes = rng.integers(2, 3001, int(rng.integers(2, 9))).tolist()
+        seed = np.random.SeedSequence(int(rng.integers(2**32)))
+        one_call = np.random.default_rng(seed).integers(0, np.repeat(sizes, sizes))
+        per_group = np.random.default_rng(seed)
+        expected = np.concatenate([per_group.integers(0, size, size) for size in sizes])
+        assert np.array_equal(one_call, expected)
 
 
 def test_bootstrap_variance_validates_draw_count():
