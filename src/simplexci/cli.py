@@ -18,11 +18,13 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -247,38 +249,62 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command=args.command, input=getattr(args, "input", None), **options)
 
 
-def _open_csv(path: str):
+def _read_text(path: str) -> str:
+    """The file's text, decoded once as UTF-8 with any byte-order mark dropped."""
     try:
-        return open(path, "r", newline="", encoding="utf-8-sig")
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # bytes.splitlines ends lines as csv does
+        raise DataError(
+            f"{path}: row {len(exc.object[: exc.start + 1].splitlines())}: byte "
+            f"0x{exc.object[exc.start]:02x} is not valid UTF-8 ({exc.reason})"
+        ) from None
 
 
 def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
     """Read a long-format panel CSV with header ``unit,group,time,outcome``.
 
-    Diagnostics name the offending row (its line in the file) and column.
-    Extra or missing columns are rejected, and blank lines are skipped.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; other Unicode separators are
+    data. Diagnostics name the offending row (its line in the file) and
+    column. Extra or missing columns are rejected, and blank lines are skipped.
     """
-    with _open_csv(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        body = list(filter(None, reader))  # csv.reader gives [] for a blank line
-    columns = _panel_columns(header, body)
+    columns = _panel_columns(_read_text(path))
     if columns is None:
         columns = _panel_rows(path)
     return PanelData.from_long(*columns, t_match=t_match)
 
 
-def _panel_columns(header: Optional[List[str]], body: List[List[str]]):
-    """The four columns of a well-formed CSV, converted a column at a time
-    with the conversions of ``_panel_rows``; None if any check fails."""
-    if header is None or sorted(header) != sorted(_REQUIRED_COLUMNS) or not body:
-        return None
-    if set(map(len, body)) != {len(_REQUIRED_COLUMNS)}:
+def _panel_columns(text: str):
+    """The four columns of a well-formed CSV text, converted a column at a
+    time with the conversions of ``_panel_rows``; None if any check fails.
+    A text without ``"`` is split at line ends and commas, as ``csv.reader``
+    splits it but with no limit on a field's length; one with ``"`` is read
+    by ``csv.reader``."""
+    width = len(_REQUIRED_COLUMNS)
+    if '"' in text:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            header = next(reader, [])
+            body = list(filter(None, reader))  # csv.reader gives [] for a blank line
+        except csv.Error:
+            return None
+        if set(map(len, body)) != {width}:
+            return None
+        fields = list(chain.from_iterable(body))
+    else:
+        header, *body = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        header, body = header.split(","), list(filter(None, body))
+        if set(map(str.count, body, repeat(","))) != {width - 1}:
+            return None
+        fields = ",".join(body).split(",")
+    if sorted(header) != sorted(_REQUIRED_COLUMNS):
         return None
     unit, group, time, outcome = (
-        map(itemgetter(header.index(column)), body) for column in _REQUIRED_COLUMNS
+        fields[header.index(column)::width] for column in _REQUIRED_COLUMNS
     )
     units = list(map(str.strip, unit))
     if not all(units):
@@ -311,8 +337,8 @@ def _panel_rows(path: str) -> Tuple[List[str], List[int], List[int], List[float]
     malformed row; ``read_panel_csv`` runs this only when its column checks
     fail, so every message comes from here."""
     rows: List[Tuple[str, int, int, float]] = []
-    with _open_csv(path) as handle:
-        reader = csv.DictReader(handle)
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    try:
         fields = reader.fieldnames
         if fields is None:
             raise DataError(f"{path}: file is empty")
@@ -350,6 +376,8 @@ def _panel_rows(path: str) -> Tuple[List[str], List[int], List[int], List[float]
                     f"{path}: row {line}: outcome {row['outcome']!r} is not a finite number"
                 )
             rows.append((unit, group, period, outcome))
+    except csv.Error as exc:  # a field over csv's size limit
+        raise DataError(f"{path}: row {reader.reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     units, groups, times, outcomes = map(list, zip(*rows))

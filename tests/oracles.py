@@ -8,8 +8,10 @@ Slow is fine; these only run in tests.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -327,3 +329,38 @@ def naive_panel(unit, group, time, outcome, t_match):
             f"matching periods 1..{t_match}"
         )
     return order, [unit_group[u] for u in order], matrix
+
+
+# ---------------------------------------------------------------------------
+# CSV ingest oracle (csv.reader over the file, one list per row)
+
+_REQUIRED_COLUMNS = ("unit", "group", "time", "outcome")
+
+
+def panel_columns_csv_reader(path):
+    """The columns ``cli.read_panel_csv`` took from a file when it tokenised
+    every file with ``csv.reader``, or None where that check failed: the
+    file is read as it was, then the old column function runs unchanged."""
+    with open(path, "r", newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        body = list(filter(None, reader))  # csv.reader gives [] for a blank line
+    if header is None or sorted(header) != sorted(_REQUIRED_COLUMNS) or not body:
+        return None
+    if set(map(len, body)) != {len(_REQUIRED_COLUMNS)}:
+        return None
+    unit, group, time, outcome = (
+        map(itemgetter(header.index(column)), body) for column in _REQUIRED_COLUMNS
+    )
+    units = list(map(str.strip, unit))
+    if not all(units):
+        return None
+    try:
+        groups = np.fromiter(map(int, group), np.int64, len(body))
+        times = np.fromiter(map(int, time), np.int64, len(body))
+        outcomes = np.fromiter(map(float, outcome), float, len(body))
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(outcomes).all():
+        return None
+    return units, groups, times, outcomes

@@ -29,6 +29,8 @@ from simplexci.inference import (
     simplex_grid,
 )
 
+from oracles import panel_columns_csv_reader
+
 
 def make_fixture(tmp_path, seed=0, K=3, n_j=12, total_T=5, name="panel.csv"):
     """CSV panel whose treated path is a fixed convex mix of donor paths."""
@@ -697,6 +699,140 @@ def test_well_formed_csv_takes_the_column_path(tmp_path, monkeypatch):
     want, got = read_panel_csv(str(plain)), read_panel_csv(str(padded))
     for column in ("unit", "group", "time", "outcome"):
         assert np.array_equal(getattr(got, column), getattr(want, column))
+
+
+def test_quote_free_csv_never_calls_csv_reader(tmp_path, monkeypatch):
+    plain = make_fixture(tmp_path)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+    want = PanelData.from_long(*_panel_rows(str(plain)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader ran on a quote-free file")
+
+    monkeypatch.setattr("simplexci.cli.csv.reader", refuse)
+    for path in (plain, crlf):
+        got = read_panel_csv(str(path))
+        for column in ("unit", "group", "time", "outcome"):
+            assert np.array_equal(getattr(got, column), getattr(want, column))
+
+
+def assert_same_columns(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def split_and_reference_columns(path, data):
+    """The columns of the file holding ``data`` as ``cli`` reads them, and as
+    ``csv.reader`` read them."""
+    path.write_bytes(data)
+    return cli._panel_columns(cli._read_text(str(path))), panel_columns_csv_reader(path)
+
+
+# (file text, number of rows read, or None where the column checks fail)
+TOKENISER_CASES = {
+    "crlf": ((HEADER + GOOD).replace("\n", "\r\n"), 8),
+    "lone cr": ((HEADER + GOOD).replace("\n", "\r"), 8),
+    "mixed line ends": (HEADER.replace("\n", "\r") + GOOD.replace(".5\n", ".5\r\n", 3)
+                        .replace(".5\n", ".5\r", 2), 8),
+    "blank first line": ("\n" + HEADER + GOOD, None),
+    "blank first line crlf": ("\r\n" + HEADER + GOOD, None),
+    "blank lines at the end": (HEADER + GOOD + "\n\r\n\r\r\n", 8),
+    "blank lines after the header": (HEADER + "\r\r\n\n" + GOOD, 8),
+    "no final newline": (HEADER + GOOD.rstrip("\n"), 8),
+    "byte-order mark": ("\ufeff" + HEADER + GOOD, 8),
+    "two byte-order marks": ("\ufeff\ufeff" + HEADER + GOOD, None),
+    "columns reordered": ("time,outcome,group,unit\n" + "".join(
+        f"{t},{o},{g},{u}\n" for u, g, t, o in (r.split(",") for r in GOOD.split())), 8),
+    "whitespace-only line": (HEADER + GOOD + " \n", None),
+    "tab line": (HEADER + "\t\n" + GOOD, None),
+    "commas only": (HEADER + GOOD + ",,,\n", None),
+    "header only": (HEADER + "\n", None),
+    "empty": ("", None),
+    "bare line ends": ("\r\n\n\r", None),
+    "short row": (HEADER + GOOD + "e,1,1\n", None),
+    "padded cells": (HEADER + GOOD.replace("b,", " b ,").replace(",1,2,", ", 1 ,2 ,"), 8),
+    **{
+        f"label with {sep!r}": (HEADER + GOOD.replace("a,", f"a{sep}z,"), 8)
+        for sep in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(TOKENISER_CASES))
+def test_split_tokeniser_matches_csv_reader(tmp_path, case):
+    text, rows = TOKENISER_CASES[case]
+    got, want = split_and_reference_columns(tmp_path / "panel.csv", text.encode("utf-8"))
+    assert_same_columns(got, want)
+    assert (None if got is None else len(got[0])) == rows
+
+
+def test_split_tokeniser_matches_csv_reader_on_random_texts(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    separators = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    chars = st.text(",\n\r 0123456789.-_+aZ" + separators, max_size=8)
+    integer = st.integers(-3, 3).map(str)
+    # readable cells in the order unit, group, time, outcome; rows of any text
+    good = st.tuples(
+        st.text("aZ_-+.0 " + separators, max_size=4).map("u{}".format), integer, integer,
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    )
+    bad = st.one_of(
+        st.tuples(chars, st.one_of(integer, chars), st.one_of(integer, chars), chars),
+        st.lists(chars, max_size=5),
+    ).map(",".join)
+    end = st.sampled_from(["\n", "\r", "\r\n"])
+    read = []
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.permutations(range(4)), st.booleans(), st.booleans(), st.data())
+    def check(order, messy, bom, data):
+        names = ",".join(cli._REQUIRED_COLUMNS[i] for i in order)
+        head = data.draw(st.one_of(st.just(names), chars))
+        row = good.map(lambda cells: ",".join(cells[i] for i in order))
+        rows = data.draw(st.lists(st.tuples(st.one_of(row, bad) if messy else row, end), max_size=12))
+        text = ("\ufeff" if bom else "") + head + data.draw(end) + "".join(r + e for r, e in rows)
+        got, want = split_and_reference_columns(tmp_path / "panel.csv", text.encode("utf-8"))
+        assert_same_columns(got, want)
+        read.append(got is not None)
+
+    check()
+    assert sum(read) >= len(read) // 10  # the property is not vacuous
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_invalid_utf8_names_the_file_and_row(tmp_path, capsys, end):
+    lines = ["unit,group,time,outcome"] + [f"u{i},{i % 2},1,1.0" for i in range(1000)]
+    data = b"\xef\xbb\xbf" + (end.join(lines) + end).encode("ascii")
+    assert len(data) > 8192  # past the first read of a buffered text file
+    path = tmp_path / "latin.csv"
+    path.write_bytes(data + b"caf\xe9,0,2,1.0" + end.encode("ascii"))
+    want = f"{path}: row 1002: byte 0xe9 is not valid UTF-8 (invalid continuation byte)"
+    assert main(["infer", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
+    with pytest.raises(DataError) as exc:
+        _panel_rows(str(path))
+    assert str(exc.value) == want
+
+
+def test_field_over_the_csv_limit(tmp_path, capsys):
+    big = "x" * 200_000
+    path = tmp_path / "wide.csv"
+    # a quoted file is read by csv.reader in both the column function and
+    # the row loop; a malformed quote-free one only in the row loop
+    for text in (HEADER + GOOD + f'"{big}",1,1,1.0\n', HEADER + GOOD + f"{big},1,1,1.0\ne,1\n"):
+        path.write_text(text, encoding="utf-8")
+        want = f"{path}: row 10: field larger than field limit (131072)"
+        assert main(["infer", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert str(row_loop_error(path)) == want
+    # a well-formed quote-free file has no field limit
+    path.write_text(HEADER + GOOD.replace("a,", big + ","), encoding="utf-8")
+    assert big in read_panel_csv(str(path)).unit
 
 
 @pytest.mark.parametrize("command", ["infer", "project", "bonferroni"])
