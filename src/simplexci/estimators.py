@@ -215,6 +215,7 @@ class InfluenceSet:
     of unit i on the gradient at ``w`` is ``psi_H[i] @ w - psi_h[i]``. Both
     arrays must be column-mean-zero (they are exactly so for the plug-in
     construction; user-supplied sets are validated within a small tolerance).
+    A stack of sets with one ``n`` carries leading axes on both arrays.
     """
 
     psi_H: np.ndarray
@@ -224,18 +225,18 @@ class InfluenceSet:
     def __post_init__(self) -> None:
         psi_H = np.asarray(self.psi_H, dtype=float)
         psi_h = np.asarray(self.psi_h, dtype=float)
-        if psi_H.ndim != 3 or psi_H.shape[1] != psi_H.shape[2]:
+        if psi_H.ndim < 3 or psi_H.shape[-1] != psi_H.shape[-2]:
             raise ValueError(f"psi_H must have shape (n, K, K), got {psi_H.shape}")
-        if psi_h.shape != psi_H.shape[:2]:
-            raise ValueError(f"psi_h must have shape {psi_H.shape[:2]}, got {psi_h.shape}")
-        if psi_H.shape[0] != self.n:
-            raise ValueError(f"n={self.n} does not match {psi_H.shape[0]} units")
+        if psi_h.shape != psi_H.shape[:-1]:
+            raise ValueError(f"psi_h must have shape {psi_H.shape[:-1]}, got {psi_h.shape}")
+        if psi_H.shape[-3] != self.n:
+            raise ValueError(f"n={self.n} does not match {psi_H.shape[-3]} units")
         if not (np.all(np.isfinite(psi_H)) and np.all(np.isfinite(psi_h))):
             raise ValueError("influence arrays have non-finite entries")
         scale = 1.0 + max(float(np.max(np.abs(psi_H))), float(np.max(np.abs(psi_h))))
         worst = max(
-            float(np.max(np.abs(psi_H.mean(axis=0)))),
-            float(np.max(np.abs(psi_h.mean(axis=0)))),
+            float(np.max(np.abs(psi_H.mean(axis=-3)))),
+            float(np.max(np.abs(psi_h.mean(axis=-2)))),
         )
         if worst > 1e-8 * scale:
             raise ValueError(
@@ -256,18 +257,43 @@ def _group_means(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.stack(sums, axis=-2) / sizes[:, None]
 
 
+def _quadratics(groups: np.ndarray, matrix: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Group means, ``H`` and ``h`` of a ``(..., n, T)`` pivot, per leading index."""
+    T = matrix.shape[-1]
+    means = _group_means(matrix, np.bincount(groups))
+    untreated = means[..., 1:, :]
+    H = untreated @ np.swapaxes(untreated, -1, -2) / T
+    h = (untreated @ means[..., 0, :, None])[..., 0] / T
+    return means, H, h
+
+
 def quadratic_components(panel: PanelData) -> QuadraticComponents:
     """Group means over matching periods and the implied quadratic objective."""
     _, groups, matrix = panel._matched
-    T = panel.t_match
-    n = matrix.shape[0]
-    sizes = np.bincount(groups)
-    means = _group_means(matrix, sizes)
-    untreated = means[1:]
-    H = untreated @ untreated.T / T
-    h = untreated @ means[0] / T
-    probs = sizes / n
+    means, H, h = _quadratics(groups, matrix)
+    probs = np.bincount(groups) / matrix.shape[0]
     return QuadraticComponents(H=H, h=h, group_means=means, group_probs=probs)
+
+
+def _influence_arrays(groups, matrix, means, probs) -> Tuple[np.ndarray, np.ndarray]:
+    """``psi_H`` and ``psi_h`` of a ``(..., n, T)`` pivot with group means ``(..., K + 1, T)``."""
+    n, T = matrix.shape[-2:]
+    K = means.shape[-2] - 1
+    deviations = (matrix - means[..., groups, :]) / probs[groups][:, None]
+    against_untreated = deviations @ np.swapaxes(means[..., 1:, :], -1, -2) / T  # (..., n, K)
+    against_treated = (deviations @ means[..., 0, :, None])[..., 0] / T  # (..., n)
+
+    psi_H = np.zeros(matrix.shape[:-2] + (n, K, K))
+    psi_h = np.zeros(matrix.shape[:-2] + (n, K))
+    untreated_rows = np.flatnonzero(groups >= 1)
+    donor = groups[untreated_rows] - 1
+    donor_rows = against_untreated[..., untreated_rows, :]
+    psi_H[..., untreated_rows, donor, :] += donor_rows
+    np.swapaxes(psi_H, -1, -2)[..., untreated_rows, donor, :] += donor_rows  # the columns
+    psi_h[..., untreated_rows, donor] = against_treated[..., untreated_rows]
+    treated_rows = groups == 0
+    psi_h[..., treated_rows, :] = against_untreated[..., treated_rows, :]
+    return psi_H, psi_h
 
 
 def influence_set(
@@ -286,41 +312,24 @@ def influence_set(
     comps = components if components is not None else quadratic_components(panel)
     if comps.group_means is None or comps.group_probs is None:
         raise ValueError("components must carry group means and probabilities")
-    _, groups, matrix = panel._matched
-    n, T = matrix.shape
-    K = panel.K
-    means = comps.group_means
-    probs = comps.group_probs
-    if np.any(probs <= 0.0):
+    if np.any(comps.group_probs <= 0.0):
         raise ValueError("group probabilities must all be positive")
-    deviations = (matrix - means[groups]) / probs[groups][:, None]
-    against_untreated = deviations @ means[1:].T / T  # (n, K)
-    against_treated = deviations @ means[0] / T  # (n,)
-
-    psi_H = np.zeros((n, K, K))
-    psi_h = np.zeros((n, K))
-    untreated_rows = np.flatnonzero(groups >= 1)
-    donor = groups[untreated_rows] - 1
-    psi_H[untreated_rows, donor, :] += against_untreated[untreated_rows]
-    psi_H[untreated_rows, :, donor] += against_untreated[untreated_rows]
-    psi_h[untreated_rows, donor] = against_treated[untreated_rows]
-    treated_rows = groups == 0
-    psi_h[treated_rows] = against_untreated[treated_rows]
-    return InfluenceSet(psi_H=psi_H, psi_h=psi_h, n=n)
+    _, groups, matrix = panel._matched
+    psi_H, psi_h = _influence_arrays(groups, matrix, comps.group_means, comps.group_probs)
+    return InfluenceSet(psi_H=psi_H, psi_h=psi_h, n=matrix.shape[0])
 
 
 def variance_at(influence: InfluenceSet, w) -> np.ndarray:
     """Outer-product covariance of the per-unit gradient influences at ``w``.
 
     Returns the K x K matrix ``mean_i psi_i(w) psi_i(w)'`` with
-    ``psi_i(w) = psi_H[i] @ w - psi_h[i]``. The result is symmetric positive
-    semidefinite; it is the zero matrix for a degenerate (all-zero)
-    influence set.
+    ``psi_i(w) = psi_H[i] @ w - psi_h[i]``, one per set of a stacked
+    ``influence``. The result is symmetric positive semidefinite; it is the
+    zero matrix for a degenerate (all-zero) influence set.
     """
-    K = influence.psi_h.shape[1]
-    wv = check_simplex_point(w, K)
+    wv = check_simplex_point(w, influence.psi_h.shape[-1])
     per_unit = influence.psi_H @ wv - influence.psi_h
-    return per_unit.T @ per_unit / influence.n
+    return np.swapaxes(per_unit, -1, -2) @ per_unit / influence.n
 
 
 # Bytes of resampled rows ``bootstrap_variance`` gathers at once: it runs as

@@ -5,30 +5,32 @@ The data generating process draws a fixed matrix of group-mean paths once
 across replications), sets the treated path to the chosen convex combination
 of untreated paths, and then adds fresh unit-level Gaussian noise in every
 replication. Counter-based generators seeded through spawned substreams make
-each replication reproducible independently of execution order.
+each replication reproducible independently of execution order, and
+``coverage_experiment`` runs the replications in chunks stacked on a leading
+axis, so its results do not depend on the chunk size either.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .estimators import (
-    PanelData,
-    influence_set,
-    make_weight_model,
-    quadratic_components,
-    variance_at,
-)
+from .estimators import InfluenceSet, PanelData, QuadraticComponents, make_weight_model
+from .estimators import _influence_arrays, _quadratics, variance_at
 from .exceptions import ConvergenceError, IllConditionedError
+from .geometry import check_simplex_point
 from .inference import confidence_set, default_resolution, point_test, projection_interval
 
 __all__ = ["McSpec", "CoverageReport", "generate_panel", "coverage_experiment"]
 
 SeedLike = Union[int, np.random.SeedSequence]
+
+# Bytes of the largest per-replication array (the pivot or ``psi_H``) held
+# for a chunk; a chunk stacks as many replications as fit, at least one.
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class McSpec:
     ``design`` selects the true weight: ``"interior"`` puts 0.2 on the first
     donor group and spreads the rest evenly, ``"boundary"`` splits the mass
     between the first two donor groups and zeroes the others. ``w0_override``
-    replaces either choice with an explicit vector (useful for edge cases).
+    replaces either choice with an explicit simplex point (useful for edge cases).
     """
 
     K: int = 3
@@ -64,15 +66,16 @@ class McSpec:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
+        if self.grid_n is not None and self.grid_n < 1:
+            raise ValueError(f"grid_n must be at least 1, got {self.grid_n}")
+        if self.w0_override is not None:
+            check_simplex_point(self.w0_override, self.K)
 
     @property
     def w0(self) -> np.ndarray:
         """The true weight vector implied by the design."""
         if self.w0_override is not None:
-            w = np.asarray(self.w0_override, dtype=float)
-            if w.size != self.K:
-                raise ValueError(f"w0 override must have length {self.K}")
-            return w
+            return np.asarray(self.w0_override, dtype=float)
         w = np.zeros(self.K)
         if self.design == "interior":
             w[0] = 0.2
@@ -92,6 +95,23 @@ def _rng(seed: SeedLike) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
+def _population_means(spec: McSpec, eta_seed: SeedLike) -> np.ndarray:
+    """The ``(K + 1, T)`` group-mean paths, treated path in row 0."""
+    K, T = spec.K, spec.t0
+    eta = _rng(eta_seed).standard_normal((K, T))
+    trend = np.arange(1, T + 1) / T
+    signs = (-1.0) ** np.arange(K)
+    untreated = 0.5 + 0.5 * signs[:, None] * trend[None, :] + eta
+    treated = spec.w0 @ untreated
+    return np.vstack([treated, untreated])
+
+
+def _outcomes(spec: McSpec, paths: np.ndarray, rep_seed: SeedLike) -> np.ndarray:
+    """One replication's ``(K + 1, n_j, T)`` outcomes: paths plus unit noise."""
+    noise = _rng(rep_seed).standard_normal((spec.K + 1, spec.n_j, spec.t0))
+    return paths[:, None, :] + noise
+
+
 def generate_panel(spec: McSpec, eta_seed: SeedLike, rep_seed: SeedLike) -> PanelData:
     """One simulated panel.
 
@@ -101,16 +121,7 @@ def generate_panel(spec: McSpec, eta_seed: SeedLike, rep_seed: SeedLike) -> Pane
     panels.
     """
     K, T, size = spec.K, spec.t0, spec.n_j
-    eta = _rng(eta_seed).standard_normal((K, T))
-    trend = np.arange(1, T + 1) / T
-    signs = (-1.0) ** np.arange(K)
-    untreated = 0.5 + 0.5 * signs[:, None] * trend[None, :] + eta
-    treated = spec.w0 @ untreated
-    means = np.vstack([treated, untreated])  # (K+1, T)
-
-    noise = _rng(rep_seed).standard_normal((K + 1, size, T))
-    outcomes = means[:, None, :] + noise
-
+    outcomes = _outcomes(spec, _population_means(spec, eta_seed), rep_seed)
     n_units = (K + 1) * size
     units = np.repeat(np.arange(n_units), T)
     groups = np.repeat(np.arange(K + 1), size * T)
@@ -175,49 +186,60 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
     Tests the true weight in every replication; with ``projection=True``
     additionally sweeps the lattice and records per-coordinate projection
     intervals. Numerical failures in single replications are counted, not
-    fatal. The whole experiment is a deterministic function of ``spec``.
+    fatal. Replications run in chunks: each draws its noise from its own
+    substream, and a chunk's estimators up to the covariance at the true
+    weight are computed along a leading axis, bit for bit as for one panel.
+    The whole experiment is a deterministic function of ``spec``; it does
+    not depend on the chunk size.
     """
     start = time.perf_counter()
     children = np.random.SeedSequence(spec.seed).spawn(spec.reps + 1)
-    eta_seed = children[0]
     w0 = spec.w0
     resolution = spec.grid_n if spec.grid_n is not None else default_resolution(spec.K)
+    paths = _population_means(spec, children[0])
+    # the first replication's panel is validated once and fixes the pivot
+    # layout (unit order and groups) that every replication shares
+    labels, groups, _ = generate_panel(spec, children[0], children[1])._matched
+    n, T = labels.size, spec.t0
+    probs = np.bincount(groups) / n
+    chunk = max(1, _CHUNK_BYTES // (8 * n * max(T, spec.K**2)))
 
-    covered = 0
-    failures = 0
-    swept = 0
-    empties = 0
+    covered = failures = swept = empties = nonempty = 0
     proj_hits = np.zeros(spec.K)
     length_sums = np.zeros(spec.K)
-    nonempty = 0
 
-    for rep in range(spec.reps):
-        panel = generate_panel(spec, eta_seed, children[rep + 1])
-        comps = quadratic_components(panel)
-        infl = influence_set(panel, comps)
-        try:
-            # the test at w0 needs the plug-in covariance at w0 alone, which
-            # costs O(n K^2) where the moment tensor of a sweep costs O(n K^4)
-            at_truth = make_weight_model(
-                comps, infl, mode="fixed", v_fixed=variance_at(infl, w0)
-            )
-            outcome = point_test(at_truth, w0, spec.alpha)
-        except (IllConditionedError, ConvergenceError):
-            failures += 1
-            continue
-        covered += int(outcome.member)
-        if projection:
-            cs = confidence_set(make_weight_model(comps, infl), spec.alpha, resolution)
-            swept += 1
-            if not cs.member_mask.any():
-                empties += 1
+    for done in range(0, spec.reps, chunk):
+        seeds = children[1 + done : 1 + min(done + chunk, spec.reps)]
+        outcomes = np.stack([_outcomes(spec, paths, seed) for seed in seeds])
+        matrix = outcomes.reshape(len(seeds), n, T)[:, labels]
+        means, H, h = _quadratics(groups, matrix)
+        infl = InfluenceSet(*_influence_arrays(groups, matrix, means, probs), n=n)
+        # the test at w0 needs the plug-in covariance at w0 alone, which
+        # costs O(n K^2) where the moment tensor of a sweep costs O(n K^4)
+        v_w0 = variance_at(infl, w0)
+        for i in range(len(seeds)):
+            comps = QuadraticComponents(H=H[i], h=h[i], group_means=means[i], group_probs=probs)
+            try:
+                # fixed mode reads only the sample size of the influence set
+                at_truth = make_weight_model(comps, infl, mode="fixed", v_fixed=v_w0[i])
+                outcome = point_test(at_truth, w0, spec.alpha)
+            except (IllConditionedError, ConvergenceError):
+                failures += 1
                 continue
-            nonempty += 1
-            for j in range(spec.K):
-                interval = projection_interval(cs, j)
-                inside = interval.lower - 1e-12 <= w0[j] <= interval.upper + 1e-12
-                proj_hits[j] += int(inside)
-                length_sums[j] += interval.length
+            covered += int(outcome.member)
+            if projection:
+                own = InfluenceSet(psi_H=infl.psi_H[i], psi_h=infl.psi_h[i], n=n)
+                cs = confidence_set(make_weight_model(comps, own), spec.alpha, resolution)
+                swept += 1
+                if not cs.member_mask.any():
+                    empties += 1
+                    continue
+                nonempty += 1
+                for j in range(spec.K):
+                    interval = projection_interval(cs, j)
+                    inside = interval.lower - 1e-12 <= w0[j] <= interval.upper + 1e-12
+                    proj_hits[j] += int(inside)
+                    length_sums[j] += interval.length
 
     report = CoverageReport(
         K=spec.K,
@@ -230,7 +252,6 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
         w0=[float(x) for x in w0],
         coverage=covered / spec.reps,
         failures=failures,
-        timing_seconds=time.perf_counter() - start,
     )
     if projection:
         report.resolution = resolution
@@ -239,5 +260,5 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
             (float(length_sums[j] / nonempty) if nonempty else None) for j in range(spec.K)
         ]
         report.empty_rate = float(empties / swept) if swept else 0.0
-        report.timing_seconds = time.perf_counter() - start
+    report.timing_seconds = time.perf_counter() - start
     return report

@@ -11,9 +11,15 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import time
 from operator import itemgetter
 
 import numpy as np
+
+from simplexci.estimators import influence_set, make_weight_model, quadratic_components, variance_at
+from simplexci.exceptions import ConvergenceError, IllConditionedError
+from simplexci.inference import confidence_set, default_resolution, point_test, projection_interval
+from simplexci.montecarlo import CoverageReport, generate_panel
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +335,81 @@ def naive_panel(unit, group, time, outcome, t_match):
             f"matching periods 1..{t_match}"
         )
     return order, [unit_group[u] for u in order], matrix
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo oracle (one panel per replication through the public functions)
+
+
+def coverage_experiment_loop(spec, projection=False):
+    """``montecarlo.coverage_experiment`` as it was before replications ran
+    in chunks: every replication builds its panel with ``generate_panel`` and
+    runs the public estimator functions on it. The body is unchanged.
+    """
+    start = time.perf_counter()
+    children = np.random.SeedSequence(spec.seed).spawn(spec.reps + 1)
+    eta_seed = children[0]
+    w0 = spec.w0
+    resolution = spec.grid_n if spec.grid_n is not None else default_resolution(spec.K)
+
+    covered = 0
+    failures = 0
+    swept = 0
+    empties = 0
+    proj_hits = np.zeros(spec.K)
+    length_sums = np.zeros(spec.K)
+    nonempty = 0
+
+    for rep in range(spec.reps):
+        panel = generate_panel(spec, eta_seed, children[rep + 1])
+        comps = quadratic_components(panel)
+        infl = influence_set(panel, comps)
+        try:
+            # the test at w0 needs the plug-in covariance at w0 alone, which
+            # costs O(n K^2) where the moment tensor of a sweep costs O(n K^4)
+            at_truth = make_weight_model(
+                comps, infl, mode="fixed", v_fixed=variance_at(infl, w0)
+            )
+            outcome = point_test(at_truth, w0, spec.alpha)
+        except (IllConditionedError, ConvergenceError):
+            failures += 1
+            continue
+        covered += int(outcome.member)
+        if projection:
+            cs = confidence_set(make_weight_model(comps, infl), spec.alpha, resolution)
+            swept += 1
+            if not cs.member_mask.any():
+                empties += 1
+                continue
+            nonempty += 1
+            for j in range(spec.K):
+                interval = projection_interval(cs, j)
+                inside = interval.lower - 1e-12 <= w0[j] <= interval.upper + 1e-12
+                proj_hits[j] += int(inside)
+                length_sums[j] += interval.length
+
+    report = CoverageReport(
+        K=spec.K,
+        n_j=spec.n_j,
+        t0=spec.t0,
+        design=spec.design,
+        reps=spec.reps,
+        alpha=spec.alpha,
+        seed=spec.seed,
+        w0=[float(x) for x in w0],
+        coverage=covered / spec.reps,
+        failures=failures,
+        timing_seconds=time.perf_counter() - start,
+    )
+    if projection:
+        report.resolution = resolution
+        report.projection_coverage = [float(proj_hits[j] / swept) if swept else 0.0 for j in range(spec.K)]
+        report.mean_lengths = [
+            (float(length_sums[j] / nonempty) if nonempty else None) for j in range(spec.K)
+        ]
+        report.empty_rate = float(empties / swept) if swept else 0.0
+        report.timing_seconds = time.perf_counter() - start
+    return report
 
 
 # ---------------------------------------------------------------------------
