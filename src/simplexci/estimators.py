@@ -345,10 +345,14 @@ def bootstrap_variance(panel: PanelData, w_hat, n_draws: int, seed: int) -> np.n
     draw, and the second-moment matrix of the scaled deviations from the
     original gradient is returned. Draw ``d`` resamples with the ``d``-th
     substream spawned from ``seed``, one bounded integer per unit, group by
-    group. Draws run in chunks: a chunk's resampled rows are gathered and
-    averaged as one array, and the outer products of the deviations are
-    added in draw order, so the result does not depend on the chunk size.
+    group. Draws run in chunks of about 1 MiB of resampled rows. A chunk is
+    gathered unit-major, averaged per group and turned into gradients by
+    stacked products, as one array program; its outer products are added
+    to the running sum strictly in draw order. So the result does not
+    depend on the chunk size, and memory does not grow with ``n_draws``.
     """
+    if not isinstance(n_draws, (int, np.integer)):
+        raise ValueError(f"bootstrap draw count must be an integer, got {n_draws!r}")
     if n_draws < 100:
         raise ValueError(f"bootstrap needs at least 100 draws, got {n_draws}")
     wv = check_simplex_point(w_hat, panel.K)
@@ -368,10 +372,17 @@ def bootstrap_variance(panel: PanelData, w_hat, n_draws: int, seed: int) -> np.n
         take = np.stack(
             [offsets + np.random.default_rng(child).integers(0, bounds) for child in children]
         )
-        for star in _group_means(matrix[take], sizes):
-            grad_star = (star[1:] @ (star[1:].T @ wv)) / T - star[1:] @ star[0] / T
-            delta = grad_star - gradient
-            accum += np.outer(delta, delta)
+        # gathered unit-major, so each group sum runs over draws x periods
+        stars = _group_means(np.swapaxes(matrix[take.T], 0, 1), sizes)
+        S = stars[:, 1:]
+        # stacked (K, T) @ (T, 1) products sum each inner product as one
+        # draw's matrix-vector product does; einsum sums in another order
+        grad_stars = (S @ (np.swapaxes(S, 1, 2) @ wv)[..., None])[..., 0] / T
+        grad_stars -= (S @ stars[:, 0, :, None])[..., 0] / T
+        deltas = grad_stars - gradient
+        outers = deltas[:, :, None] * deltas[:, None, :]
+        # cumsum adds one draw at a time; a sum over the chunk adds pairwise
+        accum = np.cumsum(np.concatenate([accum[None], outers]), axis=0)[-1]
     return n * accum / n_draws
 
 

@@ -336,7 +336,9 @@ def project_cone_batch(
     """Weighted cone projections of a stack of ``(f_hat, w, omega)`` triples.
 
     Row ``i`` solves ``project_cone(f_hat[i], w[i], omega_i)`` given the
-    lower Cholesky factor ``chol[i]`` of ``omega_i``; inputs are not
+    lower Cholesky factor ``chol[i]`` of ``omega_i``: ``chol`` is a stack of
+    ``N`` factors, one per row, or one ``(1, d, d)`` factor shared by all
+    rows, whose generators are then whitened once. Inputs are not
     validated. Whitened, each row is a nonnegative least squares over the
     generators on the zero set of ``w[i]``, solved by the active set of
     Lawson and Hanson (1974, *Solving Least Squares Problems*, ch. 23) in
@@ -359,7 +361,7 @@ def project_cone_batch(
     lam = np.zeros((n_rows, K))
     over_cap = np.zeros(n_rows, dtype=bool)
     # whitened generators L^-1 B2' and target L^-1 f, with L = chol
-    gens = np.linalg.solve(chol, b2.T[None])
+    gens = np.broadcast_to(np.linalg.solve(chol, b2.T[None]), (n_rows, dim, K))
     target = np.linalg.solve(chol, f[..., None])[..., 0]
     vanishing = np.asarray(w) <= _SUPPORT_TOL
     live = np.flatnonzero(vanishing.any(axis=1))  # rows still iterating

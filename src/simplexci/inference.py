@@ -300,11 +300,13 @@ def confidence_set(
     points at once: ``factor_spd`` checks and factors the covariances and
     ``project_cone_batch`` projects. A covariance that does not depend on
     ``w`` (``M[K, K]`` is the only nonzero block of ``model.M``) is checked
-    and factored once per sweep. A point whose covariance fails or whose
-    projection goes over its iteration cap is skipped with the error
-    ``point_test`` would raise: it is not a member, the message goes to
-    the set's ``errors``, and a warning is issued; with ``strict=True`` the
-    first one in lattice order raises instead.
+    and factored once per sweep; its one factor goes to
+    ``project_cone_batch`` unbroadcast, which whitens the generators with
+    it once per batch instead of once per point. A point whose covariance
+    fails or whose projection goes over its iteration cap is skipped with
+    the error ``point_test`` would raise: it is not a member, the message
+    goes to the set's ``errors``, and a warning is issued; with
+    ``strict=True`` the first one in lattice order raises instead.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
@@ -323,7 +325,6 @@ def confidence_set(
         _, chol, failures = fixed or factor_spd(omegas)
         if fixed and failures:
             failures = dict.fromkeys(range(len(points)), failures[0])
-        chol = np.broadcast_to(chol, omegas.shape)
         # a failed row carries an identity factor, so projecting it is harmless
         projection = project_cone_batch(gradients, points, chol, model.basis)
         statistic[start : start + len(points)] = model.n * projection[2]

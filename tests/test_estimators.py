@@ -1,6 +1,7 @@
 """Tests for the panel container, moment estimators, and influence sets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,43 @@ def test_bootstrap_variance_matches_the_per_group_loop(sizes, T, n_draws, chunks
     assert np.array_equal(bootstrap_variance(panel, w, n_draws, seed=11), expected)
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 5])
+@pytest.mark.parametrize("per_chunk", [None, 7, 1], ids=["one chunk", "partial chunk", "one draw"])
+def test_bootstrap_variance_matches_the_per_group_loop_on_random_shapes(monkeypatch, T, per_chunk):
+    # group sizes straddle numpy's pairwise-sum blocks of 8 and 128; at one
+    # period a group's sum over its units is that pairwise sum
+    rng = np.random.default_rng([T, per_chunk or 0])
+    for _ in range(3):
+        sizes = rng.choice([2, 5, 7, 8, 9, 31, 127, 128, 129, 300], int(rng.integers(3, 7)))
+        panel = sized_panel(rng, sizes, T)
+        _, groups, matrix = panel._matched
+        if per_chunk is not None:
+            monkeypatch.setattr(estimators, "_BOOTSTRAP_CHUNK_BYTES", per_chunk * matrix.nbytes)
+        n_draws = int(rng.integers(100, 130))
+        w = rng.dirichlet(np.ones(panel.K))
+        expected = bootstrap_variance_loop(groups, matrix, w, n_draws, seed=T)
+        got = bootstrap_variance(panel, w, n_draws, seed=T)
+        assert np.array_equal(got, expected), (sizes.tolist(), n_draws)
+
+
+def test_bootstrap_memory_does_not_grow_with_draws():
+    # chunks of 187 draws on this panel, so 400 draws already fill one
+    panel = random_panel(np.random.default_rng(24), K=6, n_j=20, T=5)
+    panel._matched
+    w = np.full(6, 1 / 6)
+
+    def peak(n_draws):
+        tracemalloc.start()
+        try:
+            bootstrap_variance(panel, w, n_draws, seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(400), peak(4000)
+    assert large <= 1.5 * small, (small, large)
+
+
 def test_one_bound_per_unit_draws_the_per_group_stream():
     # bootstrap_variance draws every group's units with one call; a numpy
     # whose array-bound integers stop matching one call per group must fail
@@ -361,8 +399,16 @@ def test_one_bound_per_unit_draws_the_per_group_stream():
 def test_bootstrap_variance_validates_draw_count():
     rng = np.random.default_rng(19)
     panel = random_panel(rng, n_j=3, T=3)
+    w = np.array([0.4, 0.3, 0.3])
     with pytest.raises(ValueError):
-        bootstrap_variance(panel, np.array([0.4, 0.3, 0.3]), n_draws=99, seed=0)
+        bootstrap_variance(panel, w, n_draws=99, seed=0)
+    for count in (150.0, "150"):
+        with pytest.raises(ValueError, match=f"must be an integer, got {count!r}"):
+            bootstrap_variance(panel, w, n_draws=count, seed=0)
+    assert np.array_equal(
+        bootstrap_variance(panel, w, n_draws=np.int64(150), seed=0),
+        bootstrap_variance(panel, w, n_draws=150, seed=0),
+    )
 
 
 def test_bootstrap_variance_is_zero_without_noise():

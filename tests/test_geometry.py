@@ -329,6 +329,33 @@ def test_batched_projection_steps_back_and_matches_the_oracle(monkeypatch):
     assert sum(left_the_cone) >= 5
 
 
+def test_shared_factor_projects_as_the_factor_broadcast_to_every_row():
+    rng = np.random.default_rng(12)
+    K, basis = 6, build_basis(6)
+    points = inference.simplex_grid(K, 7)  # 786 boundary and 6 interior points
+    f = 2.0 * rng.standard_normal((len(points), K - 1))
+    chol = factor_spd(random_spd(rng, K - 1)[None])[1]
+    shared = project_cone_batch(f, points, chol, basis)
+    each = project_cone_batch(f, points, np.broadcast_to(chol, (len(points), K - 1, K - 1)), basis)
+    for got, expected in zip(shared, each):
+        assert np.array_equal(got, expected)
+    # a plug-in stack keeps one factor per row; a failed row's is the identity
+    omegas = np.stack([random_spd(rng, K - 1) for _ in points])
+    omegas[5, 0, 1] += 1.0
+    _, chols, failures = factor_spd(omegas)
+    assert list(failures) == [5]
+    omegas[5] = np.eye(K - 1)
+    lam, _, objective, _, zeros, over_cap = project_cone_batch(f, points, chols, basis)
+    assert not over_cap.any()
+    for i in [5, *range(0, len(points), 7)]:
+        obj, lam_star, _, zeros_star = cone_projection_enumeration(
+            f[i], points[i], omegas[i], basis.b2
+        )
+        assert objective[i] == pytest.approx(obj, rel=1e-9, abs=1e-12), i
+        assert zeros[i] == zeros_star, i
+        assert np.allclose(lam[i], lam_star, atol=1e-8 * (1.0 + np.abs(lam_star).max()))
+
+
 def test_moreau_decomposition_and_orthogonality():
     rng = np.random.default_rng(7)
     for _ in range(300):
