@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -49,6 +50,7 @@ SCHEMA_VERSION = 1
 
 _REQUIRED_COLUMNS = ("unit", "group", "time", "outcome")
 _INT64 = np.iinfo(np.int64)
+_CELL_TYPES = {"unit": object, "group": np.int64, "time": np.int64, "outcome": np.float64}
 
 
 @dataclass
@@ -279,11 +281,15 @@ def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
 
 
 def _panel_columns(text: str):
-    """The four columns of a well-formed CSV text, converted a column at a
-    time with the conversions of ``_panel_rows``; None if any check fails.
-    A text without ``"`` is split at line ends and commas, as ``csv.reader``
-    splits it but with no limit on a field's length; one with ``"`` is read
-    by ``csv.reader``."""
+    """The four columns of a well-formed CSV text, with the values of the
+    conversions of ``_panel_rows``; None if any check fails. A text with
+    ``"`` is read by ``csv.reader``. Another is split at line ends and
+    commas, as ``csv.reader`` splits it but with no limit on a field's
+    length; before that, its body goes to numpy's C reader, which gives the
+    same bits where it accepts every cell, if the text passes three checks:
+    ``str.isascii`` (that reader misreads some non-ASCII digits), no ``"``
+    (it reads quotes otherwise than ``csv``) and none of ``\\x1c``-``\\x1f``
+    (it strips them around a number, which ``int`` and ``float`` refuse)."""
     width = len(_REQUIRED_COLUMNS)
     if '"' in text:
         reader = csv.reader(io.StringIO(text, newline=""))
@@ -296,8 +302,23 @@ def _panel_columns(text: str):
             return None
         fields = list(chain.from_iterable(body))
     else:
-        header, *body = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        header, body = header.split(","), list(filter(None, body))
+        if "\r" in text:  # far cheaper than the two scans of str.replace
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        header, _, rest = text.partition("\n")
+        header, rest = header.split(","), rest.strip("\n")  # loadtxt warns on no rows
+        plain = text.isascii() and not any(c in text for c in "\x1c\x1d\x1e\x1f")
+        if plain and rest and sorted(header) == sorted(_REQUIRED_COLUMNS):
+            try:
+                with warnings.catch_warnings():  # older numpy reads int '1.5' as 1, warning
+                    warnings.simplefilter("error", DeprecationWarning)
+                    table = np.loadtxt(io.StringIO(rest), delimiter=",", comments=None, ndmin=1,
+                                       dtype=[(c, _CELL_TYPES[c]) for c in header])
+            except (ValueError, DeprecationWarning):
+                pass
+            else:
+                columns = [np.ascontiguousarray(table[c]) for c in _REQUIRED_COLUMNS]
+                return _checked_columns(columns[0].tolist(), *columns[1:])
+        body = list(filter(None, rest.split("\n")))
         if set(map(str.count, body, repeat(","))) != {width - 1}:
             return None
         fields = ",".join(body).split(",")
@@ -306,16 +327,20 @@ def _panel_columns(text: str):
     unit, group, time, outcome = (
         fields[header.index(column)::width] for column in _REQUIRED_COLUMNS
     )
-    units = list(map(str.strip, unit))
-    if not all(units):
-        return None
     try:
         groups = np.fromiter(map(int, group), np.int64, len(body))
         times = np.fromiter(map(int, time), np.int64, len(body))
         outcomes = np.fromiter(map(float, outcome), float, len(body))
     except (ValueError, OverflowError):
         return None
-    if not np.isfinite(outcomes).all():
+    return _checked_columns(unit, groups, times, outcomes)
+
+
+def _checked_columns(unit, groups, times, outcomes):
+    """The columns with unit labels stripped; None if a label is blank or an
+    outcome is not finite."""
+    units = list(map(str.strip, unit))
+    if not all(units) or not np.isfinite(outcomes).all():
         return None
     return units, groups, times, outcomes
 

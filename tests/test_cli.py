@@ -835,6 +835,175 @@ def test_field_over_the_csv_limit(tmp_path, capsys):
     assert big in read_panel_csv(str(path)).unit
 
 
+def refuse_loadtxt(*args, **kwargs):
+    raise ValueError("numpy's C reader is switched off")
+
+
+def ingest(read, path):
+    """The panel columns ``read(path)`` gives, or the text of the error it
+    raises; any warning fails the call."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            panel = read(str(path))
+        except DataError as exc:
+            return str(exc)
+    return [getattr(panel, c).tolist() for c in ("unit", "group", "time")] + [
+        panel.outcome.tobytes(), panel.t_match,
+    ]
+
+
+def row_loop_panel(path):
+    return PanelData.from_long(*_panel_rows(path))
+
+
+# (case, file text, the panel's unit labels or the message with {path}): texts
+# at the edges of the checks that choose numpy's C reader, where that reader
+# gives other values than Python's int and float or warns
+C_READER_EDGES = [
+    # int() reads '᧐0' as 0 and '0२' as 2; the C reader as 65600 and 2360
+    ("non-ASCII digits in group", HEADER + GOOD.replace(",0,", ",᧐0,"), list("abcd")),
+    ("non-ASCII digits in time", HEADER + GOOD.replace(",2,", ",0२,"), list("abcd")),
+    ("non-ASCII digit moves a unit's group", HEADER + GOOD.replace("a,0,", "a,0२,"),
+     "group 0 has 1 unit(s); each group needs at least 2"),
+    ("non-ASCII digit zero period", HEADER + GOOD.replace("b,0,1,", "b,0,᧐0,"),
+     "periods must be integers >= 1"),
+    # the C reader strips these around a number; float() refuses it
+    ("outcome after \\x1c", HEADER + GOOD.replace("3.5", "\x1c3.5"),
+     "{path}: row 7: outcome '\\x1c3.5' is not a number"),
+    ("outcome before \\x1f", HEADER + GOOD.replace("3.5", "3.5\x1f"),
+     "{path}: row 7: outcome '3.5\\x1f' is not a number"),
+    ("body line starting with #", HEADER + GOOD.replace("a,", "#a,"), ["#a", "b", "c", "d"]),
+    ("200,000-character label", HEADER + GOOD.replace("a,", "x" * 200_000 + ","),
+     ["x" * 200_000, "b", "c", "d"]),
+    # np.loadtxt warns on a body without rows
+    ("header only", HEADER, "{path}: no data rows"),
+    ("blank body", HEADER + "\n\r\n\r\n", "{path}: no data rows"),
+]
+
+
+@pytest.mark.parametrize("case, text, expect", C_READER_EDGES, ids=[c[0] for c in C_READER_EDGES])
+def test_c_reader_edges_read_as_the_split_path(tmp_path, monkeypatch, case, text, expect):
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_columns = cli._panel_columns(cli._read_text(str(path)))
+    got = ingest(read_panel_csv, path)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.np, "loadtxt", refuse_loadtxt)
+        assert_same_columns(got_columns, cli._panel_columns(cli._read_text(str(path))))
+        assert ingest(read_panel_csv, path) == got
+    if isinstance(expect, str):
+        assert got == expect.format(path=path)
+    else:
+        good = tmp_path / "good.csv"
+        good.write_text(HEADER + GOOD, encoding="utf-8")
+        want = ingest(read_panel_csv, good)
+        assert sorted(set(got[0])) == sorted(expect) and got[1:] == want[1:]
+
+
+def test_c_reader_that_warns_is_refused(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "panel.csv"
+    path.write_text(HEADER + GOOD.replace("a,0,1", "a,0.0,1"), encoding="utf-8")
+
+    real = np.loadtxt
+
+    def loadtxt(text, **kwargs):  # numpy from 1.23 reads an int cell '0.0' as 0 and warns
+        warnings.warn("Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return real(GOOD.splitlines(), **kwargs)
+
+    monkeypatch.setattr(cli.np, "loadtxt", loadtxt)
+    assert cli._panel_columns(cli._read_text(str(path))) is None
+    assert main(["infer", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: row 2: group '0.0' is not an integer\n"
+
+
+def test_c_reader_gives_the_bits_of_int_and_float(tmp_path, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ascii_text = "".join(c for c in map(chr, range(128)) if c not in ',"\r\n\x1c\x1d\x1e\x1f')
+    label = st.text(ascii_text, max_size=6)
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    integer = st.tuples(pad, st.sampled_from(["", "+", "-"]), st.sampled_from(["", "0", "00"]),
+                        st.integers(0, 2**63 - 1), pad).map(lambda p: "".join(map(str, p)))
+    formats = st.sampled_from([repr, "{:.25e}".format, "{:.17g}".format])
+    outcome = st.one_of(
+        st.builds(lambda fmt, x: fmt(x), formats, st.floats(allow_nan=False, allow_infinity=False)),
+        st.sampled_from(["-0.0", "+.5", "5.", "5e-324", "-2.2250738585072009e-308", " 1.5 "]),
+    )
+    row = st.tuples(label.map("u{}".format), integer, integer, outcome)
+    end = st.sampled_from(["\n", "\r", "\r\n"])
+    path = tmp_path / "panel.csv"
+
+    def refuse_fromiter(*args, **kwargs):
+        raise AssertionError("the split path ran on a plain-ASCII file")
+
+    rows = st.lists(st.tuples(row, end), min_size=1, max_size=12)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.permutations(range(4)), end, rows)
+    def check(order, head_end, rows):
+        names = ",".join(cli._REQUIRED_COLUMNS[i] for i in order)
+        lines = "".join(",".join(cells[i] for i in order) + e for cells, e in rows)
+        path.write_bytes((names + head_end + lines).encode("ascii"))
+        want = panel_columns_csv_reader(path)
+        with monkeypatch.context() as patch:
+            # np.fromiter converts the cells of the split path and of csv's
+            patch.setattr(cli.np, "fromiter", refuse_fromiter)
+            got = cli._panel_columns(cli._read_text(str(path)))
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    check()
+
+
+def test_column_and_row_paths_agree_on_random_csvs(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    junk = st.text('0123456789 +-._#eEx,"\t\x0b\x1c\x1f२᧐\u2028\r\n', max_size=5)
+    good = [line.split(",") for line in GOOD.split()]
+    end = st.sampled_from(["\n", "\r", "\r\n", "\n\n"])
+    path = tmp_path / "panel.csv"
+    read = []
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.permutations(range(4)), st.permutations(range(len(good))), st.data())
+    def check(order, rows, data):
+        cells = [list(good[r]) for r in rows]
+        cell = st.tuples(st.integers(0, len(good) - 1), st.integers(0, 3))
+        for r, i in data.draw(st.lists(cell, max_size=3)):
+            cells[r][i] = data.draw(junk)
+        lines = [",".join(row[i] for i in order) for row in [list(cli._REQUIRED_COLUMNS)] + cells]
+        if data.draw(st.booleans()):
+            lines.insert(data.draw(st.integers(1, len(lines))), data.draw(junk))
+        text = "".join(line + data.draw(end) for line in lines)
+        path.write_bytes(text.encode("utf-8"))
+        got = ingest(read_panel_csv, path)
+        assert got == ingest(row_loop_panel, path)
+        read.append(not isinstance(got, str))
+
+    check()
+    assert sum(read) >= len(read) // 10  # the property is not vacuous
+
+
+def test_shuffled_large_panel_gives_the_same_bonferroni_output(tmp_path, capsys):
+    inputs = load_bench_module("inputs")
+    workload = load_bench_module("workloads").WORKLOADS["bonferroni-large-n"]
+    path = tmp_path / "panel.csv"
+    path.write_bytes(inputs.panel_csv_bytes(workload.panel, seed=1))
+    header, *rows = path.read_bytes().splitlines()
+    np.random.default_rng(0).shuffle(rows)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_bytes(b"\n".join([header] + rows) + b"\n")
+    outputs = []
+    for source in (path, shuffled):
+        assert main(workload.argv(str(source), seed=1)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("command", ["infer", "project", "bonferroni"])
 def test_row_order_does_not_change_the_output(tmp_path, capsys, command):
     path = make_fixture(tmp_path, seed=6, total_T=6)
