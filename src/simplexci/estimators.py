@@ -337,6 +337,22 @@ def variance_at(influence: InfluenceSet, w) -> np.ndarray:
 _BOOTSTRAP_CHUNK_BYTES = 1 << 20
 
 
+def _bounded_draws(children, bounds: np.ndarray) -> np.ndarray:
+    """``default_rng(child).integers(0, bounds)`` per child, stacked, by numpy's
+    Lemire rule over the 32-bit halves of PCG64's raw words, low half first:
+    ``m = half * b`` gives ``m >> 32``, unless ``m % 2**32 < (2**32 - b) % b``
+    calls for a redraw, and then that child takes the exact call. The rule
+    needs bounds in [2, 2**32); ``PanelData`` groups have at least 2 units."""
+    n = bounds.size
+    words = np.stack([np.random.PCG64(child).random_raw((n + 1) // 2) for child in children])
+    b = bounds.astype(np.uint64)
+    m = words.astype("<u8", copy=False).view("<u4")[:, :n] * b
+    draws = (m >> 32).astype(np.int64)
+    for i in np.flatnonzero(((m & 0xFFFFFFFF) < (2**32 - b) % b).any(axis=1)).tolist():
+        draws[i] = np.random.default_rng(children[i]).integers(0, bounds)
+    return draws
+
+
 def bootstrap_variance(panel: PanelData, w_hat, n_draws: int, seed: int) -> np.ndarray:
     """Bootstrap covariance of the scaled gradient estimate at ``w_hat``.
 
@@ -345,11 +361,13 @@ def bootstrap_variance(panel: PanelData, w_hat, n_draws: int, seed: int) -> np.n
     draw, and the second-moment matrix of the scaled deviations from the
     original gradient is returned. Draw ``d`` resamples with the ``d``-th
     substream spawned from ``seed``, one bounded integer per unit, group by
-    group. Draws run in chunks of about 1 MiB of resampled rows. A chunk is
-    gathered unit-major, averaged per group and turned into gradients by
-    stacked products, as one array program; its outer products are added
-    to the running sum strictly in draw order. So the result does not
-    depend on the chunk size, and memory does not grow with ``n_draws``.
+    group, as numpy's ``integers`` draws them; a chunk computes them from its
+    raw words at once by Lemire's rule. Draws run in chunks of about 1 MiB of
+    resampled rows. A chunk is gathered unit-major, averaged per group and
+    turned into gradients by stacked products, as one array program; its
+    outer products are added to the running sum strictly in draw order. So
+    the result does not depend on the chunk size, and memory does not grow
+    with ``n_draws``.
     """
     if not isinstance(n_draws, (int, np.integer)):
         raise ValueError(f"bootstrap draw count must be an integer, got {n_draws!r}")
@@ -368,10 +386,7 @@ def bootstrap_variance(panel: PanelData, w_hat, n_draws: int, seed: int) -> np.n
     root = np.random.SeedSequence(seed)
     accum = np.zeros((panel.K, panel.K))
     for done in range(0, n_draws, chunk):
-        children = root.spawn(min(chunk, n_draws - done))
-        take = np.stack(
-            [offsets + np.random.default_rng(child).integers(0, bounds) for child in children]
-        )
+        take = offsets + _bounded_draws(root.spawn(min(chunk, n_draws - done)), bounds)
         # gathered unit-major, so each group sum runs over draws x periods
         stars = _group_means(np.swapaxes(matrix[take.T], 0, 1), sizes)
         S = stars[:, 1:]
@@ -436,6 +451,16 @@ def treatment_functional(
     return theta_hat, v_hat
 
 
+def _fixed_arrays(H, h, v) -> Tuple[np.ndarray, np.ndarray]:
+    """``G = B2'[H | -h]`` and ``M`` with ``B2' v B2`` as its one nonzero block
+    ``M[K, K]``, along any leading axes: a model whose covariance is ``v``."""
+    K = h.shape[-1]
+    b2 = build_basis(K).b2
+    M = np.zeros(h.shape[:-1] + (K + 1, K + 1, K - 1, K - 1))
+    M[..., K, K, :, :] = b2.T @ v @ b2
+    return b2.T @ np.concatenate([H, -h[..., None]], axis=-1), M
+
+
 def make_weight_model(
     components: QuadraticComponents,
     influence: InfluenceSet,
@@ -461,12 +486,12 @@ def make_weight_model(
     K = components.h.size
     if K < 2:
         raise ValueError("need at least two untreated groups for weights on a simplex")
-    b2 = build_basis(K).b2
-    G = b2.T @ np.column_stack([components.H, -components.h])
     size = influence.n
     if mode == "pointwise":
         if influence.psi_h.shape[1] != K:
             raise ValueError("influence dimension does not match components")
+        b2 = build_basis(K).b2
+        G = b2.T @ np.column_stack([components.H, -components.h])
         lifted = np.concatenate([influence.psi_H, -influence.psi_h[:, :, None]], axis=2)
         rotated = np.matmul(b2.T, lifted).reshape(size, -1)
         gram = rotated.T @ rotated / size
@@ -477,8 +502,8 @@ def make_weight_model(
         v = np.asarray(v_fixed, dtype=float)
         if v.shape != (K, K):
             raise ValueError(f"v_fixed must have shape {(K, K)}, got {v.shape}")
-        M = np.zeros((K + 1, K + 1, K - 1, K - 1))
-        M[K, K] = SpdMatrix.from_matrix(b2.T @ v @ b2).entries
+        G, M = _fixed_arrays(components.H, components.h, v)
+        M[K, K] = SpdMatrix.from_matrix(M[K, K]).entries
     else:
         raise ValueError(f"mode must be 'pointwise' or 'fixed', got {mode!r}")
     return WeightModel(G=G, M=M, n=size)

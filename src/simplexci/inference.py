@@ -12,7 +12,6 @@ sits on the boundary.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -110,8 +109,8 @@ class WeightModel:
         # zero blocks add nothing; skipping them keeps the product of a
         # constant covariance (one block) small enough for a single thread
         used = np.flatnonzero(blocks.any(axis=1))
-        outer = (lifted[:, :, None] * lifted[:, None, :]).reshape(N, -1)
-        omegas = outer[:, used] @ blocks[used]
+        a, b = divmod(used, K + 1)
+        omegas = (lifted[:, a] * lifted[:, b]) @ blocks[used]
         return lifted @ self.G.T, omegas.reshape(N, K - 1, K - 1)
 
 
@@ -221,19 +220,16 @@ def simplex_grid(K: int, resolution: int) -> np.ndarray:
             f"lattice would hold {size} points, above the cap {_GRID_CAP}; "
             "use a coarser resolution"
         )
-    bars = itertools.combinations(range(resolution + K - 1), K - 1)
-    flat = np.fromiter(
-        (pos for combo in bars for pos in combo), dtype=np.int64, count=size * (K - 1)
-    ).reshape(size, K - 1)
-    padded = np.column_stack(
-        [
-            np.full(size, -1, dtype=np.int64),
-            flat,
-            np.full(size, resolution + K - 1, dtype=np.int64),
-        ]
-    )
-    counts = np.diff(padded, axis=1) - 1
-    return counts / float(resolution)
+    # each row with ``rest`` units left becomes rest + 1 rows, one per value
+    # of the next coordinate in ascending order; the last takes what is left
+    counts = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([resolution], dtype=np.int64)
+    for _ in range(K - 1):
+        ways = rest + 1
+        value = np.arange(ways.sum()) - np.repeat(np.cumsum(ways) - ways, ways)
+        counts = np.column_stack([np.repeat(counts, ways, axis=0), value])
+        rest = np.repeat(rest, ways) - value
+    return np.column_stack([counts, rest]) / float(resolution)
 
 
 def point_test(model: WeightModel, w: np.ndarray, alpha: float) -> PointTest:

@@ -19,10 +19,11 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .estimators import InfluenceSet, PanelData, QuadraticComponents, make_weight_model
-from .estimators import _influence_arrays, _quadratics, variance_at
+from .estimators import _fixed_arrays, _influence_arrays, _quadratics, variance_at
 from .exceptions import ConvergenceError, IllConditionedError
 from .geometry import check_simplex_point
-from .inference import confidence_set, default_resolution, point_test, projection_interval
+from .inference import WeightModel, confidence_set, default_resolution, point_test
+from .inference import projection_interval
 
 __all__ = ["McSpec", "CoverageReport", "generate_panel", "coverage_experiment"]
 
@@ -188,9 +189,10 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
     intervals. Numerical failures in single replications are counted, not
     fatal. Replications run in chunks: each draws its noise from its own
     substream, and a chunk's estimators up to the covariance at the true
-    weight are computed along a leading axis, bit for bit as for one panel.
-    The whole experiment is a deterministic function of ``spec``; it does
-    not depend on the chunk size.
+    weight are computed along a leading axis, bit for bit as for one panel,
+    and each replication's test is one ``point_test`` of a fixed-covariance
+    model cut from the chunk's arrays. The whole experiment is a
+    deterministic function of ``spec``; it does not depend on the chunk size.
     """
     start = time.perf_counter()
     children = np.random.SeedSequence(spec.seed).spawn(spec.reps + 1)
@@ -216,18 +218,16 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
         infl = InfluenceSet(*_influence_arrays(groups, matrix, means, probs), n=n)
         # the test at w0 needs the plug-in covariance at w0 alone, which
         # costs O(n K^2) where the moment tensor of a sweep costs O(n K^4)
-        v_w0 = variance_at(infl, w0)
+        G, M = _fixed_arrays(H, h, variance_at(infl, w0))
         for i in range(len(seeds)):
-            comps = QuadraticComponents(H=H[i], h=h[i], group_means=means[i], group_probs=probs)
             try:
-                # fixed mode reads only the sample size of the influence set
-                at_truth = make_weight_model(comps, infl, mode="fixed", v_fixed=v_w0[i])
-                outcome = point_test(at_truth, w0, spec.alpha)
+                outcome = point_test(WeightModel(G=G[i], M=M[i], n=n), w0, spec.alpha)
             except (IllConditionedError, ConvergenceError):
                 failures += 1
                 continue
             covered += int(outcome.member)
             if projection:
+                comps = QuadraticComponents(H=H[i], h=h[i], group_means=means[i], group_probs=probs)
                 own = InfluenceSet(psi_H=infl.psi_H[i], psi_h=infl.psi_h[i], n=n)
                 cs = confidence_set(make_weight_model(comps, own), spec.alpha, resolution)
                 swept += 1

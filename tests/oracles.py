@@ -180,6 +180,33 @@ def span_projection_kkt(y, subset, omega, b2):
 
 
 # ---------------------------------------------------------------------------
+# lattice oracle (itertools.combinations of bar positions)
+
+
+def simplex_grid_combinations(K, resolution):
+    """The simplex lattice from ``itertools.combinations`` of bar positions.
+
+    The former body of ``inference.simplex_grid``, after its checks: each
+    combination of K - 1 bars among ``resolution + K - 1`` slots gives the
+    composition of the gaps between them, in ascending lexicographic order.
+    """
+    size = math.comb(resolution + K - 1, K - 1)
+    bars = itertools.combinations(range(resolution + K - 1), K - 1)
+    flat = np.fromiter(
+        (pos for combo in bars for pos in combo), dtype=np.int64, count=size * (K - 1)
+    ).reshape(size, K - 1)
+    padded = np.column_stack(
+        [
+            np.full(size, -1, dtype=np.int64),
+            flat,
+            np.full(size, resolution + K - 1, dtype=np.int64),
+        ]
+    )
+    counts = np.diff(padded, axis=1) - 1
+    return counts / float(resolution)
+
+
+# ---------------------------------------------------------------------------
 # estimator oracles (explicit loops over the long panel)
 
 

@@ -396,6 +396,35 @@ def test_one_bound_per_unit_draws_the_per_group_stream():
         assert np.array_equal(one_call, expected)
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        np.random.default_rng(3).integers(2, 12, 40),
+        np.random.default_rng(4).integers(2, 3001, 57),  # odd: one half word unused
+        np.full(9, 2),
+        # (2**32 - b) % b is about 2**30, so about a quarter of the words redraw
+        3 * 2**30 + np.arange(-3, 4),
+    ],
+    ids=["small bounds", "odd unit count", "every bound two", "near 3 * 2**30"],
+)
+def test_bounded_draws_are_the_array_bound_integers_call(bounds, monkeypatch):
+    children = np.random.SeedSequence(29).spawn(64)
+    expected = np.stack([np.random.default_rng(child).integers(0, bounds) for child in children])
+    exact_calls = []
+    real = np.random.default_rng
+
+    def counting(seed):
+        exact_calls.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    draws = estimators._bounded_draws(children, bounds)
+    assert draws.dtype == expected.dtype
+    assert np.array_equal(draws, expected)
+    if bounds.min() > 2**31:
+        assert exact_calls  # the redrawn children went through the exact call
+
+
 def test_bootstrap_variance_validates_draw_count():
     rng = np.random.default_rng(19)
     panel = random_panel(rng, n_j=3, T=3)

@@ -32,7 +32,7 @@ from simplexci.inference import (
 from simplexci.montecarlo import McSpec, generate_panel
 
 from model_helpers import constant_model
-from oracles import chi2_quantile_quadrature, cone_projection_enumeration
+from oracles import chi2_quantile_quadrature, cone_projection_enumeration, simplex_grid_combinations
 
 
 def toy_model(K=3, n=400, seed=0, scale=1.0):
@@ -70,6 +70,15 @@ def test_simplex_grid_counts_and_membership():
     # ascending lexicographic ordering
     order = np.lexsort(grid[:, ::-1].T)
     assert np.array_equal(order, np.arange(len(grid)))
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 6, 7, 8, 10])
+def test_simplex_grid_matches_the_combinations_oracle(K):
+    for resolution in (1, 2, 3, 5, 8):
+        grid = simplex_grid(K, resolution)
+        expected = simplex_grid_combinations(K, resolution)
+        assert grid.dtype == expected.dtype and grid.flags.c_contiguous
+        assert np.array_equal(grid, expected)
 
 
 def test_simplex_grid_rejects_oversized_lattices(monkeypatch):

@@ -205,6 +205,23 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
         assert chunks == expected_chunks
 
 
+def test_only_the_projection_sweep_builds_components_and_plug_in_models(monkeypatch):
+    spec = McSpec(K=3, n_j=10, t0=4, reps=5, seed=14, grid_n=5)
+    calls = []
+    for name in ("QuadraticComponents", "make_weight_model"):
+        real = getattr(montecarlo, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, name, counting)
+    coverage_experiment(spec)
+    assert calls == []
+    coverage_experiment(spec, projection=True)
+    assert sorted(calls) == ["QuadraticComponents"] * 5 + ["make_weight_model"] * 5
+
+
 @pytest.mark.parametrize("chunk_bytes", [1, montecarlo._CHUNK_BYTES], ids=["one rep per chunk", "default"])
 def test_failed_replications_count_against_coverage_and_are_not_swept(chunk_bytes, monkeypatch):
     spec = McSpec(K=3, n_j=20, t0=6, reps=8, seed=13, grid_n=10)
