@@ -34,7 +34,6 @@ from .estimators import (
 from .exceptions import ConvergenceError, DataError, IllConditionedError
 from .geometry import (
     ConeProjection,
-    OrthoBasis,
     SpdMatrix,
     build_basis,
     check_simplex_point,
@@ -61,7 +60,6 @@ __all__ = [
     "ConvergenceError",
     "DataError",
     "IllConditionedError",
-    "OrthoBasis",
     "SpdMatrix",
     "ConeProjection",
     "build_basis",

@@ -325,7 +325,7 @@ def variance_at(influence: InfluenceSet, w) -> np.ndarray:
     Returns the K x K matrix ``mean_i psi_i(w) psi_i(w)'`` with
     ``psi_i(w) = psi_H[i] @ w - psi_h[i]``, one per set of a stacked
     ``influence``. The result is symmetric positive semidefinite; it is the
-    zero matrix for a degenerate (all-zero) influence set.
+    zero matrix for an all-zero influence set.
     """
     wv = check_simplex_point(w, influence.psi_h.shape[-1])
     per_unit = influence.psi_H @ wv - influence.psi_h
@@ -455,7 +455,7 @@ def _fixed_arrays(H, h, v) -> Tuple[np.ndarray, np.ndarray]:
     """``G = B2'[H | -h]`` and ``M`` with ``B2' v B2`` as its one nonzero block
     ``M[K, K]``, along any leading axes: a model whose covariance is ``v``."""
     K = h.shape[-1]
-    b2 = build_basis(K).b2
+    b2 = build_basis(K)
     M = np.zeros(h.shape[:-1] + (K + 1, K + 1, K - 1, K - 1))
     M[..., K, K, :, :] = b2.T @ v @ b2
     return b2.T @ np.concatenate([H, -h[..., None]], axis=-1), M
@@ -490,7 +490,7 @@ def make_weight_model(
     if mode == "pointwise":
         if influence.psi_h.shape[1] != K:
             raise ValueError("influence dimension does not match components")
-        b2 = build_basis(K).b2
+        b2 = build_basis(K)
         G = b2.T @ np.column_stack([components.H, -components.h])
         lifted = np.concatenate([influence.psi_H, -influence.psi_h[:, :, None]], axis=2)
         rotated = np.matmul(b2.T, lifted).reshape(size, -1)

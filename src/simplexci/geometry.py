@@ -23,7 +23,6 @@ import numpy as np
 from .exceptions import ConvergenceError, IllConditionedError
 
 __all__ = [
-    "OrthoBasis",
     "SpdMatrix",
     "ConeProjection",
     "build_basis",
@@ -35,8 +34,6 @@ __all__ = [
     "symmetric_psd",
 ]
 
-_ORTHO_TOL = 1e-12
-_DEGENERACY_TOL = 1e-10
 # largest asymmetry of a usable covariance or hessian, and most negative
 # eigenvalue of a usable hessian, relative to max(1, max |entry|)
 _SYM_TOL = 1e-10
@@ -52,37 +49,8 @@ _MAX_ITER_FACTOR = 50
 _COND_CAP = 1e12
 
 
-@dataclass(frozen=True)
-class OrthoBasis:
-    """K x (K-1) matrix whose orthonormal columns span the orthogonal
-    complement of the ones vector.
-
-    Validated at construction: columns must be orthonormal and orthogonal to
-    the ones vector within 1e-12. The stored array is read-only.
-    """
-
-    K: int
-    b2: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.K < 2:
-            raise ValueError(f"dimension K must be at least 2, got {self.K}")
-        b2 = np.array(self.b2, dtype=float)
-        if b2.shape != (self.K, self.K - 1):
-            raise ValueError(
-                f"basis must have shape {(self.K, self.K - 1)}, got {b2.shape}"
-            )
-        gram = b2.T @ b2
-        if np.max(np.abs(gram - np.eye(self.K - 1))) > _ORTHO_TOL:
-            raise ValueError("basis columns are not orthonormal within 1e-12")
-        if np.max(np.abs(b2.sum(axis=0))) > _ORTHO_TOL:
-            raise ValueError("basis columns are not orthogonal to the ones vector")
-        b2.setflags(write=False)
-        object.__setattr__(self, "b2", b2)
-
-
 @lru_cache(maxsize=64)
-def build_basis(K: int) -> OrthoBasis:
+def build_basis(K: int) -> np.ndarray:
     """Deterministic orthonormal basis orthogonal to the ones vector.
 
     Uses the Helmert construction: 0-based column ``j`` carries
@@ -98,7 +66,8 @@ def build_basis(K: int) -> OrthoBasis:
 
     Returns
     -------
-    OrthoBasis
+    ndarray, shape (K, K-1)
+        The basis as columns; cached and read-only.
     """
     if K < 2:
         raise ValueError(f"dimension K must be at least 2, got {K}")
@@ -107,24 +76,26 @@ def build_basis(K: int) -> OrthoBasis:
         c = 1.0 / math.sqrt(j * (j + 1))
         b2[:j, j - 1] = c
         b2[j, j - 1] = -j * c
-    return OrthoBasis(K, b2)
+    b2.setflags(write=False)
+    return b2
 
 
 def factor_spd(matrices: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[int, Exception]]:
-    """Check a stack of covariance matrices and factor the ones that pass.
+    """Check a stack of covariance matrices and whiten the ones that pass.
 
     This is the package's one rule for a usable covariance. Matrix ``i`` of
     the ``(N, d, d)`` stack passes when its entries are finite, it is
     symmetric within ``1e-10 * max(1, max |entry|)``, and its symmetrized
-    form is positive definite with condition number at most 1e12 and has
-    a Cholesky factor.
+    form is positive definite with condition number at most 1e12. One
+    eigendecomposition ``V diag(eig) V'`` per matrix decides the rule and
+    gives the whitening ``W = diag(eig)^(-1/2) V'``, so that
+    ``W Omega W' = I`` and ``Omega^-1 = W'W``.
 
-    Returns ``(entries, chol, failures)``: the symmetrized matrices, their
-    lower Cholesky factors, and a dict from the index of each failing
-    matrix to the exception ``SpdMatrix.from_matrix`` raises for it (a
-    ``ValueError`` for non-finite or asymmetric entries, an
-    ``IllConditionedError`` otherwise). A failing matrix's entries and
-    factor are the identity.
+    Returns ``(entries, white, failures)``: the symmetrized matrices, their
+    whitenings, and a dict from the index of each failing matrix to the
+    exception ``SpdMatrix.from_matrix`` raises for it (a ``ValueError`` for
+    non-finite or asymmetric entries, an ``IllConditionedError``
+    otherwise). A failing matrix's entries and whitening are the identity.
     """
     a = np.asarray(matrices, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -143,51 +114,43 @@ def factor_spd(matrices: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[int, 
                       else f"matrix is not symmetric within {_SYM_TOL}")
         for i in np.flatnonzero(~usable).tolist()
     }
-    audit = np.flatnonzero(usable).tolist() if failures else range(len(a))
-    eigs = np.linalg.eigvalsh(entries[audit] if failures else entries)
+    if failures:  # so that the stack decomposes as a whole
+        entries[list(failures)] = np.eye(a.shape[1])
+    eigs, vecs = np.linalg.eigh(entries)
     low, high = eigs[:, 0], eigs[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero low eigenvalue
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero or negative eigenvalue
         bad = ~(low > 0.0) | (high / low > _COND_CAP)
-    if bad.any():
-        for j in np.flatnonzero(bad).tolist():
-            if low[j] <= 0.0:
-                message = f"matrix is not positive definite (min eigenvalue {low[j]:.6e})"
-            else:
-                cond = high[j] / low[j] if low[j] > 0.0 else math.inf  # low[j] may be NaN
-                message = f"condition number {cond:.6e} exceeds the cap {_COND_CAP:.1e}"
-            failures[audit[j]] = IllConditionedError(message)
+        white = np.swapaxes(vecs, 1, 2) / np.sqrt(eigs)[..., None]
+    for i in np.flatnonzero(bad).tolist():
+        if low[i] <= 0.0:
+            message = f"matrix is not positive definite (min eigenvalue {low[i]:.6e})"
+        else:
+            cond = high[i] / low[i] if low[i] > 0.0 else math.inf  # low[i] may be NaN
+            message = f"condition number {cond:.6e} exceeds the cap {_COND_CAP:.1e}"
+        failures[i] = IllConditionedError(message)
     if failures:
-        entries[list(failures)] = np.eye(a.shape[1])  # so that the stack factors as a whole
-    try:
-        chol = np.linalg.cholesky(entries)
-    except np.linalg.LinAlgError:
-        chol = np.zeros_like(entries)
-        for i, matrix in enumerate(entries):
-            try:
-                chol[i] = np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                failures[i] = IllConditionedError("covariance matrix is not positive definite")
-                entries[i] = chol[i] = np.eye(a.shape[1])
-    return entries, chol, failures
+        entries[list(failures)] = white[list(failures)] = np.eye(a.shape[1])
+    return entries, white, failures
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class SpdMatrix:
     """Symmetric positive definite matrix that passed ``factor_spd``.
 
-    ``entries`` holds the symmetrized matrix and ``chol`` its lower Cholesky
-    factor, both read-only. ``from_matrix`` is the only constructor.
+    ``entries`` holds the symmetrized matrix and ``white`` its whitening
+    ``W``, with ``W entries W' = I``, both read-only. ``from_matrix`` is the
+    only constructor.
     """
 
     entries: np.ndarray
-    chol: np.ndarray
+    white: np.ndarray
 
     def __init__(self, *args, **kwargs) -> None:
         raise TypeError("an SpdMatrix is built by SpdMatrix.from_matrix, which validates it")
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "SpdMatrix":
-        """Validate ``matrix`` by ``factor_spd``'s rule and keep its factor.
+        """Validate ``matrix`` by ``factor_spd``'s rule and keep its whitening.
 
         Raises ``ValueError`` for malformed input (shape, non-finite entries,
         asymmetry) and ``IllConditionedError`` when the matrix is not
@@ -196,11 +159,11 @@ class SpdMatrix:
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        entries, chol, failures = factor_spd(a[None])
+        entries, white, failures = factor_spd(a[None])
         if failures:
             raise failures[0]
         spd = object.__new__(cls)
-        for name, value in (("entries", entries[0]), ("chol", chol[0])):
+        for name, value in (("entries", entries[0]), ("white", white[0])):
             value.setflags(write=False)
             object.__setattr__(spd, name, value)
         return spd
@@ -225,8 +188,6 @@ class ConeProjection:
         Number of entries of ``gradient_image`` within the zero threshold.
     objective : float
         Squared omega-weighted norm of the residual.
-    degenerate : bool
-        True when some support multiplier is positive but below 1e-10.
     """
 
     lambda_hat: np.ndarray
@@ -234,7 +195,6 @@ class ConeProjection:
     gradient_image: np.ndarray
     zeros: int
     objective: float
-    degenerate: bool
 
 
 def check_simplex_point(w: Iterable[float], K: Optional[int] = None) -> np.ndarray:
@@ -259,17 +219,16 @@ def project_cone(
     f_hat: Iterable[float],
     w: Iterable[float],
     omega: Union[SpdMatrix, np.ndarray],
-    basis: Optional[OrthoBasis] = None,
 ) -> ConeProjection:
     """Weighted projection of ``f_hat`` onto the cone attached to ``w``.
 
-    The cone is generated by the basis rows indexed by the vanishing
+    The cone is generated by the Helmert basis rows indexed by the vanishing
     coordinates of ``w``; the projection minimizes
     ``(f - B2' lam)' omega^{-1} (f - B2' lam)`` over multipliers ``lam >= 0``
     with ``w' lam = 0``. Because both ``w`` and ``lam`` are nonnegative, the
     equality constraint pins ``lam`` to zero wherever ``w`` is positive, so
     only the coordinates where ``w`` vanishes enter the active-set solve.
-    The Cholesky factor of ``omega`` whitens the problem into an ordinary
+    The whitening of ``omega`` turns the problem into an ordinary
     nonnegative least squares, solved by ``project_cone_batch`` as a stack
     of one.
 
@@ -282,8 +241,6 @@ def project_cone(
     omega : SpdMatrix or array_like, shape (K-1, K-1)
         Positive definite weighting matrix; an array goes through
         ``SpdMatrix.from_matrix``.
-    basis : OrthoBasis, optional
-        Defaults to the Helmert basis of matching dimension.
 
     Returns
     -------
@@ -299,26 +256,21 @@ def project_cone(
     """
     f = np.asarray(f_hat, dtype=float).ravel()
     K = f.size + 1
-    if basis is None:
-        basis = build_basis(K)
-    elif basis.K != K:
-        raise ValueError(f"basis dimension {basis.K} does not match input length {f.size}")
     wv = check_simplex_point(w, K)
     if not isinstance(omega, SpdMatrix):
         omega = SpdMatrix.from_matrix(omega)
-    chol = omega.chol
-    if chol.shape != (K - 1, K - 1):
-        raise ValueError(f"covariance must have shape {(K - 1, K - 1)}, got {chol.shape}")
+    white = omega.white
+    if white.shape != (K - 1, K - 1):
+        raise ValueError(f"covariance must have shape {(K - 1, K - 1)}, got {white.shape}")
 
     lam, residual, objective, gradient_image, zeros, over_cap = (
-        column[0] for column in project_cone_batch(f[None], wv[None], chol[None], basis)
+        column[0] for column in project_cone_batch(f[None], wv[None], white[None])
     )
     if over_cap:
         raise _cap_error(K)
-    degenerate = bool(np.any((lam > 0.0) & (lam < _DEGENERACY_TOL)))
     for column in (lam, residual, gradient_image):
         column.setflags(write=False)
-    return ConeProjection(lam, residual, gradient_image, int(zeros), float(objective), degenerate)
+    return ConeProjection(lam, residual, gradient_image, int(zeros), float(objective))
 
 
 def _cap_error(K: int) -> ConvergenceError:
@@ -330,18 +282,17 @@ def _cap_error(K: int) -> ConvergenceError:
 def project_cone_batch(
     f_hat: np.ndarray,
     w: np.ndarray,
-    chol: np.ndarray,
-    basis: OrthoBasis,
+    white: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weighted cone projections of a stack of ``(f_hat, w, omega)`` triples.
 
     Row ``i`` solves ``project_cone(f_hat[i], w[i], omega_i)`` given the
-    lower Cholesky factor ``chol[i]`` of ``omega_i``: ``chol`` is a stack of
-    ``N`` factors, one per row, or one ``(1, d, d)`` factor shared by all
-    rows, whose generators are then whitened once. Inputs are not
-    validated. Whitened, each row is a nonnegative least squares over the
-    generators on the zero set of ``w[i]``, solved by the active set of
-    Lawson and Hanson (1974, *Solving Least Squares Problems*, ch. 23) in
+    whitening ``white[i]`` of ``omega_i`` from ``factor_spd``: ``white`` is a
+    stack of ``N`` whitenings, one per row, or one ``(1, d, d)`` whitening
+    shared by all rows, which then whitens the generators once. Inputs are
+    not validated. Whitened, each row is a nonnegative least squares over the
+    Helmert generators on the zero set of ``w[i]``, solved by the active set
+    of Lawson and Hanson (1974, *Solving Least Squares Problems*, ch. 23) in
     lockstep over the rows, as in Bro and De Jong (1997). Each iteration, a
     row whose last solution was positive adds its generator of largest
     dual if that exceeds ``1e-11 * max(1, max |dual at lam = 0|)``, and is
@@ -357,12 +308,12 @@ def project_cone_batch(
     f = np.asarray(f_hat, dtype=float)
     n_rows, dim = f.shape
     K = dim + 1
-    b2 = basis.b2
+    b2 = build_basis(K)
     lam = np.zeros((n_rows, K))
     over_cap = np.zeros(n_rows, dtype=bool)
-    # whitened generators L^-1 B2' and target L^-1 f, with L = chol
-    gens = np.broadcast_to(np.linalg.solve(chol, b2.T[None]), (n_rows, dim, K))
-    target = np.linalg.solve(chol, f[..., None])[..., 0]
+    # whitened generators W B2' and target W f
+    gens = np.broadcast_to(white @ b2.T, (n_rows, dim, K))
+    target = (white @ f[..., None])[..., 0]
     vanishing = np.asarray(w) <= _SUPPORT_TOL
     live = np.flatnonzero(vanishing.any(axis=1))  # rows still iterating
     if live.size:
@@ -411,9 +362,9 @@ def project_cone_batch(
             x = z
 
     residual = f - lam @ b2
-    white = target - (gens @ lam[..., None])[..., 0]  # L^-1 residual
-    objective = np.einsum("nd,nd->n", white, white)
-    gradient_image = (white[:, None, :] @ gens)[:, 0]  # B2 omega^-1 residual
+    whitened = target - (gens @ lam[..., None])[..., 0]  # W residual
+    objective = np.einsum("nd,nd->n", whitened, whitened)
+    gradient_image = (whitened[:, None, :] @ gens)[:, 0]  # B2 omega^-1 residual
     magnitude = np.abs(gradient_image)
     cutoff = _ZERO_TOL * (1.0 + magnitude.max(axis=1))
     zeros = (magnitude <= cutoff[:, None]).sum(axis=1)

@@ -22,10 +22,8 @@ import numpy as np
 from .distributions import chi2_quantile, normal_quantile
 from .exceptions import IllConditionedError
 from .geometry import (
-    OrthoBasis,
     SpdMatrix,
     _cap_error,
-    build_basis,
     check_simplex_point,
     factor_spd,
     project_cone,
@@ -64,14 +62,13 @@ class WeightModel:
     covariance that does not depend on ``w`` (for example a bootstrap
     covariance at the estimated weights) is the block ``M[K, K]`` with every
     other block zero. ``n`` is the sample size that scales the test
-    statistic, and ``basis`` (the Helmert basis by default) is the basis the
-    coordinates refer to. Both arrays are copied and made read-only.
+    statistic. Coordinates refer to the Helmert basis ``build_basis(K)``.
+    Both arrays are copied and made read-only.
     """
 
     G: np.ndarray
     M: np.ndarray
     n: int
-    basis: Optional[OrthoBasis] = None
 
     def __post_init__(self) -> None:
         G = np.array(self.G, dtype=float)
@@ -87,10 +84,6 @@ class WeightModel:
             raise ValueError("G and M must have finite entries")
         if self.n < 1:
             raise ValueError(f"sample size must be positive, got {self.n}")
-        if self.basis is None:
-            object.__setattr__(self, "basis", build_basis(K))
-        elif self.basis.K != K:
-            raise ValueError(f"basis dimension {self.basis.K} does not match K={K}")
         G.setflags(write=False)
         M.setflags(write=False)
         object.__setattr__(self, "G", G)
@@ -262,7 +255,7 @@ def point_test(model: WeightModel, w: np.ndarray, alpha: float) -> PointTest:
         omega = SpdMatrix.from_matrix(omegas[0])
     except (ValueError, IllConditionedError) as exc:
         raise _covariance_error(wv, exc) from exc
-    proj = project_cone(gradients[0], wv, omega, basis=model.basis)
+    proj = project_cone(gradients[0], wv, omega)
     statistic = model.n * proj.objective
     dof = max(model.K - 1 - proj.zeros, 1)
     critical = chi2_quantile(1.0 - alpha, dof)
@@ -293,16 +286,17 @@ def confidence_set(
     """Sweep a simplex lattice and keep the points whose test passes.
 
     Every point gets ``point_test``'s result, computed for batches of
-    points at once: ``factor_spd`` checks and factors the covariances and
-    ``project_cone_batch`` projects. A covariance that does not depend on
-    ``w`` (``M[K, K]`` is the only nonzero block of ``model.M``) is checked
-    and factored once per sweep; its one factor goes to
-    ``project_cone_batch`` unbroadcast, which whitens the generators with
-    it once per batch instead of once per point. A point whose covariance
-    fails or whose projection goes over its iteration cap is skipped with
-    the error ``point_test`` would raise: it is not a member, the message
-    goes to the set's ``errors``, and a warning is issued; with
-    ``strict=True`` the first one in lattice order raises instead.
+    points at once: ``factor_spd`` checks the covariances and whitens them
+    by one eigendecomposition each, and ``project_cone_batch`` projects. A
+    covariance that does not depend on ``w`` (``M[K, K]`` is the only
+    nonzero block of ``model.M``) is checked and whitened once per sweep;
+    its one whitening goes to ``project_cone_batch`` unbroadcast, which
+    whitens the generators with it once per batch instead of once per
+    point. A point whose covariance fails or whose projection goes over its
+    iteration cap is skipped with the error ``point_test`` would raise: it
+    is not a member, the message goes to the set's ``errors``, and a
+    warning is issued; with ``strict=True`` the first one in lattice order
+    raises instead.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
@@ -318,11 +312,11 @@ def confidence_set(
     for start in range(0, len(grid), _BATCH_POINTS):
         points = grid[start : start + _BATCH_POINTS]
         gradients, omegas = model.evaluate(points)
-        _, chol, failures = fixed or factor_spd(omegas)
+        _, white, failures = fixed or factor_spd(omegas)
         if fixed and failures:
             failures = dict.fromkeys(range(len(points)), failures[0])
-        # a failed row carries an identity factor, so projecting it is harmless
-        projection = project_cone_batch(gradients, points, chol, model.basis)
+        # a failed row carries an identity whitening, so projecting it is harmless
+        projection = project_cone_batch(gradients, points, white)
         statistic[start : start + len(points)] = model.n * projection[2]
         zeros[start : start + len(points)] = projection[4]
         failed = {i: _cap_error(K) for i in np.flatnonzero(projection[5]).tolist()}

@@ -20,7 +20,7 @@ from simplexci.estimators import (
     quadratic_components,
     variance_at,
 )
-from simplexci.geometry import OrthoBasis, build_basis, project_cone, solve_simplex_qp
+from simplexci.geometry import build_basis, project_cone, solve_simplex_qp
 from simplexci.inference import WeightModel, confidence_set, point_test, simplex_grid
 from simplexci.montecarlo import McSpec, coverage_experiment, generate_panel
 
@@ -124,7 +124,7 @@ def test_cone_projection_matches_enumeration_oracle():
         grid = lattices[K]
         w = grid[int(rng.integers(grid.shape[0]))]
         result = project_cone(f, w, omega)
-        obj, _, _, zeros = cone_projection_enumeration(f, w, omega, build_basis(K).b2)
+        obj, _, _, zeros = cone_projection_enumeration(f, w, omega, build_basis(K))
         worst = max(worst, abs(result.objective - obj))
         zero_mismatches += int(result.zeros != zeros)
     elapsed = time.perf_counter() - start
@@ -144,22 +144,19 @@ def test_statistics_are_basis_invariant():
     for trial in range(200):
         K = int(rng.integers(3, 6))
         n = 50
-        b2 = build_basis(K).b2
+        b2 = build_basis(K)
         f = rng.standard_normal(K - 1)
         omega = random_spd(rng, K - 1)
         rotation = random_rotation(rng, K - 1)
-        rotated = OrthoBasis(K, b2 @ rotation)
         grid = simplex_grid(K, 4)
         w = grid[int(rng.integers(grid.shape[0]))] if trial % 2 else rng.dirichlet(np.ones(K))
-        plain = constant_model(f, omega, n)
-        # coordinates in the rotated basis: G -> R'G, each block of M -> R'M R
-        turned = WeightModel(
-            G=rotation.T @ plain.G, M=rotation.T @ plain.M @ rotation, n=n, basis=rotated
+        a = point_test(constant_model(f, omega, n), w, 0.05)
+        # the oracle in the rotated basis B2 R: f -> R'f, omega -> R' omega R
+        objective, _, _, zeros = cone_projection_enumeration(
+            rotation.T @ f, w, rotation.T @ omega @ rotation, b2 @ rotation
         )
-        a = point_test(plain, w, 0.05)
-        b = point_test(turned, w, 0.05)
-        worst_stat = max(worst_stat, abs(a.statistic - b.statistic))
-        mismatches += int(a.zeros != b.zeros or a.dof != b.dof)
+        worst_stat = max(worst_stat, abs(a.statistic - n * objective))
+        mismatches += int(a.zeros != zeros or a.dof != max(K - 1 - zeros, 1))
     ok = worst_stat <= 1e-8 and mismatches == 0
     verdict(
         ok,
@@ -176,7 +173,7 @@ def test_moreau_kkt_and_basis_lemmas():
     kkt_violations = 0
     for _ in range(1000):
         K = int(rng.integers(3, 7))
-        b2 = build_basis(K).b2
+        b2 = build_basis(K)
         f = 3.0 * rng.standard_normal(K - 1)
         omega = random_spd(rng, K - 1)
         zeros = int(rng.integers(1, K))
@@ -201,7 +198,7 @@ def test_moreau_kkt_and_basis_lemmas():
     rank_failures = 0
     zero_rows = 0
     for K in range(2, 9):
-        b2 = build_basis(K).b2
+        b2 = build_basis(K)
         for mask in range(1, 2 ** K):
             idx = [j for j in range(K) if mask >> j & 1]
             if len(idx) > K - 1:
@@ -240,7 +237,7 @@ def test_fixed_variance_equivalence_and_bootstrap_agreement():
     # the single-matrix procedure must equal the per-point sweep with the
     # covariance frozen at that same matrix, record for record
     fixed_model = make_weight_model(comps, influence, mode="fixed", v_fixed=v_plug)
-    b2 = build_basis(3).b2
+    b2 = build_basis(3)
     frozen = np.zeros((4, 4, 2, 2))
     frozen[3, 3] = b2.T @ v_plug @ b2
     reference = WeightModel(

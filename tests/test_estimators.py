@@ -515,7 +515,7 @@ def test_weight_model_gradient_is_affine_in_w():
     comps = quadratic_components(panel)
     influence = influence_set(panel, comps)
     model = make_weight_model(comps, influence)
-    b2 = build_basis(3).b2
+    b2 = build_basis(3)
     grid = simplex_grid(3, 3)
     gradients, omegas = model.evaluate(grid)
     for w, f, omega in zip(grid, gradients, omegas):

@@ -10,7 +10,6 @@ from simplexci.estimators import QuadraticComponents
 from simplexci.exceptions import ConvergenceError, IllConditionedError
 from simplexci.inference import confidence_set
 from simplexci.geometry import (
-    OrthoBasis,
     SpdMatrix,
     build_basis,
     check_simplex_point,
@@ -39,7 +38,7 @@ def random_rotation(rng, dim):
 
 
 def test_basis_k2_is_the_normalized_difference():
-    b2 = build_basis(2).b2
+    b2 = build_basis(2)
     assert b2.shape == (2, 1)
     assert b2[0, 0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
     assert b2[1, 0] == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-15)
@@ -47,7 +46,7 @@ def test_basis_k2_is_the_normalized_difference():
 
 def test_basis_columns_orthonormal_and_orthogonal_to_ones():
     for K in range(2, 9):
-        b2 = build_basis(K).b2
+        b2 = build_basis(K)
         assert b2.shape == (K, K - 1)
         assert np.allclose(b2.T @ b2, np.eye(K - 1), atol=1e-14)
         assert np.allclose(np.ones(K) @ b2, 0.0, atol=1e-14)
@@ -56,36 +55,17 @@ def test_basis_columns_orthonormal_and_orthogonal_to_ones():
 
 
 def test_basis_is_deterministic_and_read_only():
-    first = build_basis(5).b2
-    second = build_basis(5).b2
+    first = build_basis(5)
+    second = build_basis(5)
     assert np.array_equal(first, second)
     with pytest.raises(ValueError):
         first[0, 0] = 2.0
 
 
-def test_custom_basis_accepts_any_rotation():
-    rng = np.random.default_rng(3)
-    for K in (3, 5):
-        q = random_rotation(rng, K - 1)
-        basis = OrthoBasis(K, build_basis(K).b2 @ q)
-        assert basis.K == K
-
-
-def test_basis_rejects_bad_matrices():
-    good = build_basis(3).b2
-    with pytest.raises(ValueError):
-        OrthoBasis(3, 2.0 * good)  # not orthonormal
-    skew = np.column_stack([np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])])
-    with pytest.raises(ValueError):
-        OrthoBasis(3, skew)  # not orthogonal to the ones vector
-    with pytest.raises(ValueError):
-        OrthoBasis(3, good[:, :1])  # wrong shape
-
-
 def test_rank_lemma_every_row_subset_is_independent():
     # rows of the basis indexed by any proper subset are linearly independent
     for K in range(2, 9):
-        b2 = build_basis(K).b2
+        b2 = build_basis(K)
         for mask in range(1, 2 ** K):
             idx = [j for j in range(K) if mask >> j & 1]
             if len(idx) > K - 1:
@@ -98,7 +78,7 @@ def test_rank_lemma_every_row_subset_is_independent():
 def test_zero_row_lemma_mapped_basis_has_no_null_row():
     rng = np.random.default_rng(11)
     for K in range(2, 9):
-        b2 = build_basis(K).b2
+        b2 = build_basis(K)
         assert np.min(np.linalg.norm(b2, axis=1)) > 0.0
         omega = random_spd(rng, K - 1)
         mapped = b2 @ np.linalg.inv(omega)
@@ -131,8 +111,22 @@ def test_spd_matrix_is_built_only_by_from_matrix():
     with pytest.raises(TypeError):
         SpdMatrix(np.eye(2), np.eye(2))
     spd = SpdMatrix.from_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
-    assert np.array_equal(spd.chol, np.linalg.cholesky(spd.entries))
-    assert not spd.entries.flags.writeable and not spd.chol.flags.writeable
+    assert not spd.entries.flags.writeable and not spd.white.flags.writeable
+
+
+def assert_whitens(white, entries):
+    """``W entries W'`` is the identity within 1e-12, row by row."""
+    eye = np.eye(entries.shape[-1])
+    assert np.abs(white @ entries @ np.swapaxes(white, -1, -2) - eye).max() <= 1e-12
+
+
+def test_whitening_turns_random_covariances_into_the_identity():
+    rng = np.random.default_rng(4)
+    for K in range(2, 11):
+        stack = np.stack([random_spd(rng, K - 1) for _ in range(20)])
+        entries, white, failures = factor_spd(stack)
+        assert not failures
+        assert_whitens(white, entries)
 
 
 # one matrix of each kind the covariance rule tells apart
@@ -155,44 +149,22 @@ def raised_by(fn, *args, **kwargs):
 
 def test_stacked_rule_agrees_row_for_row_with_from_matrix(monkeypatch):
     stack = np.stack(list(RULE_CASES.values()))
-    entries, chol, failures = factor_spd(stack)
+    entries, white, failures = factor_spd(stack)
     assert sorted(failures) == [2, 3, 4, 5, 6]
     for i, matrix in enumerate(RULE_CASES.values()):
         if i in failures:
             exc = raised_by(SpdMatrix.from_matrix, matrix)
             assert (type(failures[i]), str(failures[i])) == (type(exc), str(exc))
+            # a failed row carries the identity
+            assert np.array_equal(entries[i], np.eye(2)) and np.array_equal(white[i], np.eye(2))
         else:
             spd = SpdMatrix.from_matrix(matrix)
             assert np.array_equal(entries[i], spd.entries)
-            assert np.array_equal(chol[i], spd.chol)
+            assert np.array_equal(white[i], spd.white)
+            assert_whitens(spd.white, spd.entries)
     # the condition cap is read when the rule runs
     monkeypatch.setattr(geometry, "_COND_CAP", 1e15)
     assert 6 not in factor_spd(stack)[2]
-
-
-def test_stacked_rule_reports_a_failed_cholesky(monkeypatch):
-    # rank-one matrices whose rounded eigenvalues are all positive but whose
-    # Cholesky factorization breaks down; which ones do depends on LAPACK
-    rng = np.random.default_rng(0)
-    for _ in range(500):
-        v = rng.standard_normal(3)
-        rank_one = np.outer(v, v)
-        if np.linalg.eigvalsh(rank_one)[0] > 0.0:
-            try:
-                np.linalg.cholesky(rank_one)
-            except np.linalg.LinAlgError:
-                break
-    else:
-        pytest.skip("no rank-one matrix passes eigvalsh yet fails Cholesky here")
-    stack = np.stack([np.eye(3), rank_one, 2.0 * np.eye(3)])
-    monkeypatch.setattr(geometry, "_COND_CAP", np.inf)
-    entries, chol, failures = factor_spd(stack)
-    assert list(failures) == [1]
-    assert isinstance(failures[1], IllConditionedError)
-    assert str(failures[1]) == "covariance matrix is not positive definite"
-    assert np.array_equal(chol[[0, 2]], np.linalg.cholesky(stack[[0, 2]]))
-    exc = raised_by(SpdMatrix.from_matrix, rank_one)
-    assert str(exc) == str(failures[1])
 
 
 @pytest.mark.parametrize("case", ["asymmetric by 1e-9", "condition 1e14"])
@@ -222,9 +194,7 @@ def test_project_cone_on_an_array_is_project_cone_on_its_spd_matrix():
         wrapped = project_cone(f, np.array(w), SpdMatrix.from_matrix(omega))
         for name in ("lambda_hat", "residual", "gradient_image"):
             assert np.array_equal(getattr(plain, name), getattr(wrapped, name))
-        assert (plain.objective, plain.zeros, plain.degenerate) == (
-            wrapped.objective, wrapped.zeros, wrapped.degenerate
-        )
+        assert (plain.objective, plain.zeros) == (wrapped.objective, wrapped.zeros)
 
 
 def test_check_simplex_point():
@@ -260,7 +230,7 @@ def test_interior_point_projects_to_the_origin():
 def test_vertex_point_recovers_interior_cone_member():
     # f built from the allowed generators is reproduced exactly: the
     # residual vanishes, so every mapped coordinate is a zero
-    b2 = build_basis(3).b2
+    b2 = build_basis(3)
     lam = np.array([0.0, 1.0, 1.0])
     f = b2.T @ lam
     proj = project_cone(f, np.array([1.0, 0.0, 0.0]), np.eye(2))
@@ -282,7 +252,7 @@ def test_projection_matches_subset_enumeration():
     from simplexci.inference import simplex_grid
 
     rng = np.random.default_rng(42)
-    b2_cache = {K: build_basis(K).b2 for K in (3, 4, 5)}
+    b2_cache = {K: build_basis(K) for K in (3, 4, 5)}
     lattice = {K: simplex_grid(K, 4) for K in (3, 4, 5)}
     for trial in range(300):
         K = int(rng.integers(3, 6))
@@ -312,14 +282,12 @@ def test_batched_projection_steps_back_and_matches_the_oracle(monkeypatch):
     monkeypatch.setattr(geometry, "_passive_lstsq", recording_lstsq)
     rng = np.random.default_rng(5)
     for K in (5, 7, 9):
-        n, b2 = 60, build_basis(K).b2
+        n, b2 = 60, build_basis(K)
         a = rng.standard_normal((n, K - 1, K - 1))
         omega = a @ np.swapaxes(a, 1, 2) + 0.05 * np.eye(K - 1)
         f = 3.0 * rng.standard_normal((n, K - 1))
         w = np.eye(K)[rng.integers(0, K, n)]
-        lam, _, objective, _, zeros, over_cap = project_cone_batch(
-            f, w, factor_spd(omega)[1], build_basis(K)
-        )
+        lam, _, objective, _, zeros, over_cap = project_cone_batch(f, w, factor_spd(omega)[1])
         assert not over_cap.any()
         for i in range(n):
             obj, lam_star, _, zeros_star = cone_projection_enumeration(f[i], w[i], omega[i], b2)
@@ -331,26 +299,24 @@ def test_batched_projection_steps_back_and_matches_the_oracle(monkeypatch):
 
 def test_shared_factor_projects_as_the_factor_broadcast_to_every_row():
     rng = np.random.default_rng(12)
-    K, basis = 6, build_basis(6)
+    K, b2 = 6, build_basis(6)
     points = inference.simplex_grid(K, 7)  # 786 boundary and 6 interior points
     f = 2.0 * rng.standard_normal((len(points), K - 1))
-    chol = factor_spd(random_spd(rng, K - 1)[None])[1]
-    shared = project_cone_batch(f, points, chol, basis)
-    each = project_cone_batch(f, points, np.broadcast_to(chol, (len(points), K - 1, K - 1)), basis)
+    white = factor_spd(random_spd(rng, K - 1)[None])[1]
+    shared = project_cone_batch(f, points, white)
+    each = project_cone_batch(f, points, np.broadcast_to(white, (len(points), K - 1, K - 1)))
     for got, expected in zip(shared, each):
         assert np.array_equal(got, expected)
-    # a plug-in stack keeps one factor per row; a failed row's is the identity
+    # a plug-in stack keeps one whitening per row; a failed row's is the identity
     omegas = np.stack([random_spd(rng, K - 1) for _ in points])
     omegas[5, 0, 1] += 1.0
-    _, chols, failures = factor_spd(omegas)
+    _, whites, failures = factor_spd(omegas)
     assert list(failures) == [5]
     omegas[5] = np.eye(K - 1)
-    lam, _, objective, _, zeros, over_cap = project_cone_batch(f, points, chols, basis)
+    lam, _, objective, _, zeros, over_cap = project_cone_batch(f, points, whites)
     assert not over_cap.any()
     for i in [5, *range(0, len(points), 7)]:
-        obj, lam_star, _, zeros_star = cone_projection_enumeration(
-            f[i], points[i], omegas[i], basis.b2
-        )
+        obj, lam_star, _, zeros_star = cone_projection_enumeration(f[i], points[i], omegas[i], b2)
         assert objective[i] == pytest.approx(obj, rel=1e-9, abs=1e-12), i
         assert zeros[i] == zeros_star, i
         assert np.allclose(lam[i], lam_star, atol=1e-8 * (1.0 + np.abs(lam_star).max()))
@@ -360,7 +326,7 @@ def test_moreau_decomposition_and_orthogonality():
     rng = np.random.default_rng(7)
     for _ in range(300):
         K = int(rng.integers(3, 6))
-        b2 = build_basis(K).b2
+        b2 = build_basis(K)
         f = 3.0 * rng.standard_normal(K - 1)
         omega = random_spd(rng, K - 1)
         w = random_simplex_point(rng, K, int(rng.integers(1, K)))
@@ -415,7 +381,7 @@ def test_residual_equals_projection_on_active_face():
     # reduces to the linear-span projection; cross-check against the
     # bordered KKT oracle
     rng = np.random.default_rng(10)
-    b2 = build_basis(4).b2
+    b2 = build_basis(4)
     hits = 0
     for _ in range(200):
         f = 2.0 * rng.standard_normal(3)
@@ -435,21 +401,22 @@ def test_statistics_are_basis_invariant():
     rng = np.random.default_rng(12)
     for _ in range(50):
         K = int(rng.integers(3, 6))
-        helmert = build_basis(K)
         q = random_rotation(rng, K - 1)
-        rotated = OrthoBasis(K, helmert.b2 @ q)
         f = rng.standard_normal(K - 1)
         omega = random_spd(rng, K - 1)
         w = random_simplex_point(rng, K, 1)
-        first = project_cone(f, w, omega, basis=helmert)
-        second = project_cone(q.T @ f, w, q.T @ omega @ q, basis=rotated)
-        assert abs(first.objective - second.objective) <= 1e-8
-        assert first.zeros == second.zeros
+        # the same problem in the rotated basis B2 q: f -> q'f, omega -> q' omega q
+        first = project_cone(f, w, omega)
+        objective, _, _, zeros = cone_projection_enumeration(
+            q.T @ f, w, q.T @ omega @ q, build_basis(K) @ q
+        )
+        assert abs(first.objective - objective) <= 1e-8
+        assert first.zeros == zeros
 
 
 def test_projection_honours_iteration_cap(monkeypatch):
     rng = np.random.default_rng(13)
-    b2 = build_basis(3).b2
+    b2 = build_basis(3)
     f = b2.T @ np.array([0.0, 1.0, 1.0])
     monkeypatch.setattr(geometry, "_MAX_ITER_FACTOR", 0)
     with pytest.raises(ConvergenceError):

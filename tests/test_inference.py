@@ -117,7 +117,7 @@ def test_point_test_interior_is_full_quadratic_form():
 
 
 def test_point_test_vertex_cone_member_gets_dof_floor():
-    b2 = build_basis(3).b2
+    b2 = build_basis(3)
     f = b2.T @ np.array([0.0, 1.0, 1.0])
     model = constant_model(f, np.eye(2), 500)
     result = point_test(model, np.array([1.0, 0.0, 0.0]), 0.05)
@@ -149,7 +149,7 @@ def test_point_test_reports_ill_conditioned_covariance():
 def test_weight_model_validation():
     model = constant_model(np.ones(2), np.eye(2), 10)
     G, M = np.array(model.G), np.array(model.M)
-    assert model.K == 3 and model.basis is build_basis(3)
+    assert model.K == 3
     assert not (model.G.flags.writeable or model.M.flags.writeable)
     with pytest.raises(ValueError):  # G and M disagree on K
         WeightModel(G=G, M=np.zeros((5, 5, 3, 3)), n=10)
@@ -168,8 +168,6 @@ def test_weight_model_validation():
         WeightModel(G=np.zeros((0, 2)), M=np.zeros((2, 2, 0, 0)), n=10)
     with pytest.raises(ValueError):
         WeightModel(G=G, M=M, n=0)
-    with pytest.raises(ValueError):
-        WeightModel(G=G, M=M, n=10, basis=build_basis(4))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +189,7 @@ def test_sweep_agrees_with_scalar_oracle_on_a_panel():
     # enumeration oracle and the quadrature quantiles
     model, _ = panel_model()
     cs = confidence_set(model, 0.05, resolution=12)
-    b2 = build_basis(3).b2
+    b2 = build_basis(3)
     crit = {k: chi2_quantile_quadrature(0.95, k) for k in (1, 2)}
     disagreements = 0
     for record in cs.records:
@@ -380,7 +378,7 @@ def test_fixed_mode_reuses_one_covariance():
     w_hat = np.array([0.2, 0.4, 0.4])
     v_fixed = variance_at(influence, w_hat)
     fixed = make_weight_model(components, influence, mode="fixed", v_fixed=v_fixed)
-    b2 = build_basis(3).b2
+    b2 = build_basis(3)
     constant = fixed.M[3, 3]
     assert np.allclose(constant, b2.T @ v_fixed @ b2, atol=1e-14)
     blocks = np.ones((4, 4), dtype=bool)
@@ -424,11 +422,17 @@ def assert_same_records(got, want):
             assert math.isinf(a.statistic) and math.isnan(a.critical)
 
 
-def sweep_models(K, plugin_only=False):
+def sweep_models(K, plugin_only=False, scale=1.0):
     """Plug-in and fixed-covariance models of a panel whose true weight sits
-    on an edge, so that boundary projections hit faces of their cones."""
+    on an edge, so that boundary projections hit faces of their cones. Every
+    outcome is multiplied by ``scale``; the bootstrap draws the same units
+    whatever it is."""
     spec = McSpec(K=K, n_j=30, design="boundary", reps=1, seed=K)
     panel = generate_panel(spec, K, K + 1)
+    panel = PanelData(
+        unit=panel.unit, group=panel.group, time=panel.time,
+        outcome=scale * panel.outcome, t_match=panel.t_match,
+    )
     components = quadratic_components(panel)
     influence = influence_set(panel, components)
     models = {"plugin": make_weight_model(components, influence)}
@@ -463,7 +467,7 @@ def test_sweep_matches_the_enumeration_oracle(K):
     boundary = np.flatnonzero((cs.grid == 0.0).any(axis=1))
     sample = np.random.default_rng(K).choice(boundary, size=min(16, boundary.size), replace=False)
     assert cs.zeros[sample].any()  # some projections land on a face
-    b2 = model.basis.b2
+    b2 = build_basis(K)
     for i in sample.tolist():
         w = cs.grid[i]
         gradients, omegas = model.evaluate(w[None, :])
@@ -546,3 +550,60 @@ def test_fixed_covariance_obeys_the_condition_cap(monkeypatch):
     with pytest.raises(IllConditionedError) as exc:
         confidence_set(model, 0.05, 6, strict=True)
     assert str(exc.value) == want[0].error
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations
+
+
+def rescaled_sweeps(K, resolution, c):
+    """Sweeps of each ``sweep_models`` model of K, before and after every
+    outcome is multiplied by ``c``."""
+    base, scaled = sweep_models(K), sweep_models(K, scale=c)
+    for name in base:
+        before = confidence_set(base[name], 0.05, resolution)
+        after = confidence_set(scaled[name], 0.05, resolution)
+        assert not (before.errors or after.errors)
+        yield name, before, after
+
+
+SCALES = [-3.0, 0.01, 1e3]
+SCALED_LATTICES = [(3, 20), (4, 10)]
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("K,resolution", SCALED_LATTICES)
+def test_rescaled_outcomes_leave_every_statistic_unchanged(K, resolution, c):
+    # the gradient scales by c^2 and its covariance by c^4, so T does not move
+    for name, before, after in rescaled_sweeps(K, resolution, c):
+        gap = np.abs(after.statistic - before.statistic)
+        assert np.all(gap <= 1e-9 * np.abs(before.statistic)), name
+
+
+# The zero cutoff 1e-8 * (1 + max |g|) of the mapped residual g has an
+# absolute floor, while g scales by 1/c^2: at c = 1e3 a nonzero entry of
+# about 1e-8 counts as a zero, and d, k and membership move.
+UNIT_FREE_ZERO_COUNT = pytest.mark.xfail(
+    strict=True, reason="the zero cutoff of the mapped residual has an absolute floor"
+)
+
+
+@pytest.mark.parametrize("c", [*SCALES[:2], pytest.param(1e3, marks=UNIT_FREE_ZERO_COUNT)])
+@pytest.mark.parametrize("K,resolution", SCALED_LATTICES)
+def test_rescaled_outcomes_leave_zero_counts_and_members_unchanged(K, resolution, c):
+    for name, before, after in rescaled_sweeps(K, resolution, c):
+        assert np.array_equal(after.zeros, before.zeros), name
+        assert np.array_equal(after.dof, before.dof), name
+        assert np.array_equal(after.member_mask, before.member_mask), name
+
+
+@pytest.mark.parametrize("K,resolution", SCALED_LATTICES)
+def test_confidence_sets_are_nested_in_alpha(K, resolution):
+    # a 99% set holds the 95% set: the same statistics meet larger quantiles
+    for name, model in sweep_models(K).items():
+        wide = confidence_set(model, 0.01, resolution)
+        narrow = confidence_set(model, 0.05, resolution)
+        assert np.array_equal(narrow.statistic, wide.statistic), name
+        assert narrow.member_mask.any(), name
+        assert not (narrow.member_mask & ~wide.member_mask).any(), name
+        assert (wide.member_mask & ~narrow.member_mask).any(), name
