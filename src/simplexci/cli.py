@@ -25,7 +25,6 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -273,73 +272,43 @@ def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; other Unicode separators are
     data. Diagnostics name the offending row (its line in the file) and
     column. Extra or missing columns are rejected, and blank lines are skipped.
+    The file is read once; numpy's C reader converts it if
+    ``_c_reader_columns`` accepts it, and the row loop ``_panel_rows`` if not.
     """
-    columns = _panel_columns(_read_text(path))
+    text = _read_text(path)
+    columns = _c_reader_columns(text)
     if columns is None:
-        columns = _panel_rows(path)
+        columns = _panel_rows(path, text)
     return PanelData.from_long(*columns, t_match=t_match)
 
 
-def _panel_columns(text: str):
-    """The four columns of a well-formed CSV text, with the values of the
-    conversions of ``_panel_rows``; None if any check fails. A text with
-    ``"`` is read by ``csv.reader``. Another is split at line ends and
-    commas, as ``csv.reader`` splits it but with no limit on a field's
-    length; before that, its body goes to numpy's C reader, which gives the
-    same bits where it accepts every cell, if the text passes three checks:
-    ``str.isascii`` (that reader misreads some non-ASCII digits), no ``"``
-    (it reads quotes otherwise than ``csv``) and none of ``\\x1c``-``\\x1f``
-    (it strips them around a number, which ``int`` and ``float`` refuse)."""
-    width = len(_REQUIRED_COLUMNS)
-    if '"' in text:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            header = next(reader, [])
-            body = list(filter(None, reader))  # csv.reader gives [] for a blank line
-        except csv.Error:
-            return None
-        if set(map(len, body)) != {width}:
-            return None
-        fields = list(chain.from_iterable(body))
-    else:
-        if "\r" in text:  # far cheaper than the two scans of str.replace
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        header, _, rest = text.partition("\n")
-        header, rest = header.split(","), rest.strip("\n")  # loadtxt warns on no rows
-        plain = text.isascii() and not any(c in text for c in "\x1c\x1d\x1e\x1f")
-        if plain and rest and sorted(header) == sorted(_REQUIRED_COLUMNS):
-            try:
-                with warnings.catch_warnings():  # older numpy reads int '1.5' as 1, warning
-                    warnings.simplefilter("error", DeprecationWarning)
-                    table = np.loadtxt(io.StringIO(rest), delimiter=",", comments=None, ndmin=1,
-                                       dtype=[(c, _CELL_TYPES[c]) for c in header])
-            except (ValueError, DeprecationWarning):
-                pass
-            else:
-                columns = [np.ascontiguousarray(table[c]) for c in _REQUIRED_COLUMNS]
-                return _checked_columns(columns[0].tolist(), *columns[1:])
-        body = list(filter(None, rest.split("\n")))
-        if set(map(str.count, body, repeat(","))) != {width - 1}:
-            return None
-        fields = ",".join(body).split(",")
-    if sorted(header) != sorted(_REQUIRED_COLUMNS):
+def _c_reader_columns(text: str):
+    """The four columns of a CSV text as read by numpy's C reader
+    (``np.loadtxt``), with unit labels stripped; None if a check fails or
+    that reader refuses a cell. Where it accepts every cell it gives the
+    values of ``_panel_rows``'s conversions, if the text passes three
+    checks: ``str.isascii`` (that reader misreads some non-ASCII digits), no
+    ``"`` (it reads quotes otherwise than ``csv``) and none of
+    ``\\x1c``-``\\x1f`` (it strips them around a number, which ``int`` and
+    ``float`` refuse). The header must be a permutation of the four column
+    names, a label must not be blank and an outcome must be finite."""
+    if not text.isascii() or any(c in text for c in '"\x1c\x1d\x1e\x1f'):
         return None
-    unit, group, time, outcome = (
-        fields[header.index(column)::width] for column in _REQUIRED_COLUMNS
-    )
+    if "\r" in text:  # far cheaper than the two scans of str.replace
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    header, _, rest = text.partition("\n")
+    header, rest = header.split(","), rest.strip("\n")  # loadtxt warns on no rows
+    if not rest or sorted(header) != sorted(_REQUIRED_COLUMNS):
+        return None
     try:
-        groups = np.fromiter(map(int, group), np.int64, len(body))
-        times = np.fromiter(map(int, time), np.int64, len(body))
-        outcomes = np.fromiter(map(float, outcome), float, len(body))
-    except (ValueError, OverflowError):
+        with warnings.catch_warnings():  # older numpy reads int '1.5' as 1, warning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(io.StringIO(rest), delimiter=",", comments=None, ndmin=1,
+                               dtype=[(c, _CELL_TYPES[c]) for c in header])
+    except (ValueError, DeprecationWarning):
         return None
-    return _checked_columns(unit, groups, times, outcomes)
-
-
-def _checked_columns(unit, groups, times, outcomes):
-    """The columns with unit labels stripped; None if a label is blank or an
-    outcome is not finite."""
-    units = list(map(str.strip, unit))
+    units = list(map(str.strip, table["unit"].tolist()))
+    groups, times, outcomes = (np.ascontiguousarray(table[c]) for c in _REQUIRED_COLUMNS[1:])
     if not all(units) or not np.isfinite(outcomes).all():
         return None
     return units, groups, times, outcomes
@@ -357,12 +326,14 @@ def _integer_cell(path: str, line: int, row: Dict[str, str], column: str) -> int
     return value
 
 
-def _panel_rows(path: str) -> Tuple[List[str], List[int], List[int], List[float]]:
-    """Read the CSV one row at a time and raise the message for the first
-    malformed row; ``read_panel_csv`` runs this only when its column checks
-    fail, so every message comes from here."""
+def _panel_rows(path: str, text: str) -> Tuple[List[str], List[int], List[int], List[float]]:
+    """Read the CSV ``text`` of the file at ``path`` one row at a time with
+    ``csv`` and Python ``int`` and ``float``, and raise the message for the
+    first malformed row. ``read_panel_csv`` runs this on every text the C
+    reader does not take, so every message comes from here. A field may
+    hold at most csv's limit of 131,072 characters."""
     rows: List[Tuple[str, int, int, float]] = []
-    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     try:
         fields = reader.fieldnames
         if fields is None:

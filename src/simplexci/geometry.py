@@ -40,8 +40,8 @@ _SYM_TOL = 1e-10
 # weight entries at or below this count as zero, and a simplex point may miss
 # nonnegativity and unit sum by this much
 _SUPPORT_TOL = 1e-10
-# an entry of the mapped residual counts as zero when it is at most
-# _ZERO_TOL * (1 + max |entry|)
+# an entry of the mapped residual counts as zero when it is at most _ZERO_TOL
+# times max(max |entry|, max |mapped gradient at lam = 0|), unit-free
 _ZERO_TOL = 1e-8
 # iteration cap of the active-set solvers, as a multiple of K
 _MAX_ITER_FACTOR = 50
@@ -366,7 +366,8 @@ def project_cone_batch(
     objective = np.einsum("nd,nd->n", whitened, whitened)
     gradient_image = (whitened[:, None, :] @ gens)[:, 0]  # B2 omega^-1 residual
     magnitude = np.abs(gradient_image)
-    cutoff = _ZERO_TOL * (1.0 + magnitude.max(axis=1))
+    mapped = (target[:, None, :] @ gens)[:, 0]  # B2 omega^-1 f
+    cutoff = _ZERO_TOL * np.maximum(np.abs(mapped).max(axis=1), magnitude.max(axis=1))
     zeros = (magnitude <= cutoff[:, None]).sum(axis=1)
     return lam, residual, objective, gradient_image, zeros, over_cap
 

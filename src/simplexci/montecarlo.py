@@ -12,7 +12,6 @@ axis, so its results do not depend on the chunk size either.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -140,8 +139,7 @@ class CoverageReport:
     ``projection_coverage`` and ``mean_lengths`` hold per-coordinate results
     (lengths averaged over non-empty sets only), ``empty_rate`` the share of
     swept replications whose set had no members, and ``resolution`` the grid
-    resolution used. ``timing_seconds`` is wall-clock time; ``to_dict`` leaves
-    it out so reruns are byte-identical.
+    resolution used.
     """
 
     K: int
@@ -158,7 +156,6 @@ class CoverageReport:
     projection_coverage: Optional[List[float]] = None
     mean_lengths: Optional[List[Optional[float]]] = None
     empty_rate: Optional[float] = None
-    timing_seconds: float = 0.0
 
     def to_dict(self) -> dict:
         doc = {
@@ -194,7 +191,6 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
     model cut from the chunk's arrays. The whole experiment is a
     deterministic function of ``spec``; it does not depend on the chunk size.
     """
-    start = time.perf_counter()
     children = np.random.SeedSequence(spec.seed).spawn(spec.reps + 1)
     w0 = spec.w0
     resolution = spec.grid_n if spec.grid_n is not None else default_resolution(spec.K)
@@ -260,5 +256,4 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
             (float(length_sums[j] / nonempty) if nonempty else None) for j in range(spec.K)
         ]
         report.empty_rate = float(empties / swept) if swept else 0.0
-    report.timing_seconds = time.perf_counter() - start
     return report

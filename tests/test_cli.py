@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import csv
 import dataclasses
 import functools
 import json
@@ -640,10 +641,19 @@ MALFORMED = [
 ]
 
 
+def panel_rows(path):
+    """``_panel_rows`` on the file's decoded text."""
+    return _panel_rows(str(path), cli._read_text(str(path)))
+
+
+def row_loop_panel(path):
+    return PanelData.from_long(*panel_rows(path))
+
+
 def row_loop_error(path):
     """The message of the row loop followed by the panel checks."""
     try:
-        PanelData.from_long(*_panel_rows(str(path)))
+        row_loop_panel(path)
     except Exception as exc:
         return exc
     raise AssertionError(f"{path} was read without an error")
@@ -669,25 +679,31 @@ def load_bench_module(name):
         sys.path.remove(bench)
 
 
-def test_well_formed_csv_takes_the_column_path(tmp_path, monkeypatch):
-    inputs = load_bench_module("inputs")
-    workloads = load_bench_module("workloads")
-    workload = workloads.WORKLOADS["bonferroni-large-n"]
-    path = tmp_path / "panel.csv"
-    path.write_bytes(inputs.panel_csv_bytes(workload.panel, seed=1))
-    want = PanelData.from_long(*_panel_rows(str(path)), t_match=workload.post - 1)
-
-    def refuse(path):
-        raise AssertionError("the row loop ran on a well-formed file")
-
-    monkeypatch.setattr("simplexci.cli._panel_rows", refuse)
-    got = read_panel_csv(str(path), t_match=workload.post - 1)
+def assert_same_panel(got, want):
     for column in ("unit", "group", "time", "outcome"):
         assert np.array_equal(getattr(got, column), getattr(want, column))
     for a, b in zip(got._matched, want._matched):
         assert np.array_equal(a, b)
 
-    # int() syntax, padding, quoting and blank lines take the column path too
+
+def refuse_row_loop(path, text):
+    raise AssertionError("the row loop ran on a well-formed plain-ASCII file")
+
+
+@pytest.mark.parametrize("name", ["infer-k3", "project-k6-boundary", "bonferroni-large-n"])
+def test_benchmark_csv_takes_the_c_reader(tmp_path, monkeypatch, name):
+    inputs = load_bench_module("inputs")
+    workload = load_bench_module("workloads").WORKLOADS[name]
+    t_match = workload.post - 1 if workload.post else None
+    path = tmp_path / "panel.csv"
+    path.write_bytes(inputs.panel_csv_bytes(workload.panel, seed=1))
+    want = PanelData.from_long(*panel_rows(path), t_match=t_match)
+    monkeypatch.setattr(cli, "_panel_rows", refuse_row_loop)
+    assert_same_panel(read_panel_csv(str(path), t_match=t_match), want)
+
+
+def test_padded_and_quoted_csv_reads_as_the_plain_one(tmp_path):
+    # int() syntax, padding, quoting and blank lines
     plain = tmp_path / "plain.csv"
     plain.write_text(HEADER + GOOD, encoding="utf-8")
     padded = tmp_path / "padded.csv"
@@ -696,16 +712,14 @@ def test_well_formed_csv_takes_the_column_path(tmp_path, monkeypatch):
         .replace("d,1,2", "d, 1 ,2 ")
         + "\n\n", encoding="utf-8",
     )
-    want, got = read_panel_csv(str(plain)), read_panel_csv(str(padded))
-    for column in ("unit", "group", "time", "outcome"):
-        assert np.array_equal(getattr(got, column), getattr(want, column))
+    assert_same_panel(read_panel_csv(str(padded)), read_panel_csv(str(plain)))
 
 
 def test_quote_free_csv_never_calls_csv_reader(tmp_path, monkeypatch):
     plain = make_fixture(tmp_path)
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
-    want = PanelData.from_long(*_panel_rows(str(plain)))
+    want = row_loop_panel(plain)
 
     def refuse(*args, **kwargs):
         raise AssertionError("csv.reader ran on a quote-free file")
@@ -717,23 +731,46 @@ def test_quote_free_csv_never_calls_csv_reader(tmp_path, monkeypatch):
             assert np.array_equal(getattr(got, column), getattr(want, column))
 
 
-def assert_same_columns(got, want):
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert got[0] == want[0]
-        for a, b in zip(got[1:], want[1:]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+def test_one_panel_reads_alike_through_both_readers(tmp_path, monkeypatch):
+    plain = make_fixture(tmp_path)
+    text = plain.read_text(encoding="utf-8")
+    last = max(line.split(",")[0] for line in text.splitlines()[1:])  # last in the pivot
+    renamed, quoted = tmp_path / "renamed.csv", tmp_path / "quoted.csv"
+    renamed.write_text(text.replace(f"\n{last},", f"\n{last}\u00fc,"), encoding="utf-8")
+    quoted.write_text(text.replace(f"\n{last},", f'\n"{last}",'), encoding="utf-8")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_panel_rows", refuse_row_loop)
+        want = read_panel_csv(str(plain))
+    for path, label in ((renamed, last + "\u00fc"), (quoted, last)):
+        got = read_panel_csv(str(path))
+        for column in ("group", "time", "outcome"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+        labels = want._matched[0].copy()
+        labels[labels == last] = label
+        assert np.array_equal(got._matched[0], labels)
+        for a, b in zip(got._matched[1:], want._matched[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def split_and_reference_columns(path, data):
-    """The columns of the file holding ``data`` as ``cli`` reads them, and as
-    ``csv.reader`` read them."""
-    path.write_bytes(data)
-    return cli._panel_columns(cli._read_text(str(path))), panel_columns_csv_reader(path)
+def test_malformed_csv_is_read_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER + GOOD + "e,1,1,zz\n", encoding="utf-8")
+    calls = []
+    real = cli._read_text
+
+    def read_text(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "_read_text", read_text)
+    assert main(["infer", str(path)]) == 1
+    assert "row 10: outcome 'zz' is not a number" in capsys.readouterr().err
+    assert calls == [str(path)]
 
 
-# (file text, number of rows read, or None where the column checks fail)
-TOKENISER_CASES = {
+# (file text, number of rows read, or None where the oracle's column checks
+# fail): line ends and separators, on both readers
+LINE_END_CASES = {
     "crlf": ((HEADER + GOOD).replace("\n", "\r\n"), 8),
     "lone cr": ((HEADER + GOOD).replace("\n", "\r"), 8),
     "mixed line ends": (HEADER.replace("\n", "\r") + GOOD.replace(".5\n", ".5\r\n", 3)
@@ -762,46 +799,18 @@ TOKENISER_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(TOKENISER_CASES))
-def test_split_tokeniser_matches_csv_reader(tmp_path, case):
-    text, rows = TOKENISER_CASES[case]
-    got, want = split_and_reference_columns(tmp_path / "panel.csv", text.encode("utf-8"))
-    assert_same_columns(got, want)
-    assert (None if got is None else len(got[0])) == rows
-
-
-def test_split_tokeniser_matches_csv_reader_on_random_texts(tmp_path):
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    separators = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-    chars = st.text(",\n\r 0123456789.-_+aZ" + separators, max_size=8)
-    integer = st.integers(-3, 3).map(str)
-    # readable cells in the order unit, group, time, outcome; rows of any text
-    good = st.tuples(
-        st.text("aZ_-+.0 " + separators, max_size=4).map("u{}".format), integer, integer,
-        st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    )
-    bad = st.one_of(
-        st.tuples(chars, st.one_of(integer, chars), st.one_of(integer, chars), chars),
-        st.lists(chars, max_size=5),
-    ).map(",".join)
-    end = st.sampled_from(["\n", "\r", "\r\n"])
-    read = []
-
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(st.permutations(range(4)), st.booleans(), st.booleans(), st.data())
-    def check(order, messy, bom, data):
-        names = ",".join(cli._REQUIRED_COLUMNS[i] for i in order)
-        head = data.draw(st.one_of(st.just(names), chars))
-        row = good.map(lambda cells: ",".join(cells[i] for i in order))
-        rows = data.draw(st.lists(st.tuples(st.one_of(row, bad) if messy else row, end), max_size=12))
-        text = ("\ufeff" if bom else "") + head + data.draw(end) + "".join(r + e for r, e in rows)
-        got, want = split_and_reference_columns(tmp_path / "panel.csv", text.encode("utf-8"))
-        assert_same_columns(got, want)
-        read.append(got is not None)
-
-    check()
-    assert sum(read) >= len(read) // 10  # the property is not vacuous
+@pytest.mark.parametrize("case", list(LINE_END_CASES))
+def test_line_ends_and_separators_read_as_csv_reader(tmp_path, case):
+    text, rows = LINE_END_CASES[case]
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = panel_columns_csv_reader(path)
+    assert (None if want is None else len(want[0])) == rows
+    if want is None:
+        with pytest.raises(DataError):
+            read_panel_csv(str(path))
+    else:
+        assert_same_panel(read_panel_csv(str(path)), PanelData.from_long(*want))
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
@@ -814,29 +823,24 @@ def test_invalid_utf8_names_the_file_and_row(tmp_path, capsys, end):
     want = f"{path}: row 1002: byte 0xe9 is not valid UTF-8 (invalid continuation byte)"
     assert main(["infer", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {want}\n"
-    with pytest.raises(DataError) as exc:
-        _panel_rows(str(path))
-    assert str(exc.value) == want
+    assert str(row_loop_error(path)) == want
 
 
 def test_field_over_the_csv_limit(tmp_path, capsys):
     big = "x" * 200_000
     path = tmp_path / "wide.csv"
-    # a quoted file is read by csv.reader in both the column function and
-    # the row loop; a malformed quote-free one only in the row loop
-    for text in (HEADER + GOOD + f'"{big}",1,1,1.0\n', HEADER + GOOD + f"{big},1,1,1.0\ne,1\n"):
+    # csv reads a quoted file, a malformed one and, as a deliberate limit,
+    # a well-formed one that is not plain ASCII
+    for text in (HEADER + GOOD + f'"{big}",1,1,1.0\n', HEADER + GOOD + f"{big},1,1,1.0\ne,1\n",
+                 HEADER + GOOD + f"{big}\u00fc,1,1,1.0\n"):
         path.write_text(text, encoding="utf-8")
         want = f"{path}: row 10: field larger than field limit (131072)"
         assert main(["infer", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {want}\n"
         assert str(row_loop_error(path)) == want
-    # a well-formed quote-free file has no field limit
+    # a well-formed plain-ASCII file has no field limit
     path.write_text(HEADER + GOOD.replace("a,", big + ","), encoding="utf-8")
     assert big in read_panel_csv(str(path)).unit
-
-
-def refuse_loadtxt(*args, **kwargs):
-    raise ValueError("numpy's C reader is switched off")
 
 
 def ingest(read, path):
@@ -851,10 +855,6 @@ def ingest(read, path):
     return [getattr(panel, c).tolist() for c in ("unit", "group", "time")] + [
         panel.outcome.tobytes(), panel.t_match,
     ]
-
-
-def row_loop_panel(path):
-    return PanelData.from_long(*_panel_rows(path))
 
 
 # (case, file text, the panel's unit labels or the message with {path}): texts
@@ -883,17 +883,15 @@ C_READER_EDGES = [
 
 
 @pytest.mark.parametrize("case, text, expect", C_READER_EDGES, ids=[c[0] for c in C_READER_EDGES])
-def test_c_reader_edges_read_as_the_split_path(tmp_path, monkeypatch, case, text, expect):
+def test_c_reader_edges_read_as_the_row_loop(tmp_path, case, text, expect):
     path = tmp_path / "panel.csv"
     path.write_text(text, encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got_columns = cli._panel_columns(cli._read_text(str(path)))
     got = ingest(read_panel_csv, path)
-    with monkeypatch.context() as patch:
-        patch.setattr(cli.np, "loadtxt", refuse_loadtxt)
-        assert_same_columns(got_columns, cli._panel_columns(cli._read_text(str(path))))
-        assert ingest(read_panel_csv, path) == got
+    limit = csv.field_size_limit(sys.maxsize)  # a plain-ASCII file has no field limit
+    try:
+        assert ingest(row_loop_panel, path) == got
+    finally:
+        csv.field_size_limit(limit)
     if isinstance(expect, str):
         assert got == expect.format(path=path)
     else:
@@ -914,7 +912,7 @@ def test_c_reader_that_warns_is_refused(tmp_path, monkeypatch, capsys):
         return real(GOOD.splitlines(), **kwargs)
 
     monkeypatch.setattr(cli.np, "loadtxt", loadtxt)
-    assert cli._panel_columns(cli._read_text(str(path))) is None
+    assert cli._c_reader_columns(cli._read_text(str(path))) is None
     assert main(["infer", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}: row 2: group '0.0' is not an integer\n"
 
@@ -936,9 +934,13 @@ def test_c_reader_gives_the_bits_of_int_and_float(tmp_path, monkeypatch):
     end = st.sampled_from(["\n", "\r", "\r\n"])
     path = tmp_path / "panel.csv"
 
-    def refuse_fromiter(*args, **kwargs):
-        raise AssertionError("the split path ran on a plain-ASCII file")
+    class Columns:  # the columns read_panel_csv gives PanelData.from_long
+        @staticmethod
+        def from_long(*columns, t_match):
+            return columns
 
+    monkeypatch.setattr(cli, "_panel_rows", refuse_row_loop)
+    monkeypatch.setattr(cli, "PanelData", Columns)
     rows = st.lists(st.tuples(row, end), min_size=1, max_size=12)
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -948,10 +950,7 @@ def test_c_reader_gives_the_bits_of_int_and_float(tmp_path, monkeypatch):
         lines = "".join(",".join(cells[i] for i in order) + e for cells, e in rows)
         path.write_bytes((names + head_end + lines).encode("ascii"))
         want = panel_columns_csv_reader(path)
-        with monkeypatch.context() as patch:
-            # np.fromiter converts the cells of the split path and of csv's
-            patch.setattr(cli.np, "fromiter", refuse_fromiter)
-            got = cli._panel_columns(cli._read_text(str(path)))
+        got = read_panel_csv(str(path))
         assert got[0] == want[0]
         for a, b in zip(got[1:], want[1:]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

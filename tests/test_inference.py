@@ -580,15 +580,7 @@ def test_rescaled_outcomes_leave_every_statistic_unchanged(K, resolution, c):
         assert np.all(gap <= 1e-9 * np.abs(before.statistic)), name
 
 
-# The zero cutoff 1e-8 * (1 + max |g|) of the mapped residual g has an
-# absolute floor, while g scales by 1/c^2: at c = 1e3 a nonzero entry of
-# about 1e-8 counts as a zero, and d, k and membership move.
-UNIT_FREE_ZERO_COUNT = pytest.mark.xfail(
-    strict=True, reason="the zero cutoff of the mapped residual has an absolute floor"
-)
-
-
-@pytest.mark.parametrize("c", [*SCALES[:2], pytest.param(1e3, marks=UNIT_FREE_ZERO_COUNT)])
+@pytest.mark.parametrize("c", SCALES)
 @pytest.mark.parametrize("K,resolution", SCALED_LATTICES)
 def test_rescaled_outcomes_leave_zero_counts_and_members_unchanged(K, resolution, c):
     for name, before, after in rescaled_sweeps(K, resolution, c):
