@@ -33,7 +33,6 @@ from .estimators import (
 )
 from .exceptions import ConvergenceError, DataError, IllConditionedError
 from .geometry import (
-    ConeProjection,
     SpdMatrix,
     build_basis,
     check_simplex_point,
@@ -61,7 +60,6 @@ __all__ = [
     "DataError",
     "IllConditionedError",
     "SpdMatrix",
-    "ConeProjection",
     "build_basis",
     "check_simplex_point",
     "project_cone",

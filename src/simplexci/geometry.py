@@ -2,13 +2,12 @@
 
 This module provides the deterministic orthonormal basis of the orthogonal
 complement of the ones vector, the rules for a usable covariance and
-hessian, weighted projections onto the polyhedral cone attached to a simplex
-point (one batched active-set solver, of which ``project_cone`` is the
-stack of one), and an active-set solver for quadratic programs over the
-simplex.
+hessian, weighted projections onto the polyhedral cones attached to a stack
+of simplex points (``project_cone``, one batched active-set solver), and an
+active-set solver for quadratic programs over the simplex.
 
-All functions are pure and the returned containers are read-only, so results
-can be shared freely across threads.
+All functions are pure, and the basis and ``SpdMatrix`` are read-only, so
+they can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -24,12 +23,10 @@ from .exceptions import ConvergenceError, IllConditionedError
 
 __all__ = [
     "SpdMatrix",
-    "ConeProjection",
     "build_basis",
     "check_simplex_point",
     "factor_spd",
     "project_cone",
-    "project_cone_batch",
     "solve_simplex_qp",
     "symmetric_psd",
 ]
@@ -169,34 +166,6 @@ class SpdMatrix:
         return spd
 
 
-@dataclass(frozen=True)
-class ConeProjection:
-    """Result of projecting onto the polyhedral cone at a simplex point.
-
-    Attributes
-    ----------
-    lambda_hat : ndarray, shape (K,)
-        Nonnegative multipliers; zero on every coordinate where the weight
-        is positive.
-    residual : ndarray, shape (K-1,)
-        Input minus the cone projection, i.e. the polar component in the
-        weighted Moreau decomposition.
-    gradient_image : ndarray, shape (K,)
-        The residual mapped back through ``B2 omega^{-1}``; its sign pattern
-        certifies the KKT conditions and its zeros identify the face hit.
-    zeros : int
-        Number of entries of ``gradient_image`` within the zero threshold.
-    objective : float
-        Squared omega-weighted norm of the residual.
-    """
-
-    lambda_hat: np.ndarray
-    residual: np.ndarray
-    gradient_image: np.ndarray
-    zeros: int
-    objective: float
-
-
 def check_simplex_point(w: Iterable[float], K: Optional[int] = None) -> np.ndarray:
     """Validate that ``w`` lies on the probability simplex and return it.
 
@@ -215,95 +184,51 @@ def check_simplex_point(w: Iterable[float], K: Optional[int] = None) -> np.ndarr
     return arr
 
 
-def project_cone(
-    f_hat: Iterable[float],
-    w: Iterable[float],
-    omega: Union[SpdMatrix, np.ndarray],
-) -> ConeProjection:
-    """Weighted projection of ``f_hat`` onto the cone attached to ``w``.
-
-    The cone is generated by the Helmert basis rows indexed by the vanishing
-    coordinates of ``w``; the projection minimizes
-    ``(f - B2' lam)' omega^{-1} (f - B2' lam)`` over multipliers ``lam >= 0``
-    with ``w' lam = 0``. Because both ``w`` and ``lam`` are nonnegative, the
-    equality constraint pins ``lam`` to zero wherever ``w`` is positive, so
-    only the coordinates where ``w`` vanishes enter the active-set solve.
-    The whitening of ``omega`` turns the problem into an ordinary
-    nonnegative least squares, solved by ``project_cone_batch`` as a stack
-    of one.
-
-    Parameters
-    ----------
-    f_hat : array_like, shape (K-1,)
-        Vector to project, expressed in basis coordinates.
-    w : array_like, shape (K,)
-        Point on the simplex (validated by ``check_simplex_point``).
-    omega : SpdMatrix or array_like, shape (K-1, K-1)
-        Positive definite weighting matrix; an array goes through
-        ``SpdMatrix.from_matrix``.
-
-    Returns
-    -------
-    ConeProjection
-
-    Raises
-    ------
-    ValueError, IllConditionedError
-        When an array ``omega`` fails ``SpdMatrix.from_matrix``.
-    ConvergenceError
-        When the active-set iteration needs more than ``50 * K``
-        least-squares solves.
-    """
-    f = np.asarray(f_hat, dtype=float).ravel()
-    K = f.size + 1
-    wv = check_simplex_point(w, K)
-    if not isinstance(omega, SpdMatrix):
-        omega = SpdMatrix.from_matrix(omega)
-    white = omega.white
-    if white.shape != (K - 1, K - 1):
-        raise ValueError(f"covariance must have shape {(K - 1, K - 1)}, got {white.shape}")
-
-    lam, residual, objective, gradient_image, zeros, over_cap = (
-        column[0] for column in project_cone_batch(f[None], wv[None], white[None])
-    )
-    if over_cap:
-        raise _cap_error(K)
-    for column in (lam, residual, gradient_image):
-        column.setflags(write=False)
-    return ConeProjection(lam, residual, gradient_image, int(zeros), float(objective))
-
-
 def _cap_error(K: int) -> ConvergenceError:
     """The error of a cone projection that exceeds its iteration cap."""
     cap = _MAX_ITER_FACTOR * K
     return ConvergenceError(f"nonnegative least squares exceeded {cap} iterations")
 
 
-def project_cone_batch(
+def project_cone(
     f_hat: np.ndarray,
     w: np.ndarray,
     white: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted cone projections of a stack of ``(f_hat, w, omega)`` triples.
+    """Weighted projections of a stack of gradients onto the cones at a
+    stack of simplex points.
 
-    Row ``i`` solves ``project_cone(f_hat[i], w[i], omega_i)`` given the
-    whitening ``white[i]`` of ``omega_i`` from ``factor_spd``: ``white`` is a
-    stack of ``N`` whitenings, one per row, or one ``(1, d, d)`` whitening
-    shared by all rows, which then whitens the generators once. Inputs are
-    not validated. Whitened, each row is a nonnegative least squares over the
-    Helmert generators on the zero set of ``w[i]``, solved by the active set
-    of Lawson and Hanson (1974, *Solving Least Squares Problems*, ch. 23) in
+    Row ``i`` projects ``f_hat[i]`` onto the cone generated by the Helmert
+    basis rows indexed by the vanishing coordinates of ``w[i]``: it minimizes
+    ``(f - B2' lam)' omega_i^{-1} (f - B2' lam)`` over multipliers
+    ``lam >= 0`` with ``w[i]' lam = 0``. Because both ``w[i]`` and ``lam``
+    are nonnegative, the equality pins ``lam`` to zero wherever ``w[i]`` is
+    positive. Whitened, each row is a nonnegative least squares over the
+    generators on the zero set of ``w[i]``, solved by the active set of
+    Lawson and Hanson (1974, *Solving Least Squares Problems*, ch. 23) in
     lockstep over the rows, as in Bro and De Jong (1997). Each iteration, a
-    row whose last solution was positive adds its generator of largest
-    dual if that exceeds ``1e-11 * max(1, max |dual at lam = 0|)``, and is
-    settled otherwise; a row whose solution was not positive steps back
-    toward its last positive point and drops the generators that reach
-    zero. All unsettled rows then share one batched QR solve.
+    row whose last solution was positive adds its generator of largest dual
+    if that exceeds ``1e-11 * max |dual at lam = 0|``, and is settled
+    otherwise; a row whose solution was not positive steps back toward its
+    last positive point and drops the generators that come within
+    ``1e-12 * max z`` of zero. All unsettled rows then share one batched QR
+    solve. Both tolerances scale with the gradient, so the result does not
+    depend on the units of the outcomes.
 
-    Returns ``(lam, residual, objective, gradient_image, zeros, over_cap)``,
-    row by row the ``ConeProjection`` fields (``lam`` is ``lambda_hat``).
-    ``over_cap`` marks the rows that needed more than ``50 * K``
-    least-squares solves; their other entries are meaningless.
+    ``f_hat`` is ``(N, K-1)`` in basis coordinates and ``w`` is ``(N, K)``.
+    ``factor_spd`` supplies ``white``: the whitening ``W`` (``W omega W' =
+    I``) of each row's covariance, ``(N, K-1, K-1)``, or one shared
+    ``(1, K-1, K-1)`` whitening, which then whitens the generators once.
+    Inputs are not validated: the points must be on the simplex.
+
+    Returns ``(lam, residual, objective, gradient_image, zeros, over_cap)``
+    by row: the multipliers (zero wherever ``w`` is positive); the residual
+    ``f - B2' lam``, the polar part of the weighted Moreau decomposition; its
+    squared omega-weighted norm; its image ``B2 omega^-1 residual``, whose
+    sign pattern certifies the KKT conditions; the count of that image's
+    entries within ``1e-8 * max(max |entry|, max |B2 omega^-1 f|)``, the
+    face hit; and whether the row needed more than ``50 * K`` least-squares
+    solves, in which case its other entries are meaningless.
     """
     f = np.asarray(f_hat, dtype=float)
     n_rows, dim = f.shape
@@ -327,7 +252,7 @@ def project_cone_batch(
             residual = t - (A @ x[:, :, None])[..., 0]
             dual = (residual[:, None, :] @ A)[:, 0]
             if solves == 0:  # the dual at lam = 0 sets the tolerance
-                dual_tol = 1e-11 * np.maximum(1.0, np.abs(dual * allowed).max(axis=1))
+                dual_tol = 1e-11 * np.abs(dual * allowed).max(axis=1)
             dual[~allowed | passive | ~adding[:, None]] = -np.inf
             enter = dual.argmax(axis=1)
             grows = dual.max(axis=1) > dual_tol
@@ -356,7 +281,7 @@ def project_cone_batch(
                 ratio = np.divide(x, x - z, out=np.full_like(x, np.inf), where=movable)
                 step = np.where(movable.any(axis=1), ratio.min(axis=1), 0.0)
                 z = np.where(adding[:, None], z, x + step[:, None] * (z - x))
-                floor = 1e-12 * np.maximum(1.0, z.max(axis=1))
+                floor = 1e-12 * z.max(axis=1)
                 passive &= adding[:, None] | ~(negative & (z <= floor[:, None]))
                 z[~passive] = 0.0
             x = z

@@ -21,14 +21,7 @@ import numpy as np
 
 from .distributions import chi2_quantile, normal_quantile
 from .exceptions import IllConditionedError
-from .geometry import (
-    SpdMatrix,
-    _cap_error,
-    check_simplex_point,
-    factor_spd,
-    project_cone,
-    project_cone_batch,
-)
+from .geometry import _cap_error, check_simplex_point, factor_spd, project_cone
 
 __all__ = [
     "WeightModel",
@@ -95,16 +88,21 @@ class WeightModel:
 
     def evaluate(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Gradients ``F`` (N, K-1) and covariances ``Omega`` (N, K-1, K-1)
-        at the rows of ``points`` (N, K), which are not validated."""
+        at the rows of ``points`` (N, K), which are not validated. A
+        covariance that does not depend on ``w`` (``M[K, K]`` is the only
+        nonzero block) is returned once, as ``M[K, K]`` of shape
+        (1, K-1, K-1), for all rows."""
         N, K = points.shape
         lifted = np.column_stack([points, np.ones(N)])
         blocks = self.M.reshape((K + 1) ** 2, (K - 1) ** 2)
-        # zero blocks add nothing; skipping them keeps the product of a
-        # constant covariance (one block) small enough for a single thread
+        gradients = lifted @ self.G.T
+        if not blocks[:-1].any():
+            return gradients, self.M[K, K][None]
+        # zero blocks add nothing, so only the used products are formed
         used = np.flatnonzero(blocks.any(axis=1))
         a, b = divmod(used, K + 1)
         omegas = (lifted[:, a] * lifted[:, b]) @ blocks[used]
-        return lifted @ self.G.T, omegas.reshape(N, K - 1, K - 1)
+        return gradients, omegas.reshape(N, K - 1, K - 1)
 
 
 @dataclass(frozen=True)
@@ -225,6 +223,26 @@ def simplex_grid(K: int, resolution: int) -> np.ndarray:
     return np.column_stack([counts, rest]) / float(resolution)
 
 
+def _test_rows(
+    model: WeightModel, points: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, Exception]]:
+    """``n`` times the projection objective, the zero count and the error of
+    each row of ``points`` (N, K), which are not validated: the one test
+    behind ``point_test`` and ``confidence_set``. ``errors`` maps each failed
+    row, in order, to its covariance's error, else its iteration cap's; a
+    covariance that does not depend on ``w`` is checked once, and its
+    failure is every row's."""
+    gradients, omegas = model.evaluate(points)
+    _, white, failures = factor_spd(omegas)
+    if failures and len(omegas) < len(points):
+        failures = dict.fromkeys(range(len(points)), failures[0])
+    # a failed row carries an identity whitening, so projecting it is harmless
+    _, _, objective, _, zeros, over_cap = project_cone(gradients, points, white)
+    errors = {i: _cap_error(model.K) for i in np.flatnonzero(over_cap).tolist()}
+    errors.update((i, _covariance_error(points[i], exc)) for i, exc in failures.items())
+    return model.n * objective, zeros, dict(sorted(errors.items()))
+
+
 def point_test(model: WeightModel, w: np.ndarray, alpha: float) -> PointTest:
     """Test whether the candidate weight ``w`` is compatible with the data.
 
@@ -232,8 +250,10 @@ def point_test(model: WeightModel, w: np.ndarray, alpha: float) -> PointTest:
     onto the cone in the inverse-covariance norm, count the zeros of the
     mapped residual, and compare ``n`` times the squared residual norm with
     the chi-square quantile at ``1 - alpha`` whose degrees of freedom are
-    ``max(K - 1 - zeros, 1)``. A covariance at ``w`` that fails
-    ``factor_spd`` raises ``IllConditionedError`` naming ``w``.
+    ``max(K - 1 - zeros, 1)``. This is one row of ``confidence_set``'s
+    sweep. A covariance at ``w`` that fails ``factor_spd`` raises
+    ``IllConditionedError`` naming ``w``, and a projection over its
+    iteration cap raises ``ConvergenceError``.
 
     Parameters
     ----------
@@ -249,26 +269,16 @@ def point_test(model: WeightModel, w: np.ndarray, alpha: float) -> PointTest:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    wv = check_simplex_point(w, model.K)
-    gradients, omegas = model.evaluate(wv[None, :])
-    try:
-        omega = SpdMatrix.from_matrix(omegas[0])
-    except (ValueError, IllConditionedError) as exc:
-        raise _covariance_error(wv, exc) from exc
-    proj = project_cone(gradients[0], wv, omega)
-    statistic = model.n * proj.objective
-    dof = max(model.K - 1 - proj.zeros, 1)
-    critical = chi2_quantile(1.0 - alpha, dof)
-    wv = wv.copy()
+    wv = check_simplex_point(w, model.K).copy()
     wv.setflags(write=False)
-    return PointTest(
-        w=wv,
-        statistic=statistic,
-        zeros=proj.zeros,
-        dof=dof,
-        critical=critical,
-        member=bool(statistic <= critical),
-    )
+    statistic, zeros, errors = _test_rows(model, wv[None, :])
+    if errors:
+        raise errors[0]
+    statistic, zeros = float(statistic[0]), int(zeros[0])
+    dof = max(model.K - 1 - zeros, 1)
+    critical = chi2_quantile(1.0 - alpha, dof)
+    return PointTest(w=wv, statistic=statistic, zeros=zeros, dof=dof, critical=critical,
+                     member=statistic <= critical)
 
 
 def _covariance_error(w: np.ndarray, exc: Exception) -> IllConditionedError:
@@ -285,18 +295,17 @@ def confidence_set(
 ) -> ConfidenceSet:
     """Sweep a simplex lattice and keep the points whose test passes.
 
-    Every point gets ``point_test``'s result, computed for batches of
-    points at once: ``factor_spd`` checks the covariances and whitens them
-    by one eigendecomposition each, and ``project_cone_batch`` projects. A
-    covariance that does not depend on ``w`` (``M[K, K]`` is the only
-    nonzero block of ``model.M``) is checked and whitened once per sweep;
-    its one whitening goes to ``project_cone_batch`` unbroadcast, which
-    whitens the generators with it once per batch instead of once per
-    point. A point whose covariance fails or whose projection goes over its
-    iteration cap is skipped with the error ``point_test`` would raise: it
-    is not a member, the message goes to the set's ``errors``, and a
-    warning is issued; with ``strict=True`` the first one in lattice order
-    raises instead.
+    Every point gets ``point_test``'s result, computed by the same code for
+    batches of 1,024 points at once: ``factor_spd`` checks the covariances
+    and whitens them by one eigendecomposition each, and ``project_cone``
+    projects. A covariance that does not depend on ``w`` (``M[K, K]`` is the
+    only nonzero block of ``model.M``) is checked and whitened once per
+    batch, and ``project_cone`` whitens the generators with it once per
+    batch instead of once per point. A point whose covariance fails or
+    whose projection goes over its iteration cap is skipped with the error
+    ``point_test`` would raise: it is not a member, the message goes to the
+    set's ``errors``, and a warning is issued; with ``strict=True`` the
+    first one in lattice order raises instead.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
@@ -304,24 +313,12 @@ def confidence_set(
     res = resolution if resolution is not None else default_resolution(K)
     grid = simplex_grid(K, res)
     grid.setflags(write=False)
-    fixed = None  # the check of a covariance M[K, K] that does not depend on w
-    if not (model.M[:K].any() or model.M[K, :K].any()):
-        fixed = factor_spd(model.M[K, K][None])
     statistic, zeros = np.empty(len(grid)), np.empty(len(grid), dtype=int)
     errors: Dict[int, Exception] = {}
     for start in range(0, len(grid), _BATCH_POINTS):
-        points = grid[start : start + _BATCH_POINTS]
-        gradients, omegas = model.evaluate(points)
-        _, white, failures = fixed or factor_spd(omegas)
-        if fixed and failures:
-            failures = dict.fromkeys(range(len(points)), failures[0])
-        # a failed row carries an identity whitening, so projecting it is harmless
-        projection = project_cone_batch(gradients, points, white)
-        statistic[start : start + len(points)] = model.n * projection[2]
-        zeros[start : start + len(points)] = projection[4]
-        failed = {i: _cap_error(K) for i in np.flatnonzero(projection[5]).tolist()}
-        failed.update((i, _covariance_error(points[i], exc)) for i, exc in failures.items())
-        errors.update((start + i, exc) for i, exc in sorted(failed.items()))
+        stop = start + _BATCH_POINTS
+        statistic[start:stop], zeros[start:stop], failed = _test_rows(model, grid[start:stop])
+        errors.update((start + i, exc) for i, exc in failed.items())
     for i, exc in errors.items():
         if strict:
             raise exc

@@ -20,11 +20,11 @@ from simplexci.estimators import (
     quadratic_components,
     variance_at,
 )
-from simplexci.geometry import build_basis, project_cone, solve_simplex_qp
+from simplexci.geometry import build_basis, solve_simplex_qp
 from simplexci.inference import WeightModel, confidence_set, point_test, simplex_grid
 from simplexci.montecarlo import McSpec, coverage_experiment, generate_panel
 
-from model_helpers import constant_model
+from model_helpers import constant_model, project_one
 from oracles import cone_projection_enumeration, normal_quantile_erf
 
 
@@ -123,7 +123,7 @@ def test_cone_projection_matches_enumeration_oracle():
         f = 2.0 * rng.standard_normal(K - 1)
         grid = lattices[K]
         w = grid[int(rng.integers(grid.shape[0]))]
-        result = project_cone(f, w, omega)
+        result = project_one(f, w, omega)
         obj, _, _, zeros = cone_projection_enumeration(f, w, omega, build_basis(K))
         worst = max(worst, abs(result.objective - obj))
         zero_mismatches += int(result.zeros != zeros)
@@ -181,8 +181,8 @@ def test_moreau_kkt_and_basis_lemmas():
         bulk = rng.dirichlet(np.ones(K - zeros)) + 0.05
         w[: K - zeros] = bulk / np.sum(bulk)
         rng.shuffle(w)
-        proj = project_cone(f, w, omega)
-        cone_part = b2.T @ proj.lambda_hat
+        proj = project_one(f, w, omega)
+        cone_part = b2.T @ proj.lam
         worst_decomp = max(worst_decomp, float(np.max(np.abs(cone_part + proj.residual - f))))
         cross = cone_part @ np.linalg.solve(omega, proj.residual)
         worst_cross = max(worst_cross, abs(float(cross)))
@@ -190,9 +190,9 @@ def test_moreau_kkt_and_basis_lemmas():
         scale = 1.0 + np.max(np.abs(g))
         vanished = w <= 1e-10
         dual_ok = np.all(g[vanished] <= 1e-9 * scale)
-        stationary_ok = np.all(np.abs(g[proj.lambda_hat > 0.0]) <= 1e-9 * scale)
-        slack_ok = np.all(np.abs(proj.lambda_hat * g) <= 1e-8 * scale)
-        support_ok = np.all(proj.lambda_hat[~vanished] == 0.0)
+        stationary_ok = np.all(np.abs(g[proj.lam > 0.0]) <= 1e-9 * scale)
+        slack_ok = np.all(np.abs(proj.lam * g) <= 1e-8 * scale)
+        support_ok = np.all(proj.lam[~vanished] == 0.0)
         kkt_violations += int(not (dual_ok and stationary_ok and slack_ok and support_ok))
 
     rank_failures = 0

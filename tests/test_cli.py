@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import importlib
 import json
 import math
 import os
@@ -1019,6 +1020,54 @@ def test_row_order_does_not_change_the_output(tmp_path, capsys, command):
         assert outputs[0] == outputs[1]
 
 
+def relabelled(path, tmp_path, label):
+    """A copy of the CSV at ``path`` with every unit label ``u`` replaced by
+    ``label(u)``."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    cells = [row.split(",", 1) for row in rows]
+    copy = tmp_path / "relabelled.csv"
+    copy.write_text(
+        "\n".join([header] + [f"{label(unit)},{rest}" for unit, rest in cells]) + "\n",
+        encoding="utf-8",
+    )
+    return copy
+
+
+@pytest.mark.parametrize("variance", [["--variance", "plugin"], BOOTSTRAP],
+                         ids=["plugin", "bootstrap"])
+@pytest.mark.parametrize("command", ["infer", "project", "bonferroni"])
+def test_prefixed_unit_labels_do_not_change_the_output(tmp_path, capsys, command, variance):
+    path = make_fixture(tmp_path, seed=6, total_T=6)
+    prefixed = relabelled(path, tmp_path, lambda unit: "unit-" + unit)
+    extra = ["--post", "6"] if command == "bonferroni" else []
+    outputs = []
+    for source in (path, prefixed):
+        assert main([command, str(source), "--grid", "4", *variance, *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_reordered_units_within_groups_keep_every_infer_record(tmp_path, capsys):
+    # labels that sort in the reverse order change the order of the units in
+    # each group, so sums run in another order and only T may move, and only
+    # in its last bits
+    inputs = load_bench_module("inputs")
+    workload = load_bench_module("workloads").WORKLOADS["infer-k3"]
+    path = tmp_path / "panel.csv"
+    path.write_bytes(inputs.panel_csv_bytes(workload.panel, seed=1))
+    units = sorted({row.split(",", 1)[0] for row in path.read_text().splitlines()[1:]})
+    reverse = {unit: f"r{len(units) - i:06d}" for i, unit in enumerate(units)}
+    records = []
+    for source in (path, relabelled(path, tmp_path, reverse.get)):
+        assert main(workload.argv(str(source), seed=1)) == 0
+        records.append(json.loads(capsys.readouterr().out)["records"])
+    before, after = records
+    assert len(before) == len(after) == workload.items
+    for a, b in zip(before, after):
+        assert (a["w"], a["d"], a["k"], a["member"]) == (b["w"], b["d"], b["k"], b["member"])
+        assert abs(a["T"] - b["T"]) <= 1e-9 * abs(a["T"]), a["w"]
+
+
 def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["infer"])  # missing input path
@@ -1136,3 +1185,12 @@ def test_runtime_imports_only_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # the benchmark's tracer looks up every name in each module's __all__
+    names = ("", ".cli", ".distributions", ".estimators", ".geometry", ".inference",
+             ".montecarlo")
+    for module in (importlib.import_module("simplexci" + name) for name in names):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)

@@ -8,18 +8,17 @@ import pytest
 from simplexci import geometry, inference
 from simplexci.estimators import QuadraticComponents
 from simplexci.exceptions import ConvergenceError, IllConditionedError
-from simplexci.inference import confidence_set
+from simplexci.inference import confidence_set, point_test
 from simplexci.geometry import (
     SpdMatrix,
     build_basis,
     check_simplex_point,
     factor_spd,
     project_cone,
-    project_cone_batch,
     solve_simplex_qp,
 )
 
-from model_helpers import constant_model
+from model_helpers import constant_model, project_one
 from oracles import cone_projection_enumeration, qp_simplex_enumeration, span_projection_kkt
 
 
@@ -172,29 +171,17 @@ def test_every_path_rejects_a_covariance_alike(case):
     matrix = RULE_CASES[case]
     exc = raised_by(SpdMatrix.from_matrix, matrix)
     f = np.array([0.3, -0.2])
-    for w in ([0.2, 0.3, 0.5], [1.0, 0.0, 0.0]):
-        got = raised_by(project_cone, f, np.array(w), matrix)
-        assert (type(got), str(got)) == (type(exc), str(exc))
     assert list(factor_spd(matrix[None])[2]) == [0]
     model = constant_model(f, matrix, n=100)
+    for w in ([0.2, 0.3, 0.5], [1.0, 0.0, 0.0]):
+        got = raised_by(point_test, model, np.array(w), 0.05)
+        assert isinstance(got, IllConditionedError)
+        assert str(got) == f"covariance matrix at w={w} failed validation: {exc}"
     with pytest.warns(RuntimeWarning):
         cs = confidence_set(model, 0.05, resolution=1)
     assert not cs.member_mask.any()
     assert sorted(cs.errors) == [0, 1, 2]
     assert all(message.endswith(f"failed validation: {exc}") for message in cs.errors.values())
-
-
-def test_project_cone_on_an_array_is_project_cone_on_its_spd_matrix():
-    rng = np.random.default_rng(21)
-    tilt = np.array([[0.0, 1e-12], [-1e-12, 0.0]])
-    for w in ([0.2, 0.3, 0.5], [0.0, 0.4, 0.6], [0.0, 0.0, 1.0]):
-        f = rng.standard_normal(2)
-        omega = random_spd(rng, 2) + tilt
-        plain = project_cone(f, np.array(w), omega)
-        wrapped = project_cone(f, np.array(w), SpdMatrix.from_matrix(omega))
-        for name in ("lambda_hat", "residual", "gradient_image"):
-            assert np.array_equal(getattr(plain, name), getattr(wrapped, name))
-        assert (plain.objective, plain.zeros) == (wrapped.objective, wrapped.zeros)
 
 
 def test_check_simplex_point():
@@ -220,8 +207,8 @@ def test_interior_point_projects_to_the_origin():
     f = rng.standard_normal(2)
     omega = random_spd(rng, 2)
     w = np.array([0.2, 0.3, 0.5])
-    proj = project_cone(f, w, omega)
-    assert np.array_equal(proj.lambda_hat, np.zeros(3))
+    proj = project_one(f, w, omega)
+    assert np.array_equal(proj.lam, np.zeros(3))
     assert np.allclose(proj.residual, f, atol=0.0)
     direct = f @ np.linalg.solve(omega, f)
     assert proj.objective == pytest.approx(direct, rel=1e-12)
@@ -233,9 +220,9 @@ def test_vertex_point_recovers_interior_cone_member():
     b2 = build_basis(3)
     lam = np.array([0.0, 1.0, 1.0])
     f = b2.T @ lam
-    proj = project_cone(f, np.array([1.0, 0.0, 0.0]), np.eye(2))
+    proj = project_one(f, np.array([1.0, 0.0, 0.0]), np.eye(2))
     assert proj.objective <= 1e-20
-    assert np.allclose(proj.lambda_hat, lam, atol=1e-12)
+    assert np.allclose(proj.lam, lam, atol=1e-12)
     assert proj.zeros == 3
 
 
@@ -260,7 +247,7 @@ def test_projection_matches_subset_enumeration():
         f = rng.standard_normal(K - 1)
         omega = random_spd(rng, K - 1)
         w = lattice[K][int(rng.integers(len(lattice[K])))]
-        proj = project_cone(f, w, omega)
+        proj = project_one(f, w, omega)
         obj, lam, resid, zeros = cone_projection_enumeration(f, w, omega, b2)
         assert abs(proj.objective - obj) <= 1e-9, (trial, K)
         assert proj.zeros == zeros, (trial, K)
@@ -287,7 +274,7 @@ def test_batched_projection_steps_back_and_matches_the_oracle(monkeypatch):
         omega = a @ np.swapaxes(a, 1, 2) + 0.05 * np.eye(K - 1)
         f = 3.0 * rng.standard_normal((n, K - 1))
         w = np.eye(K)[rng.integers(0, K, n)]
-        lam, _, objective, _, zeros, over_cap = project_cone_batch(f, w, factor_spd(omega)[1])
+        lam, _, objective, _, zeros, over_cap = project_cone(f, w, factor_spd(omega)[1])
         assert not over_cap.any()
         for i in range(n):
             obj, lam_star, _, zeros_star = cone_projection_enumeration(f[i], w[i], omega[i], b2)
@@ -303,8 +290,8 @@ def test_shared_factor_projects_as_the_factor_broadcast_to_every_row():
     points = inference.simplex_grid(K, 7)  # 786 boundary and 6 interior points
     f = 2.0 * rng.standard_normal((len(points), K - 1))
     white = factor_spd(random_spd(rng, K - 1)[None])[1]
-    shared = project_cone_batch(f, points, white)
-    each = project_cone_batch(f, points, np.broadcast_to(white, (len(points), K - 1, K - 1)))
+    shared = project_cone(f, points, white)
+    each = project_cone(f, points, np.broadcast_to(white, (len(points), K - 1, K - 1)))
     for got, expected in zip(shared, each):
         assert np.array_equal(got, expected)
     # a plug-in stack keeps one whitening per row; a failed row's is the identity
@@ -313,7 +300,7 @@ def test_shared_factor_projects_as_the_factor_broadcast_to_every_row():
     _, whites, failures = factor_spd(omegas)
     assert list(failures) == [5]
     omegas[5] = np.eye(K - 1)
-    lam, _, objective, _, zeros, over_cap = project_cone_batch(f, points, whites)
+    lam, _, objective, _, zeros, over_cap = project_cone(f, points, whites)
     assert not over_cap.any()
     for i in [5, *range(0, len(points), 7)]:
         obj, lam_star, _, zeros_star = cone_projection_enumeration(f[i], points[i], omegas[i], b2)
@@ -330,8 +317,8 @@ def test_moreau_decomposition_and_orthogonality():
         f = 3.0 * rng.standard_normal(K - 1)
         omega = random_spd(rng, K - 1)
         w = random_simplex_point(rng, K, int(rng.integers(1, K)))
-        proj = project_cone(f, w, omega)
-        cone_part = b2.T @ proj.lambda_hat
+        proj = project_one(f, w, omega)
+        cone_part = b2.T @ proj.lam
         polar_part = proj.residual
         # decomposition restores the input
         assert np.allclose(cone_part + polar_part, f, atol=1e-9)
@@ -350,16 +337,16 @@ def test_kkt_certificate_holds():
         f = 2.0 * rng.standard_normal(K - 1)
         omega = random_spd(rng, K - 1)
         w = random_simplex_point(rng, K, int(rng.integers(1, K)))
-        proj = project_cone(f, w, omega)
+        proj = project_one(f, w, omega)
         g = proj.gradient_image
         scale = 1.0 + np.max(np.abs(g))
         vanished = w <= 1e-10
         # dual feasibility on allowed generators, stationarity on active ones
         assert np.all(g[vanished] <= 1e-9 * scale)
-        assert np.all(np.abs(g[proj.lambda_hat > 0.0]) <= 1e-9 * scale)
+        assert np.all(np.abs(g[proj.lam > 0.0]) <= 1e-9 * scale)
         # complementary slackness
-        assert np.all(np.abs(proj.lambda_hat * g) <= 1e-8 * scale)
-        assert np.all(proj.lambda_hat[~vanished] == 0.0)
+        assert np.all(np.abs(proj.lam * g) <= 1e-8 * scale)
+        assert np.all(proj.lam[~vanished] == 0.0)
 
 
 def test_projection_scale_equivariance():
@@ -367,13 +354,13 @@ def test_projection_scale_equivariance():
     f = rng.standard_normal(3)
     omega = random_spd(rng, 3)
     w = np.array([0.7, 0.3, 0.0, 0.0])
-    base = project_cone(f, w, omega)
-    doubled = project_cone(2.0 * f, w, omega)
+    base = project_one(f, w, omega)
+    doubled = project_one(2.0 * f, w, omega)
     assert doubled.objective == pytest.approx(4.0 * base.objective, rel=1e-9)
-    assert np.allclose(doubled.lambda_hat, 2.0 * base.lambda_hat, atol=1e-10)
-    shrunk = project_cone(f, w, 4.0 * omega)
+    assert np.allclose(doubled.lam, 2.0 * base.lam, atol=1e-10)
+    shrunk = project_one(f, w, 4.0 * omega)
     assert shrunk.objective == pytest.approx(0.25 * base.objective, rel=1e-9)
-    assert np.allclose(shrunk.lambda_hat, base.lambda_hat, atol=1e-10)
+    assert np.allclose(shrunk.lam, base.lam, atol=1e-10)
 
 
 def test_residual_equals_projection_on_active_face():
@@ -387,8 +374,8 @@ def test_residual_equals_projection_on_active_face():
         f = 2.0 * rng.standard_normal(3)
         omega = random_spd(rng, 3)
         w = np.array([0.0, 0.0, 0.4, 0.6])
-        proj = project_cone(f, w, omega)
-        active = [j for j in range(4) if proj.lambda_hat[j] > 0.0]
+        proj = project_one(f, w, omega)
+        active = [j for j in range(4) if proj.lam[j] > 0.0]
         if not active:
             continue
         hits += 1
@@ -406,7 +393,7 @@ def test_statistics_are_basis_invariant():
         omega = random_spd(rng, K - 1)
         w = random_simplex_point(rng, K, 1)
         # the same problem in the rotated basis B2 q: f -> q'f, omega -> q' omega q
-        first = project_cone(f, w, omega)
+        first = project_one(f, w, omega)
         objective, _, _, zeros = cone_projection_enumeration(
             q.T @ f, w, q.T @ omega @ q, build_basis(K) @ q
         )
@@ -415,22 +402,22 @@ def test_statistics_are_basis_invariant():
 
 
 def test_projection_honours_iteration_cap(monkeypatch):
-    rng = np.random.default_rng(13)
     b2 = build_basis(3)
     f = b2.T @ np.array([0.0, 1.0, 1.0])
+    vertex = np.array([1.0, 0.0, 0.0])
     monkeypatch.setattr(geometry, "_MAX_ITER_FACTOR", 0)
-    with pytest.raises(ConvergenceError):
-        project_cone(f, np.array([1.0, 0.0, 0.0]), np.eye(2))
+    assert project_one(f, vertex, np.eye(2)).over_cap
+    with pytest.raises(ConvergenceError, match="exceeded 0 iterations"):
+        point_test(constant_model(f, np.eye(2), n=100), vertex, 0.05)
     # an input already in the polar cone needs no pivots and still succeeds
-    easy = project_cone(-f, np.array([1.0, 0.0, 0.0]), np.eye(2))
-    assert easy.objective > 0.0
+    easy = project_one(-f, vertex, np.eye(2))
+    assert not easy.over_cap and easy.objective > 0.0
 
 
 def test_singular_omega_raises():
-    f = np.array([1.0, 1.0])
-    w = np.array([0.2, 0.3, 0.5])
+    model = constant_model(np.array([1.0, 1.0]), np.array([[1.0, 1.0], [1.0, 1.0]]), n=100)
     with pytest.raises(IllConditionedError):
-        project_cone(f, w, np.array([[1.0, 1.0], [1.0, 1.0]]))
+        point_test(model, np.array([0.2, 0.3, 0.5]), 0.05)
 
 
 # ---------------------------------------------------------------------------

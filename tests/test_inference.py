@@ -31,7 +31,7 @@ from simplexci.inference import (
 )
 from simplexci.montecarlo import McSpec, generate_panel
 
-from model_helpers import constant_model
+from model_helpers import constant_model, project_one
 from oracles import chi2_quantile_quadrature, cone_projection_enumeration, simplex_grid_combinations
 
 
@@ -494,6 +494,22 @@ def test_sweep_skips_points_over_the_iteration_cap_with_the_scalar_error(monkeyp
     assert str(exc.value) == next(r.error for r in want if r.error is not None)
 
 
+def test_a_failed_covariance_outranks_the_iteration_cap(monkeypatch):
+    # a failed covariance's row is projected with the identity whitening, and
+    # at the vertex this gradient needs a least-squares solve, over a cap of 0
+    f = build_basis(3).T @ np.array([0.0, 1.0, 1.0])
+    vertex = np.array([1.0, 0.0, 0.0])
+    model = constant_model(f, np.array([[1.0, 2.0], [2.0, 1.0]]), n=100)
+    monkeypatch.setattr(geometry, "_MAX_ITER_FACTOR", 0)
+    assert project_one(f, vertex, np.eye(2)).over_cap
+    with pytest.raises(IllConditionedError, match="not positive definite"):
+        point_test(model, vertex, 0.05)
+    with pytest.warns(RuntimeWarning):
+        cs = confidence_set(model, 0.05, 1)
+    assert len(cs.errors) == 3
+    assert all("failed validation" in message for message in cs.errors.values())
+
+
 def test_batched_sweep_keeps_skip_records_warnings_and_strict_order(monkeypatch):
     model, _ = panel_model(K=3, n_j=40, seed=3)
     monkeypatch.setattr(geometry, "_COND_CAP", 1.9)
@@ -520,7 +536,7 @@ def test_batched_sweep_keeps_skip_records_warnings_and_strict_order(monkeypatch)
     assert f"w={first.w.tolist()}" in first.error
 
 
-def test_constant_covariance_is_checked_once_per_sweep(monkeypatch):
+def test_constant_covariance_is_checked_once_per_batch(monkeypatch):
     stacks = []
 
     def counting_factor_spd(matrices):
@@ -529,11 +545,12 @@ def test_constant_covariance_is_checked_once_per_sweep(monkeypatch):
 
     monkeypatch.setattr(inference, "factor_spd", counting_factor_spd)
     models = sweep_models(4)
-    assert len(confidence_set(models["fixed"], 0.05, 12).grid) == 455
-    assert stacks == [1]
+    # 1,771 points make two batches of at most 1,024
+    assert len(confidence_set(models["fixed"], 0.05, 20).grid) == 1771
+    assert stacks == [1, 1]
     stacks.clear()
-    confidence_set(models["plugin"], 0.05, 12)
-    assert sum(stacks) == 455
+    confidence_set(models["plugin"], 0.05, 20)
+    assert stacks == [1024, 747]
 
 
 def test_fixed_covariance_obeys_the_condition_cap(monkeypatch):
@@ -567,7 +584,7 @@ def rescaled_sweeps(K, resolution, c):
         yield name, before, after
 
 
-SCALES = [-3.0, 0.01, 1e3]
+SCALES = [-3.0, 0.01, 1e3, 1e4, 1e5]
 SCALED_LATTICES = [(3, 20), (4, 10)]
 
 
