@@ -11,88 +11,20 @@ control estimator maps panel data into the framework, and a Monte Carlo
 harness reproduces coverage experiments.
 """
 
-from .distributions import (
-    chi2_cdf,
-    chi2_pdf,
-    chi2_quantile,
-    normal_cdf,
-    normal_pdf,
-    normal_quantile,
-    regularized_gamma_p,
-)
-from .estimators import (
-    InfluenceSet,
-    PanelData,
-    QuadraticComponents,
-    bootstrap_variance,
-    influence_set,
-    make_weight_model,
-    quadratic_components,
-    treatment_functional,
-    variance_at,
-)
-from .exceptions import ConvergenceError, DataError, IllConditionedError
-from .geometry import (
-    SpdMatrix,
-    build_basis,
-    check_simplex_point,
-    project_cone,
-    solve_simplex_qp,
-)
-from .inference import (
-    ConfidenceSet,
-    Interval,
-    PointTest,
-    WeightModel,
-    bonferroni_interval,
-    confidence_set,
-    default_resolution,
-    point_test,
-    projection_interval,
-    simplex_grid,
-)
-from .montecarlo import CoverageReport, McSpec, coverage_experiment, generate_panel
+from . import distributions, estimators, exceptions, geometry, inference, montecarlo
+from .distributions import *  # noqa: F401,F403
+from .estimators import *  # noqa: F401,F403
+from .exceptions import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .inference import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# each module's __all__ is its API; ``cli`` stays out, so importing the
+# package loads no argparse or csv code
 __all__ = [
-    "ConvergenceError",
-    "DataError",
-    "IllConditionedError",
-    "SpdMatrix",
-    "build_basis",
-    "check_simplex_point",
-    "project_cone",
-    "solve_simplex_qp",
-    "regularized_gamma_p",
-    "chi2_cdf",
-    "chi2_pdf",
-    "chi2_quantile",
-    "normal_cdf",
-    "normal_pdf",
-    "normal_quantile",
-    "WeightModel",
-    "PointTest",
-    "ConfidenceSet",
-    "Interval",
-    "default_resolution",
-    "simplex_grid",
-    "point_test",
-    "confidence_set",
-    "projection_interval",
-    "bonferroni_interval",
-    "PanelData",
-    "QuadraticComponents",
-    "InfluenceSet",
-    "quadratic_components",
-    "influence_set",
-    "variance_at",
-    "bootstrap_variance",
-    "treatment_functional",
-    "make_weight_model",
-    "McSpec",
-    "CoverageReport",
-    "generate_panel",
-    "coverage_experiment",
-    "__version__",
-]
+    name
+    for module in (exceptions, geometry, distributions, inference, estimators, montecarlo)
+    for name in module.__all__
+] + ["__version__"]

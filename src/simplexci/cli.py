@@ -43,7 +43,7 @@ from .geometry import solve_simplex_qp
 from .inference import ConfidenceSet, bonferroni_interval, confidence_set, projection_interval
 from .montecarlo import McSpec, coverage_experiment
 
-__all__ = ["RunConfig", "build_parser", "read_panel_csv", "run", "main"]
+__all__ = ["RunConfig", "build_parser", "resolve_config", "read_panel_csv", "run", "main"]
 
 SCHEMA_VERSION = 1
 
@@ -214,22 +214,20 @@ _CONFIG_KEYS = {
 
 
 def _parse_config_file(path: str) -> Dict[str, str]:
+    """The ``key=value`` lines of a config file, read as ``_read_text`` reads
+    a panel CSV, with lines split by universal newlines."""
     values: Dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in _CONFIG_KEYS:
-                    raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = value.strip()
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(io.StringIO(_read_text(path), newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -66,16 +65,17 @@ class PanelData:
 
     Groups must form the contiguous set {0, ..., K} with K >= 1, every group
     needs at least two units, and every unit must be observed at every
-    matching period 1..t_match exactly once. Periods beyond ``t_match`` (for
-    example a post-treatment period) may be present and are ignored by the
-    matching computations.
+    matching period 1..t_match exactly once; ``t_match`` defaults to the
+    last period present. Periods beyond ``t_match`` (for example a
+    post-treatment period) may be present and are ignored by the matching
+    computations.
     """
 
     unit: np.ndarray
     group: np.ndarray
     time: np.ndarray
     outcome: np.ndarray
-    t_match: int
+    t_match: Optional[int] = None
     K: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -93,6 +93,8 @@ class PanelData:
             raise DataError("outcome column has non-finite entries")
         if self.time.min() < 1:
             raise DataError("periods must be integers >= 1")
+        if self.t_match is None:
+            self.t_match = int(self.time.max())
         if self.t_match < 1:
             raise DataError(f"t_match must be at least 1, got {self.t_match}")
         labels = sorted(set(self.group.tolist()))
@@ -129,10 +131,21 @@ class PanelData:
         by_group = np.lexsort((units.astype(str), unit_group))
         rank = np.empty_like(by_group)
         rank[by_group] = np.arange(by_group.size)
-        self._labels = units[by_group]
-        self._unit_groups = unit_group[by_group]
         self._pivot_row = rank[code]
-        self._matched  # build the pivot now so balance errors surface at construction
+        # the pivot of the matching periods: (labels, unit groups, n x T
+        # outcomes); (unit, period) pairs are unique and periods start at 1,
+        # so every cell the window's rows leave unset is a hole
+        T = self.t_match
+        in_window = self.time <= T
+        holes = units.size * int(T) - int(np.count_nonzero(in_window))
+        if holes:
+            raise DataError(
+                f"panel is unbalanced: {holes} missing unit-period cell(s) over "
+                f"matching periods 1..{T}"
+            )
+        matrix = np.empty((units.size, T))
+        matrix[self._pivot_row[in_window], self.time[in_window] - 1] = self.outcome[in_window]
+        self._matched = (units[by_group], unit_group[by_group], matrix)
 
     @classmethod
     def from_long(
@@ -148,33 +161,7 @@ class PanelData:
         When ``t_match`` is omitted, every period present is a matching
         period.
         """
-        time_arr = _integer_column("time", time)
-        if t_match is None:
-            if time_arr.size == 0:
-                raise DataError("panel has no observations")
-            t_match = int(time_arr.max())
-        return cls(unit=unit, group=group, time=time_arr, outcome=outcome, t_match=t_match)
-
-    @cached_property
-    def _matched(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pivot of the matching periods: (labels, unit groups, n x T outcomes).
-
-        Units are ordered by (group, label string), a deterministic order
-        independent of input row order.
-        """
-        T = self.t_match
-        in_window = self.time <= T
-        # (unit, period) pairs are unique and periods start at 1, so every
-        # cell the window's rows leave unset is a hole
-        holes = self._labels.size * int(T) - int(np.count_nonzero(in_window))
-        if holes:
-            raise DataError(
-                f"panel is unbalanced: {holes} missing unit-period cell(s) over "
-                f"matching periods 1..{T}"
-            )
-        matrix = np.empty((self._labels.size, T))
-        matrix[self._pivot_row[in_window], self.time[in_window] - 1] = self.outcome[in_window]
-        return self._labels, self._unit_groups, matrix
+        return cls(unit=unit, group=group, time=time, outcome=outcome, t_match=t_match)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConvergenceError", "DataError", "IllConditionedError"]
+
 
 class DataError(ValueError):
     """Raised when input data fail validation (malformed panel, bad config)."""

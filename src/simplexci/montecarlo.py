@@ -12,7 +12,7 @@ axis, so its results do not depend on the chunk size either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -158,24 +158,9 @@ class CoverageReport:
     empty_rate: Optional[float] = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "K": self.K,
-            "n_j": self.n_j,
-            "t0": self.t0,
-            "design": self.design,
-            "reps": self.reps,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "w0": list(self.w0),
-            "coverage": self.coverage,
-            "failures": self.failures,
-        }
-        if self.resolution is not None:
-            doc["resolution"] = self.resolution
-            doc["projection_coverage"] = list(self.projection_coverage or [])
-            doc["mean_lengths"] = list(self.mean_lengths or [])
-            doc["empty_rate"] = self.empty_rate
-        return doc
+        """The fields as a dict; the projection fields appear only when the
+        sweep ran."""
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
 
 def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageReport:

@@ -1107,6 +1107,30 @@ def test_config_keys_reach_their_run_config_fields(tmp_path, capsys):
     assert "config key 'strict': expected a boolean, got 'maybe'" in capsys.readouterr().err
 
 
+def test_config_file_drops_a_byte_order_mark_and_takes_any_line_end(tmp_path, capsys):
+    parser = build_parser()
+    cfg = tmp_path / "run.cfg"
+    want = RunConfig(command="simulate", alpha=0.2, reps=3)
+    for text in (b"\xef\xbb\xbfalpha=0.2\r\n# note\r\nreps=3\r\n", b"alpha=0.2\rreps=3"):
+        cfg.write_bytes(text)
+        assert resolve_config(parser.parse_args(["simulate", "--config", str(cfg)])) == want
+    cfg.write_bytes(b"\xef\xbb\xbfalpha=0.2\r\n\r\nbogus=1\r\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: unknown config key 'bogus'\n"
+
+
+def test_config_file_errors_name_the_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"alpha=0.2\r\nspec=int\xe9rieur\r\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: row 2: byte 0xe9 is not valid UTF-8 (invalid continuation byte)\n"
+    )
+    missing = tmp_path / "missing.cfg"
+    assert main(["simulate", "--config", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+
 def test_bonferroni_parameter_validation(tmp_path, capsys):
     path = make_fixture(tmp_path, seed=5, total_T=6)
     assert main(["bonferroni", str(path)]) == 1
@@ -1188,9 +1212,23 @@ def test_runtime_imports_only_numpy():
 
 
 def test_every_exported_name_resolves():
-    # the benchmark's tracer looks up every name in each module's __all__
-    names = ("", ".cli", ".distributions", ".estimators", ".geometry", ".inference",
-             ".montecarlo")
+    # the benchmark's tracer looks up every name in each module's __all__, and
+    # that list is the module's one declaration of its public callables
+    names = ("", ".cli", ".distributions", ".estimators", ".exceptions", ".geometry",
+             ".inference", ".montecarlo")
     for module in (importlib.import_module("simplexci" + name) for name in names):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+        unlisted = [
+            name for name, obj in vars(module).items()
+            if not name.startswith("_") and callable(obj)
+            and getattr(obj, "__module__", None) == module.__name__ and name not in module.__all__
+        ]
+        assert not unlisted, (module.__name__, unlisted)
+    package = importlib.import_module("simplexci")
+    assert len(package.__all__) == len(set(package.__all__))
+    assert not set(cli.__all__) & set(package.__all__)
+    code = "import sys, simplexci; print('simplexci.cli' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -60,6 +60,7 @@ def constant_panel(value=2.0, K=3, n_j=3, T=4):
 def test_from_long_defaults_t_match_to_last_period():
     panel = constant_panel(T=6)
     assert panel.t_match == 6
+    assert PanelData(panel.unit, panel.group, panel.time, panel.outcome).t_match == 6
 
 
 def test_panel_rejects_malformed_input():

@@ -129,10 +129,13 @@ def test_mcspec_rejects_a_grid_resolution_below_one():
 
 def test_report_serialization_roundtrip():
     spec = McSpec(K=3, n_j=20, t0=6, reps=4, seed=1, grid_n=10)
-    report = coverage_experiment(spec, projection=True)
-    doc = json.loads(json.dumps(report.to_dict(), sort_keys=True))
-    assert doc == report.to_dict()
-    assert {"coverage", "failures", "projection_coverage", "mean_lengths", "empty_rate"} <= set(doc)
+    keys = ["K", "alpha", "coverage", "design", "failures", "n_j", "reps", "seed", "t0", "w0"]
+    swept = ["empty_rate", "mean_lengths", "projection_coverage", "resolution"]
+    for projection, want in ((False, keys), (True, sorted(keys + swept))):
+        report = coverage_experiment(spec, projection=projection)
+        doc = json.loads(json.dumps(report.to_dict(), sort_keys=True))
+        assert doc == report.to_dict()
+        assert sorted(doc) == want
 
 
 def _record_tests(monkeypatch, module):
