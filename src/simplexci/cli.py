@@ -217,7 +217,7 @@ def _parse_config_file(path: str) -> Dict[str, str]:
     """The ``key=value`` lines of a config file, read as ``_read_text`` reads
     a panel CSV, with lines split by universal newlines."""
     values: Dict[str, str] = {}
-    for lineno, raw in enumerate(io.StringIO(_read_text(path), newline=None), start=1):
+    for lineno, raw in enumerate(io.StringIO(_read_text(path, "{}:{}"), newline=None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -248,8 +248,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command=args.command, input=getattr(args, "input", None), **options)
 
 
-def _read_text(path: str) -> str:
-    """The file's text, decoded once as UTF-8 with any byte-order mark dropped."""
+def _read_text(path: str, where: str = "{}: row {}") -> str:
+    """The file's text, decoded once as UTF-8 with any byte-order mark dropped.
+    A bad byte is placed by ``where.format(path, line)``: a panel CSV names
+    rows, a config file ``PATH:LINE``."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -259,7 +261,7 @@ def _read_text(path: str) -> str:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # bytes.splitlines ends lines as csv does
         raise DataError(
-            f"{path}: row {len(exc.object[: exc.start + 1].splitlines())}: byte "
+            f"{where.format(path, len(exc.object[: exc.start + 1].splitlines()))}: byte "
             f"0x{exc.object[exc.start]:02x} is not valid UTF-8 ({exc.reason})"
         ) from None
 

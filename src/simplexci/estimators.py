@@ -13,6 +13,7 @@ post-period effect intervals.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -320,23 +321,98 @@ def variance_at(influence: InfluenceSet, w) -> np.ndarray:
 
 
 # Bytes of resampled rows ``bootstrap_variance`` gathers at once: it runs as
-# many draws per chunk as fit (at least one), so memory stays flat in draws.
+# many draws per chunk as fit (at least one), so the gathered rows take the
+# same memory whatever the draw count.
 _BOOTSTRAP_CHUNK_BYTES = 1 << 20
 
+# numpy's SeedSequence hash, whose output NEP 19 keeps stable: the constants
+# of the pool hash (A) and of the state hash (B), and the two multipliers
+# that mix one pool word into another
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
-def _bounded_draws(children, bounds: np.ndarray) -> np.ndarray:
-    """``default_rng(child).integers(0, bounds)`` per child, stacked, by numpy's
-    Lemire rule over the 32-bit halves of PCG64's raw words, low half first:
+
+def _hash_constants(init: int, mult: int, skip: int, count: int) -> np.ndarray:
+    """The ``count + 1`` hash constants that follow ``skip`` steps of ``mult`` from ``init``."""
+    constants = []
+    c = init * pow(mult, skip, 2**32) % 2**32
+    for _ in range(count + 1):
+        constants.append(c)
+        c = c * mult % 2**32
+    return np.array(constants, dtype=np.uint32)
+
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    """``x`` xored with its top half shifted down, the last step of each hash."""
+    return x ^ x >> np.uint32(16)
+
+
+def _spawned_states(seed, count: int, words: int = 4) -> np.ndarray:
+    """Row ``d`` is ``SeedSequence(seed).spawn(count)[d].generate_state(words,
+    np.uint64)``, computed for every row at once.
+
+    A child's entropy is the root's, padded to the pool size, followed by
+    its spawn key, so its pool is the root's pool with the hash of that key
+    mixed into each word. The hash constant reached by then depends only on
+    how many 32-bit words the seed has. Every step is a ``uint32`` array
+    operation along the child axis, which wraps as the hash does. ``seed``
+    is validated as ``SeedSequence`` validates it, and must be an integer;
+    ``count`` is at most 2**32, so that each spawn key is one word.
+    """
+    root = np.random.SeedSequence(seed)
+    size = root.pool_size
+    seed_words = max(1, -(-operator.index(root.entropy).bit_length() // 32))
+    # the root's hash took one step per pool word, one per ordered pair of
+    # pool words, and one per pool word for each seed word past the pool
+    a = _hash_constants(_INIT_A, _MULT_A, size * size + size * max(0, seed_words - size), size)
+    keys = np.arange(count, dtype=np.uint32)[:, None]
+    pool = _fold(_MIX_L * root.pool - _MIX_R * _fold((keys ^ a[:-1]) * a[1:]))
+    b = _hash_constants(_INIT_B, _MULT_B, 0, 2 * words)
+    halves = _fold((pool[:, np.arange(2 * words) % size] ^ b[:-1]) * b[1:])
+    # a bit generator reads each row's words from memory, so rows are contiguous
+    return np.ascontiguousarray(halves, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _SubstreamState:
+    """One row of ``_spawned_states``, handed to a numpy bit generator in
+    place of the child ``SeedSequence`` it came from: PCG64 seeds itself
+    from ``generate_state(4, np.uint64)`` and Philox from
+    ``generate_state(2, np.uint64)``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != self.words.size or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                f"substream state holds {self.words.size} uint64 words, "
+                f"asked for {n_words} of {np.dtype(dtype)}"
+            )
+        return self.words
+
+
+np.random.bit_generator.ISeedSequence.register(_SubstreamState)
+
+
+def _bounded_draws(states: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``default_rng(child).integers(0, bounds)`` per row of ``states``
+    (``_spawned_states`` rows of the children), stacked, by numpy's Lemire
+    rule over the 32-bit halves of PCG64's raw words, low half first:
     ``m = half * b`` gives ``m >> 32``, unless ``m % 2**32 < (2**32 - b) % b``
     calls for a redraw, and then that child takes the exact call. The rule
     needs bounds in [2, 2**32); ``PanelData`` groups have at least 2 units."""
     n = bounds.size
-    words = np.stack([np.random.PCG64(child).random_raw((n + 1) // 2) for child in children])
+    words = np.stack(
+        [np.random.PCG64(_SubstreamState(row)).random_raw((n + 1) // 2) for row in states]
+    )
     b = bounds.astype(np.uint64)
     m = words.astype("<u8", copy=False).view("<u4")[:, :n] * b
     draws = (m >> 32).astype(np.int64)
     for i in np.flatnonzero(((m & 0xFFFFFFFF) < (2**32 - b) % b).any(axis=1)).tolist():
-        draws[i] = np.random.default_rng(children[i]).integers(0, bounds)
+        draws[i] = np.random.default_rng(_SubstreamState(states[i])).integers(0, bounds)
     return draws
 
 
@@ -348,13 +424,16 @@ def bootstrap_variance(panel: PanelData, w_hat, n_draws: int, seed: int) -> np.n
     draw, and the second-moment matrix of the scaled deviations from the
     original gradient is returned. Draw ``d`` resamples with the ``d``-th
     substream spawned from ``seed``, one bounded integer per unit, group by
-    group, as numpy's ``integers`` draws them; a chunk computes them from its
-    raw words at once by Lemire's rule. Draws run in chunks of about 1 MiB of
-    resampled rows. A chunk is gathered unit-major, averaged per group and
-    turned into gradients by stacked products, as one array program; its
-    outer products are added to the running sum strictly in draw order. So
-    the result does not depend on the chunk size, and memory does not grow
-    with ``n_draws``.
+    group, as numpy's ``integers`` draws them. The substreams' PCG64 seeding
+    states are computed for all draws at once, from the root's pool by
+    ``SeedSequence``'s hash, and a chunk's indices at once from its raw words
+    by Lemire's rule; ``seed`` is an integer that ``SeedSequence`` accepts.
+    Draws run in chunks of about 1 MiB of resampled rows. A chunk is
+    gathered unit-major, averaged per group and turned into gradients by
+    stacked products, as one array program; its outer products are added to
+    the running sum strictly in draw order. So the result does not depend on
+    the chunk size, and memory grows with ``n_draws`` only by the seeding
+    states: 32 bytes a draw, about 90 while they are computed.
     """
     if not isinstance(n_draws, (int, np.integer)):
         raise ValueError(f"bootstrap draw count must be an integer, got {n_draws!r}")
@@ -370,10 +449,10 @@ def bootstrap_variance(panel: PanelData, w_hat, n_draws: int, seed: int) -> np.n
     bounds = np.repeat(sizes, sizes)
     offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
     chunk = max(1, _BOOTSTRAP_CHUNK_BYTES // (n * T * 8))
-    root = np.random.SeedSequence(seed)
+    states = _spawned_states(seed, n_draws)
     accum = np.zeros((panel.K, panel.K))
     for done in range(0, n_draws, chunk):
-        take = offsets + _bounded_draws(root.spawn(min(chunk, n_draws - done)), bounds)
+        take = offsets + _bounded_draws(states[done:done + chunk], bounds)
         # gathered unit-major, so each group sum runs over draws x periods
         stars = _group_means(np.swapaxes(matrix[take.T], 0, 1), sizes)
         S = stars[:, 1:]

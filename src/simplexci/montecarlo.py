@@ -5,7 +5,9 @@ The data generating process draws a fixed matrix of group-mean paths once
 across replications), sets the treated path to the chosen convex combination
 of untreated paths, and then adds fresh unit-level Gaussian noise in every
 replication. Counter-based generators seeded through spawned substreams make
-each replication reproducible independently of execution order, and
+each replication reproducible independently of execution order (the substreams'
+seeding states are computed for all replications at once, bit for bit those
+of ``SeedSequence.spawn``), and
 ``coverage_experiment`` runs the replications in chunks stacked on a leading
 axis, so its results do not depend on the chunk size either.
 """
@@ -18,7 +20,8 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .estimators import InfluenceSet, PanelData, QuadraticComponents, make_weight_model
-from .estimators import _fixed_arrays, _influence_arrays, _quadratics, variance_at
+from .estimators import _SubstreamState, _fixed_arrays, _influence_arrays, _quadratics
+from .estimators import _spawned_states, variance_at
 from .exceptions import ConvergenceError, IllConditionedError
 from .geometry import check_simplex_point
 from .inference import WeightModel, confidence_set, default_resolution, point_test
@@ -26,7 +29,7 @@ from .inference import projection_interval
 
 __all__ = ["McSpec", "CoverageReport", "generate_panel", "coverage_experiment"]
 
-SeedLike = Union[int, np.random.SeedSequence]
+SeedLike = Union[int, np.random.bit_generator.ISeedSequence]
 
 # Bytes of the largest per-replication array (the pivot or ``psi_H``) held
 # for a chunk; a chunk stacks as many replications as fit, at least one.
@@ -87,12 +90,9 @@ class McSpec:
 
 
 def _rng(seed: SeedLike) -> np.random.Generator:
-    """Counter-based generator from an integer seed or a spawned substream."""
-    if isinstance(seed, np.random.SeedSequence):
-        sequence = seed
-    else:
-        sequence = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(sequence))
+    """Counter-based generator from an integer seed, a ``SeedSequence`` or a
+    substream's seeding state."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _population_means(spec: McSpec, eta_seed: SeedLike) -> np.ndarray:
@@ -176,7 +176,8 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
     model cut from the chunk's arrays. The whole experiment is a
     deterministic function of ``spec``; it does not depend on the chunk size.
     """
-    children = np.random.SeedSequence(spec.seed).spawn(spec.reps + 1)
+    # Philox seeds itself from two uint64 words of each spawned substream
+    children = [_SubstreamState(row) for row in _spawned_states(spec.seed, spec.reps + 1, 2)]
     w0 = spec.w0
     resolution = spec.grid_n if spec.grid_n is not None else default_resolution(spec.K)
     paths = _population_means(spec, children[0])

@@ -1124,7 +1124,7 @@ def test_config_file_errors_name_the_file(tmp_path, capsys):
     cfg.write_bytes(b"alpha=0.2\r\nspec=int\xe9rieur\r\n")
     assert main(["simulate", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {cfg}: row 2: byte 0xe9 is not valid UTF-8 (invalid continuation byte)\n"
+        f"error: {cfg}:2: byte 0xe9 is not valid UTF-8 (invalid continuation byte)\n"
     )
     missing = tmp_path / "missing.cfg"
     assert main(["simulate", "--config", str(missing)]) == 1

@@ -397,6 +397,34 @@ def test_one_bound_per_unit_draws_the_per_group_stream():
         assert np.array_equal(one_call, expected)
 
 
+@pytest.mark.parametrize("count", [1, 2, 1000])
+@pytest.mark.parametrize(
+    "seed",
+    # past 2**128 the seed has more words than the pool, and the hash takes
+    # its extra-entropy steps
+    [0, 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**200 + 3],
+    ids=["0", "1", "2**32", "2**64-1", "2**128-1", "2**128", "2**200+3"],
+)
+def test_spawned_states_are_numpys_spawned_seed_sequences(seed, count):
+    # the bootstrap and the Monte Carlo replications seed their substreams
+    # from these rows; a numpy whose SeedSequence hash or bit-generator
+    # seeding changed must fail here instead of shifting their output
+    children = np.random.SeedSequence(seed).spawn(count)
+    for words in (2, 4):
+        expected = np.stack([child.generate_state(words, np.uint64) for child in children])
+        states = estimators._spawned_states(seed, count, words)
+        assert states.dtype == np.uint64 and states.flags.c_contiguous
+        assert np.array_equal(states, expected)
+    pcg = estimators._spawned_states(seed, count)
+    philox = estimators._spawned_states(seed, count, 2)
+    for i in range(min(count, 3)):
+        for generator, rows in ((np.random.PCG64, pcg), (np.random.Philox, philox)):
+            words = generator(estimators._SubstreamState(rows[i])).random_raw(5)
+            assert np.array_equal(words, generator(children[i]).random_raw(5))
+    with pytest.raises(ValueError, match="holds 4 uint64 words, asked for 4 of uint32"):
+        estimators._SubstreamState(pcg[0]).generate_state(4)
+
+
 @pytest.mark.parametrize(
     "bounds",
     [
@@ -411,6 +439,7 @@ def test_one_bound_per_unit_draws_the_per_group_stream():
 def test_bounded_draws_are_the_array_bound_integers_call(bounds, monkeypatch):
     children = np.random.SeedSequence(29).spawn(64)
     expected = np.stack([np.random.default_rng(child).integers(0, bounds) for child in children])
+    states = estimators._spawned_states(29, 64)
     exact_calls = []
     real = np.random.default_rng
 
@@ -419,7 +448,7 @@ def test_bounded_draws_are_the_array_bound_integers_call(bounds, monkeypatch):
         return real(seed)
 
     monkeypatch.setattr(np.random, "default_rng", counting)
-    draws = estimators._bounded_draws(children, bounds)
+    draws = estimators._bounded_draws(states, bounds)
     assert draws.dtype == expected.dtype
     assert np.array_equal(draws, expected)
     if bounds.min() > 2**31:
@@ -438,6 +467,21 @@ def test_bootstrap_variance_validates_draw_count():
     assert np.array_equal(
         bootstrap_variance(panel, w, n_draws=np.int64(150), seed=0),
         bootstrap_variance(panel, w, n_draws=150, seed=0),
+    )
+
+
+def test_bootstrap_variance_validates_the_seed_as_seed_sequence_does():
+    panel = random_panel(np.random.default_rng(25), n_j=3, T=3)
+    w = np.array([0.4, 0.3, 0.3])
+    for bad, error in ((-1, ValueError), (1.5, TypeError)):
+        with pytest.raises(error) as numpy_error:
+            np.random.SeedSequence(bad)
+        with pytest.raises(error) as ours:
+            bootstrap_variance(panel, w, n_draws=150, seed=bad)
+        assert str(ours.value) == str(numpy_error.value)
+    assert np.array_equal(
+        bootstrap_variance(panel, w, n_draws=150, seed=np.int64(3)),
+        bootstrap_variance(panel, w, n_draws=150, seed=3),
     )
 
 
