@@ -5,11 +5,11 @@ The data generating process draws a fixed matrix of group-mean paths once
 across replications), sets the treated path to the chosen convex combination
 of untreated paths, and then adds fresh unit-level Gaussian noise in every
 replication. Counter-based generators seeded through spawned substreams make
-each replication reproducible independently of execution order (the substreams'
-seeding states are computed for all replications at once, bit for bit those
-of ``SeedSequence.spawn``), and
-``coverage_experiment`` runs the replications in chunks stacked on a leading
-axis, so its results do not depend on the chunk size either.
+each replication reproducible independently of execution order; the
+substreams' seeding states are computed for all replications at once, bit for
+bit those of ``SeedSequence.spawn``. ``coverage_experiment`` runs the
+replications in chunks stacked on a leading axis, so its results do not
+depend on the chunk size either.
 """
 
 from __future__ import annotations

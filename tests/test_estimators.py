@@ -397,7 +397,7 @@ def test_one_bound_per_unit_draws_the_per_group_stream():
         assert np.array_equal(one_call, expected)
 
 
-@pytest.mark.parametrize("count", [1, 2, 1000])
+@pytest.mark.parametrize("count", [1, 2, 1000], ids=["1 child", "2 children", "1000 children"])
 @pytest.mark.parametrize(
     "seed",
     # past 2**128 the seed has more words than the pool, and the hash takes
