@@ -374,13 +374,13 @@ def _spawned_states(seed, count: int, words: int = 4) -> np.ndarray:
     return np.ascontiguousarray(halves, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-class _SubstreamState:
+class _SubstreamState(np.random.bit_generator.ISeedSequence):
     """One row of ``_spawned_states``, handed to a numpy bit generator in
     place of the child ``SeedSequence`` it came from: PCG64 seeds itself
     from ``generate_state(4, np.uint64)`` and Philox from
-    ``generate_state(2, np.uint64)``."""
-
-    __slots__ = ("words",)
+    ``generate_state(2, np.uint64)``. A subclass, not a registered class:
+    registering at import would invalidate the negative ``isinstance``
+    caches of every abstract base class in the process."""
 
     def __init__(self, words: np.ndarray) -> None:
         self.words = words
@@ -392,9 +392,6 @@ class _SubstreamState:
                 f"asked for {n_words} of {np.dtype(dtype)}"
             )
         return self.words
-
-
-np.random.bit_generator.ISeedSequence.register(_SubstreamState)
 
 
 def _bounded_draws(states: np.ndarray, bounds: np.ndarray) -> np.ndarray:

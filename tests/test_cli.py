@@ -1211,6 +1211,18 @@ def test_runtime_imports_only_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_registers_no_abstract_base_class():
+    # a class registered with an abstract base class invalidates the negative
+    # isinstance caches of every abstract base class in the process
+    code = (
+        "import abc, numpy.random; token = abc.get_cache_token(); "
+        "import simplexci, simplexci.cli; print(abc.get_cache_token() == token)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
 def test_every_exported_name_resolves():
     # the benchmark's tracer looks up every name in each module's __all__, and
     # that list is the module's one declaration of its public callables
