@@ -21,6 +21,12 @@ holds: the change wins at least nine tenths of the pairs, and the medians
 differ by more than the parent's interquartile range. It also holds each
 side's git SHA, ``src_sha256``, environment stamps and reference-loop times.
 
+The recorder stops, naming the run, and writes nothing when a run exits
+non-zero, fails the correctness gate or lists problems, when the change
+fails a larger share of a workload's items than the parent, or when the
+runs of one side do not share one ``src_sha256`` (its checkout was edited
+during the recording).
+
 Known traps. ``setup_s`` includes compiling the package when a checkout has
 no ``__pycache__`` and ``PYTHONDONTWRITEBYTECODE`` is set, so give both
 checkouts the same state. The reference loop that scales ``*_norm_s`` has
@@ -37,7 +43,7 @@ import os
 import statistics
 import subprocess
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Extra subprocess time beyond the measured seconds: input generation,
@@ -62,6 +68,10 @@ def metric_specs(root: str) -> List[dict]:
     unscaled = {"name": "wall_s", "unit": "s", "better": "lower"}
     at = next((i + 1 for i, m in enumerate(specs) if m["name"] == "wall_norm_s"), len(specs))
     return specs[:at] + [unscaled] + specs[at:]
+
+
+class RecordError(Exception):
+    """A recording that would misstate its runs."""
 
 
 def read_run(checkout: str, workload: str, seed: int, stdout: str) -> dict:
@@ -90,9 +100,28 @@ def run_side(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
                           timeout=seconds + RUN_GRACE_S)
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n"
-                           f"{proc.stderr}")
+        raise RecordError(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n"
+                          f"{proc.stderr}")
     return read_run(checkout, workload, seed, proc.stdout)
+
+
+def check_pairs(workload: str, pairs: List[dict]) -> None:
+    """Raise ``RecordError`` naming the first run whose output was wrong, or
+    the workload if the change fails a larger share of its items."""
+    for pair in pairs:
+        for side in ("parent", "change"):
+            run, where = pair[side], f"{side} run of {workload} seed {pair['seed']}"
+            if not run["correct"]:
+                raise RecordError(f"{where} failed the correctness gate: {run['problems']}")
+            if run["problems"]:
+                raise RecordError(f"{where} lists problems: {run['problems']}")
+    counts = {side: (sum(p[side]["failed"] for p in pairs), sum(p[side]["attempted"] for p in pairs))
+              for side in ("parent", "change")}
+    (p_failed, p_items), (c_failed, c_items) = counts["parent"], counts["change"]
+    if c_failed * p_items > p_failed * c_items:
+        seeds = [p["seed"] for p in pairs if p["change"]["failed"] > p["parent"]["failed"]]
+        raise RecordError(f"{workload}: the change failed {c_failed} of {c_items} items, the "
+                          f"parent {p_failed} of {p_items} (more on seeds {seeds})")
 
 
 def spread(values: Sequence[float]) -> dict:
@@ -139,6 +168,21 @@ def side_stamp(run: dict) -> dict:
     }
 
 
+def one_source(side: str, runs: Sequence[Tuple[str, int, dict]]) -> dict:
+    """``side_stamp`` of a side's first run, given the side's ``(workload,
+    seed, run)`` triples. Raises ``RecordError`` unless every run has the
+    first one's ``src_sha256``."""
+    first_workload, first_seed, first = runs[0]
+    for workload, seed, run in runs:
+        if run["env"]["src_sha256"] != first["env"]["src_sha256"]:
+            raise RecordError(
+                f"{side} run of {workload} seed {seed} has src_sha256 "
+                f"{run['env']['src_sha256']}, but its run of {first_workload} seed "
+                f"{first_seed} has {first['env']['src_sha256']}: its checkout changed"
+            )
+    return side_stamp(first)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -153,10 +197,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
             workloads = [w["name"] for w in json.load(fh)["workloads"]]
-    parent_root = os.path.abspath(args.parent)
+    try:
+        doc = record(os.path.abspath(args.parent), args, workloads, specs)
+    except RecordError as exc:
+        print(f"bench_record: {exc}", file=sys.stderr)
+        return 1
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
+def record(parent_root: str, args: argparse.Namespace, workloads: List[str],
+           specs: List[dict]) -> dict:
+    """Run every pair and gather the document ``main`` writes."""
     doc = {"label": args.label, "seconds": args.seconds, "seeds": parse_seeds(args.seeds),
            "command": "bench/run.py --workload W --seed S --seconds T --trace 0",
            "workloads": {}}
+    all_pairs = {}
     for workload in workloads:
         pairs = []
         for seed in doc["seeds"]:
@@ -169,6 +229,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"{pair['parent']['metrics']['wall_norm_s']:.4g} s, change "
                   f"{pair['change']['metrics']['wall_norm_s']:.4g} s", flush=True)
             pairs.append(pair)
+        check_pairs(workload, pairs)
+        all_pairs[workload] = pairs
         doc["workloads"][workload] = {
             "metrics": aggregate(pairs, specs),
             "pairs": [{"seed": p["seed"], "first": p["first"],
@@ -177,13 +239,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           for side in ("parent", "change")}}
                       for p in pairs],
         }
-    doc["parent"], doc["change"] = side_stamp(pair["parent"]), side_stamp(pair["change"])
-    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {path}")
-    return 0
+    for side in ("parent", "change"):
+        doc[side] = one_source(side, [(workload, p["seed"], p[side])
+                                      for workload, pairs in all_pairs.items() for p in pairs])
+    return doc
 
 
 if __name__ == "__main__":

@@ -402,9 +402,9 @@ def _bounded_draws(states: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     calls for a redraw, and then that child takes the exact call. The rule
     needs bounds in [2, 2**32); ``PanelData`` groups have at least 2 units."""
     n = bounds.size
-    words = np.stack(
-        [np.random.PCG64(_SubstreamState(row)).random_raw((n + 1) // 2) for row in states]
-    )
+    words = np.empty((len(states), (n + 1) // 2), np.uint64)
+    for i, row in enumerate(states):
+        words[i] = np.random.PCG64(_SubstreamState(row)).random_raw(words.shape[1])
     b = bounds.astype(np.uint64)
     m = words.astype("<u8", copy=False).view("<u4")[:, :n] * b
     draws = (m >> 32).astype(np.int64)
@@ -425,12 +425,15 @@ def bootstrap_variance(panel: PanelData, w_hat, n_draws: int, seed: int) -> np.n
     states are computed for all draws at once, from the root's pool by
     ``SeedSequence``'s hash, and a chunk's indices at once from its raw words
     by Lemire's rule; ``seed`` is an integer that ``SeedSequence`` accepts.
-    Draws run in chunks of about 1 MiB of resampled rows. A chunk is
-    gathered unit-major, averaged per group and turned into gradients by
-    stacked products, as one array program; its outer products are added to
-    the running sum strictly in draw order. So the result does not depend on
-    the chunk size, and memory grows with ``n_draws`` only by the seeding
-    states: 32 bytes a draw, about 90 while they are computed.
+    Draws run in chunks of about 1 MiB of resampled rows. A chunk's rows are
+    gathered by ``np.take``, which copies whole rows in well under the time
+    of fancy indexing, unit-major over several periods and draw-major at one
+    period, so that each group's sum adds in the order of one draw's
+    ``mean(axis=0)``. The chunk is averaged per group and turned into
+    gradients by stacked products, as one array program; its outer products
+    are added to the running sum strictly in draw order. So the result does
+    not depend on the chunk size, and memory grows with ``n_draws`` only by
+    the seeding states: 32 bytes a draw, about 90 while they are computed.
     """
     if not isinstance(n_draws, (int, np.integer)):
         raise ValueError(f"bootstrap draw count must be an integer, got {n_draws!r}")
@@ -450,8 +453,18 @@ def bootstrap_variance(panel: PanelData, w_hat, n_draws: int, seed: int) -> np.n
     accum = np.zeros((panel.K, panel.K))
     for done in range(0, n_draws, chunk):
         take = offsets + _bounded_draws(states[done:done + chunk], bounds)
-        # gathered unit-major, so each group sum runs over draws x periods
-        stars = _group_means(np.swapaxes(matrix[take.T], 0, 1), sizes)
+        # The layout sets the order of each group's sum, which must be that of
+        # one draw's mean(axis=0). Over several periods that mean adds the
+        # group's units one at a time, as a sum over units does in either
+        # layout; unit-major rows are summed several times faster, with the
+        # inner loop over draws x periods. At one period it sums the units
+        # pairwise, as numpy sums contiguous values, so each draw's units must
+        # be contiguous: draw-major rows.
+        if T > 1:
+            rows = np.swapaxes(np.take(matrix, take.T, axis=0), 0, 1)
+        else:
+            rows = np.take(matrix, take, axis=0)
+        stars = _group_means(rows, sizes)
         S = stars[:, 1:]
         # stacked (K, T) @ (T, 1) products sum each inner product as one
         # draw's matrix-vector product does; einsum sums in another order

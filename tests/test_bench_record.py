@@ -88,3 +88,86 @@ def test_one_pair_has_no_spread():
     out = bench_record.aggregate(canned_pairs([0.1], [0.08]), SPECS)["wall_norm_s"]
     assert out["parent"] == {"median": 0.1, "q1": 0.1, "q3": 0.1, "iqr": 0.0}
     assert out["gain"]
+
+
+def gated_pairs(parent_failed, change_failed, attempted=100):
+    run = {"correct": True, "problems": [], "attempted": attempted}
+    return [{"seed": seed, "parent": dict(run, failed=p), "change": dict(run, failed=c)}
+            for seed, (p, c) in enumerate(zip(parent_failed, change_failed), start=1)]
+
+
+def test_runs_that_pass_the_gate_and_fail_no_more_items_are_recorded():
+    bench_record.check_pairs("w", gated_pairs([0, 0, 0], [0, 0, 0]))
+    bench_record.check_pairs("w", gated_pairs([1, 0, 2], [0, 2, 0]))
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_run_with_wrong_output_stops_the_recording(side):
+    pairs = gated_pairs([0, 0, 0], [0, 0, 0])
+    pairs[1][side].update(correct=False, problems=["stdout differs"])
+    with pytest.raises(bench_record.RecordError,
+                       match=f"{side} run of w seed 2 failed the correctness gate"):
+        bench_record.check_pairs("w", pairs)
+    pairs[1][side].update(correct=True)
+    with pytest.raises(bench_record.RecordError, match=f"{side} run of w seed 2 lists problems"):
+        bench_record.check_pairs("w", pairs)
+
+
+def test_a_change_that_fails_a_larger_share_of_items_stops_the_recording():
+    with pytest.raises(bench_record.RecordError,
+                       match=r"w: the change failed 2 of 300 items, the parent 1 of 300 "
+                             r"\(more on seeds \[3\]\)"):
+        bench_record.check_pairs("w", gated_pairs([1, 0, 0], [1, 0, 1]))
+    # a share, not a count: fewer items attempted at the same count fail more
+    pairs = gated_pairs([1, 0], [1, 0])
+    pairs[0]["change"]["attempted"] = 50
+    with pytest.raises(bench_record.RecordError, match="the change failed 1 of 150 items"):
+        bench_record.check_pairs("w", pairs)
+
+
+def test_a_side_is_stamped_only_when_all_its_runs_share_one_source():
+    def run(sha, load):
+        return {"env": {"git": {"sha": "abc", "dirty": False}, "src_sha256": sha,
+                        "loadavg_start": load}}
+
+    same = [("w", 1, run("f00", 1.0)), ("w", 2, run("f00", 2.0)), ("v", 1, run("f00", 3.0))]
+    assert bench_record.one_source("change", same) == {
+        "git": {"sha": "abc", "dirty": False}, "src_sha256": "f00", "env": {"loadavg_start": 1.0}}
+    edited = same[:2] + [("v", 1, run("ba5", 3.0))]
+    with pytest.raises(bench_record.RecordError,
+                       match="change run of v seed 1 has src_sha256 ba5, but its run of w seed 1 "
+                             "has f00"):
+        bench_record.one_source("change", edited)
+
+
+def test_the_recorder_writes_nothing_when_a_check_fails(tmp_path, monkeypatch, capsys):
+    # the recorder's own loop on canned runs, in a checkout at tmp_path
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], "end_to_end": SPECS}), encoding="utf-8")
+    monkeypatch.setattr(bench_record, "ROOT", str(tmp_path))
+    source = {"parent": "f00", "change": "ba5"}
+
+    def canned_run(checkout, workload, seed, seconds):
+        side = "change" if checkout == str(tmp_path) else "parent"
+        return {"correct": True, "attempted": 10, "failed": 0, "problems": [], "ref_s": 0.01,
+                "metrics": {"wall_norm_s": 0.1, "items_per_norm_s": 10.0, "wall_s": 0.1},
+                "env": {"git": {"sha": side}, "src_sha256": source[side]}}
+
+    monkeypatch.setattr(bench_record, "run_side", canned_run)
+    argv = ["--parent", str(tmp_path / "parent"), "--label", "x", "--seeds", "1-3"]
+    assert bench_record.main(argv) == 0
+    doc = json.loads((tmp_path / "BENCH_x.json").read_text(encoding="utf-8"))
+    assert (doc["parent"]["src_sha256"], doc["change"]["src_sha256"]) == ("f00", "ba5")
+    assert doc["workloads"]["w"]["metrics"]["wall_norm_s"]["pairs"] == 3
+    (tmp_path / "BENCH_x.json").unlink()
+
+    def edited_after_seed_1(checkout, workload, seed, seconds):
+        run = canned_run(checkout, workload, seed, seconds)
+        if seed > 1:
+            run["env"]["src_sha256"] += "-edited"
+        return run
+
+    monkeypatch.setattr(bench_record, "run_side", edited_after_seed_1)
+    assert bench_record.main(argv) == 1
+    assert "parent run of w seed 2 has src_sha256 f00-edited" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_x.json").exists()

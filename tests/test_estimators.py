@@ -365,6 +365,19 @@ def test_bootstrap_variance_matches_the_per_group_loop_on_random_shapes(monkeypa
         assert np.array_equal(got, expected), (sizes.tolist(), n_draws)
 
 
+def test_bootstrap_variance_matches_the_per_group_loop_at_the_cli_chunk_shape():
+    # the shape `project --variance bootstrap` runs on a K=6 panel of 100
+    # units per group and 10 periods: 56 chunks of 18 draws, the last of 10
+    rng = np.random.default_rng(26)
+    panel = sized_panel(rng, (100,) * 7, 10)
+    _, groups, matrix = panel._matched
+    per_chunk = estimators._BOOTSTRAP_CHUNK_BYTES // matrix.nbytes
+    assert (per_chunk, -(-1000 // per_chunk), 1000 % per_chunk) == (18, 56, 10)
+    w = rng.dirichlet(np.ones(panel.K))
+    expected = bootstrap_variance_loop(groups, matrix, w, 1000, seed=4)
+    assert np.array_equal(bootstrap_variance(panel, w, 1000, seed=4), expected)
+
+
 def test_bootstrap_memory_does_not_grow_with_draws():
     # chunks of 187 draws on this panel, so 400 draws already fill one
     panel = random_panel(np.random.default_rng(24), K=6, n_j=20, T=5)
