@@ -459,12 +459,12 @@ def bootstrap_variance(panel: PanelData, w_hat, n_draws: int, seed: int) -> np.n
         # layout; unit-major rows are summed several times faster, with the
         # inner loop over draws x periods. At one period it sums the units
         # pairwise, as numpy sums contiguous values, so each draw's units must
-        # be contiguous: draw-major rows.
+        # be contiguous: draw-major rows. No name holds the rows, so they are
+        # freed before the next chunk's are gathered.
         if T > 1:
-            rows = np.swapaxes(np.take(matrix, take.T, axis=0), 0, 1)
+            stars = _group_means(np.swapaxes(np.take(matrix, take.T, axis=0), 0, 1), sizes)
         else:
-            rows = np.take(matrix, take, axis=0)
-        stars = _group_means(rows, sizes)
+            stars = _group_means(np.take(matrix, take, axis=0), sizes)
         S = stars[:, 1:]
         # stacked (K, T) @ (T, 1) products sum each inner product as one
         # draw's matrix-vector product does; einsum sums in another order

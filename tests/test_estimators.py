@@ -396,6 +396,21 @@ def test_bootstrap_memory_does_not_grow_with_draws():
     assert large <= 1.5 * small, (small, large)
 
 
+def test_bootstrap_holds_one_chunk_of_rows_at_a_time():
+    # 18 draws of 56,000 bytes of rows per chunk; a chunk's rows must be
+    # freed before the next chunk's are gathered
+    panel = random_panel(np.random.default_rng(25), K=6, n_j=100, T=10)
+    panel._matched
+    w = np.full(6, 1 / 6)
+    tracemalloc.start()
+    try:
+        bootstrap_variance(panel, w, 100, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * estimators._BOOTSTRAP_CHUNK_BYTES, peak
+
+
 def test_one_bound_per_unit_draws_the_per_group_stream():
     # bootstrap_variance draws every group's units with one call; a numpy
     # whose array-bound integers stop matching one call per group must fail
