@@ -115,9 +115,10 @@ def check_pairs(workload: str, pairs: List[dict]) -> None:
                 raise RecordError(f"{where} failed the correctness gate: {run['problems']}")
             if run["problems"]:
                 raise RecordError(f"{where} lists problems: {run['problems']}")
-    counts = {side: (sum(p[side]["failed"] for p in pairs), sum(p[side]["attempted"] for p in pairs))
-              for side in ("parent", "change")}
-    (p_failed, p_items), (c_failed, c_items) = counts["parent"], counts["change"]
+    (p_failed, p_items), (c_failed, c_items) = (
+        (sum(p[side]["failed"] for p in pairs), sum(p[side]["attempted"] for p in pairs))
+        for side in ("parent", "change")
+    )
     if c_failed * p_items > p_failed * c_items:
         seeds = [p["seed"] for p in pairs if p["change"]["failed"] > p["parent"]["failed"]]
         raise RecordError(f"{workload}: the change failed {c_failed} of {c_items} items, the "
