@@ -68,21 +68,22 @@ class RunConfig:
     out: Optional[str] = None
     fmt: str = "json"
     strict: bool = False
-    K: int = 3
-    n_j: int = 100
-    design: str = "interior"
-    reps: int = 1000
+    K: int = McSpec.K
+    n_j: int = McSpec.n_j
+    design: str = McSpec.design
+    reps: int = McSpec.reps
     projection: bool = False
 
     def validate(self) -> None:
-        if self.command not in ("infer", "project", "bonferroni", "simulate"):
+        if self.command not in _COMMANDS:
             raise DataError(f"unknown command {self.command!r}")
         if not 0.0 < self.alpha < 1.0:
             raise DataError(f"--alpha must lie strictly in (0, 1), got {self.alpha}")
-        if self.fmt not in ("json", "csv"):
-            raise DataError(f"--format must be json or csv, got {self.fmt!r}")
-        if self.variance not in ("plugin", "bootstrap"):
-            raise DataError(f"--variance must be plugin or bootstrap, got {self.variance!r}")
+        for key, field, kind, _, _ in _OPTIONS:
+            if isinstance(kind, tuple) and getattr(self, field) not in kind:
+                raise DataError(
+                    f"--{key} must be {' or '.join(kind)}, got {getattr(self, field)!r}"
+                )
         if self.grid is not None and self.grid < 1:
             raise DataError(f"--grid must be at least 1, got {self.grid}")
         if self.variance == "bootstrap" and self.bootstrap_draws < 100:
@@ -112,6 +113,44 @@ class RunConfig:
                 raise DataError(f"cannot write {self.out}: {exc}")
 
 
+# Each subcommand with its help text; the first three sweep a panel CSV.
+_COMMANDS = {
+    "infer": "test every lattice point and report the records",
+    "project": "per-coordinate interval of the confidence set",
+    "bonferroni": "interval for the post-period treated-minus-synthetic difference",
+    "simulate": "run a coverage experiment",
+}
+_SWEEPS = ("infer", "project", "bonferroni")
+_ALL = tuple(_COMMANDS)
+
+# One row per flag, in --help order: the flag (also its config-file key),
+# the RunConfig field it sets, its value type (a tuple of choices, or bool
+# for a switch), its help text, where {} stands for RunConfig's default,
+# and the commands that take it.
+_OPTIONS = (
+    ("alpha", "alpha", float, "test level (default {})", _ALL),
+    ("grid", "grid", int, "lattice resolution", _ALL),
+    ("out", "out", str, "output path (default stdout)", _ALL),
+    ("format", "fmt", ("json", "csv"), "output format (default {})", _ALL),
+    ("config", "config", str, "key=value config file; flags win", _ALL),
+    ("variance", "variance", ("plugin", "bootstrap"),
+     "covariance mode: per-point plug-in or fixed bootstrap (default {})", _SWEEPS),
+    ("bootstrap-draws", "bootstrap_draws", int, "bootstrap draw count (default {})", _SWEEPS),
+    ("seed", "seed", int, "bootstrap seed (default {})", _SWEEPS),
+    ("strict", "strict", bool,
+     "raise on per-point numerical failures instead of skipping", _SWEEPS),
+    ("kappa", "kappa", float, "weight-set share of the level (default {})", ("bonferroni",)),
+    ("post", "post", int, "post-treatment period", ("bonferroni",)),
+    ("K", "K", int, "number of untreated groups (default {})", ("simulate",)),
+    ("nj", "n_j", int, "units per group (default {})", ("simulate",)),
+    ("spec", "design", ("interior", "boundary"), "true-weight design (default {})", ("simulate",)),
+    ("reps", "reps", int, "replications (default {})", ("simulate",)),
+    ("seed", "seed", int, "experiment seed (default {})", ("simulate",)),
+    ("projection", "projection", bool,
+     "also sweep the lattice for projection intervals", ("simulate",)),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with code 1, reserving 2 for
     numerical failures."""
@@ -124,62 +163,21 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="simplexci", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--alpha", type=float, default=None, help="test level (default 0.05)")
-        p.add_argument("--grid", type=int, default=None, help="lattice resolution")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--format", dest="fmt", choices=("json", "csv"), default=None,
-            help="output format (default json)",
-        )
-        p.add_argument("--config", default=None, help="key=value config file; flags win")
-
-    def add_variance(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--variance", choices=("plugin", "bootstrap"), default=None,
-            help="covariance mode: per-point plug-in or fixed bootstrap (default plugin)",
-        )
-        p.add_argument(
-            "--bootstrap-draws", type=int, default=None,
-            help="bootstrap draw count (default 1000)",
-        )
-        p.add_argument("--seed", type=int, default=None, help="bootstrap seed (default 0)")
-        p.add_argument(
-            "--strict", action="store_true", default=None,
-            help="raise on per-point numerical failures instead of skipping",
-        )
-
-    for name, text in (
-        ("infer", "test every lattice point and report the records"),
-        ("project", "per-coordinate interval of the confidence set"),
-        ("bonferroni", "interval for the post-period treated-minus-synthetic difference"),
-    ):
-        p_sweep = sub.add_parser(name, help=text)
-        p_sweep.add_argument("input", help="panel CSV with columns unit,group,time,outcome")
-        add_common(p_sweep)
-        add_variance(p_sweep)
-    p_bonf = sub.choices["bonferroni"]
-    p_bonf.add_argument("--kappa", type=float, default=None, help="weight-set share of the level (default 0.005)")
-    p_bonf.add_argument("--post", type=int, default=None, help="post-treatment period")
-
-    p_sim = sub.add_parser("simulate", help="run a coverage experiment")
-    add_common(p_sim)
-    p_sim.add_argument("--K", type=int, default=None, help="number of untreated groups (default 3)")
-    p_sim.add_argument(
-        "--nj", dest="n_j", metavar="NJ", type=int, default=None,
-        help="units per group (default 100)",
-    )
-    p_sim.add_argument(
-        "--spec", dest="design", choices=("interior", "boundary"), default=None,
-        help="true-weight design (default interior)",
-    )
-    p_sim.add_argument("--reps", type=int, default=None, help="replications (default 1000)")
-    p_sim.add_argument("--seed", type=int, default=None, help="experiment seed (default 0)")
-    p_sim.add_argument(
-        "--projection", action="store_true", default=None,
-        help="also sweep the lattice for projection intervals",
-    )
+    for name, text in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name in _SWEEPS:
+            p.add_argument("input", help="panel CSV with columns unit,group,time,outcome")
+    for key, field, kind, text, commands in _OPTIONS:
+        default = getattr(RunConfig, field, None)
+        options = {"dest": field, "default": None, "help": text.format(default)}
+        if kind is bool:
+            options["action"] = "store_true"
+        elif isinstance(kind, tuple):
+            options["choices"] = kind
+        else:
+            options.update(type=kind, metavar=key.upper().replace("-", "_"))
+        for name in commands:
+            sub.choices[name].add_argument(f"--{key}", **options)
     return parser
 
 
@@ -193,30 +191,19 @@ def _as_bool(text: str) -> bool:
 
 
 # Config-file keys, each with the RunConfig field (and parser dest) it sets
-# and the parser of its value.
+# and the parser of its value; a choice is checked by RunConfig.validate.
 _CONFIG_KEYS = {
-    "alpha": ("alpha", float),
-    "kappa": ("kappa", float),
-    "grid": ("grid", int),
-    "variance": ("variance", str),
-    "bootstrap-draws": ("bootstrap_draws", int),
-    "seed": ("seed", int),
-    "post": ("post", int),
-    "out": ("out", str),
-    "format": ("fmt", str),
-    "strict": ("strict", _as_bool),
-    "K": ("K", int),
-    "nj": ("n_j", int),
-    "spec": ("design", str),
-    "reps": ("reps", int),
-    "projection": ("projection", _as_bool),
+    key: (field, _as_bool if kind is bool else str if isinstance(kind, tuple) else kind)
+    for key, field, kind, _, _ in _OPTIONS
+    if key != "config"
 }
 
 
-def _parse_config_file(path: str) -> Dict[str, str]:
-    """The ``key=value`` lines of a config file, read as ``_read_text`` reads
-    a panel CSV, with lines split by universal newlines."""
-    values: Dict[str, str] = {}
+def _parse_config_file(path: str) -> Dict[str, object]:
+    """The RunConfig fields that the ``key=value`` lines of a config file
+    set, each value parsed at its line. The file is read as ``_read_text``
+    reads a panel CSV, with lines split by universal newlines."""
+    values: Dict[str, object] = {}
     for lineno, raw in enumerate(io.StringIO(_read_text(path, "{}:{}"), newline=None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -227,25 +214,20 @@ def _parse_config_file(path: str) -> Dict[str, str]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        field, cast = _CONFIG_KEYS[key]
+        try:
+            values[field] = cast(value.strip())
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: config key {key!r}: {exc}") from exc
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge command-line flags over config-file values over ``RunConfig``'s
     defaults."""
-    fromfile = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    options = {}
-    for key, (name, cast) in _CONFIG_KEYS.items():
-        flag = getattr(args, name, None)
-        if flag is not None:
-            options[name] = flag
-        elif key in fromfile:
-            try:
-                options[name] = cast(fromfile[key])
-            except ValueError as exc:
-                raise DataError(f"config key {key!r}: {exc}") from exc
-    return RunConfig(command=args.command, input=getattr(args, "input", None), **options)
+    flags = {name: value for name, value in vars(args).items() if value is not None}
+    path = flags.pop("config", None)
+    return RunConfig(**{**(_parse_config_file(path) if path else {}), **flags})
 
 
 def _read_text(path: str, where: str = "{}: row {}") -> str:
@@ -505,7 +487,7 @@ def _sweep_doc(cfg: RunConfig, cs: ConfidenceSet, w_hat, n: int) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": cfg.command,
-        "alpha": cs.alpha,
+        "alpha": cfg.alpha,
         "resolution": cs.resolution,
         "variance": cfg.variance,
         "n": n,

@@ -190,8 +190,7 @@ class QuadraticComponents:
             raise ValueError(f"H must have shape {(K, K)}, got {H.shape}")
         if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
             raise ValueError("quadratic components have non-finite entries")
-        symmetric_psd(H, "H")
-        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "H", symmetric_psd(H, "H")[0])
         object.__setattr__(self, "h", h)
 
 
@@ -564,6 +563,8 @@ def make_weight_model(
         raise ValueError("need at least two untreated groups for weights on a simplex")
     size = influence.n
     if mode == "pointwise":
+        if v_fixed is not None:
+            raise ValueError("v_fixed is taken only in fixed mode")
         if influence.psi_h.shape[1] != K:
             raise ValueError("influence dimension does not match components")
         b2 = build_basis(K)

@@ -7,6 +7,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -498,6 +499,7 @@ def test_bonferroni_matches_library(tmp_path, capsys):
     assert doc["theta_interval"]["lower"] == want.lower
     assert doc["theta_interval"]["upper"] == want.upper
     assert doc["theta_interval"]["empty"] is want.empty
+    assert doc["alpha"] == 0.05
     assert doc["kappa"] == 0.005
     assert doc["post_period"] == 6
     assert doc["weight_set"]["members"] == int(cs.member_mask.sum())
@@ -1104,7 +1106,43 @@ def test_config_keys_reach_their_run_config_fields(tmp_path, capsys):
     )
     cfg.write_text("strict=maybe\n", encoding="utf-8")
     assert main(["infer", "panel.csv", "--config", str(cfg)]) == 1
-    assert "config key 'strict': expected a boolean, got 'maybe'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:1: config key 'strict': expected a boolean, got 'maybe'\n"
+    )
+    # a malformed value is rejected at its line even where a flag overrides it
+    cfg.write_text("reps=3\nK=three\n", encoding="utf-8")
+    assert main(["simulate", "--K", "3", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:2: config key 'K': ")
+    cfg.write_text("spec=foo\n", encoding="utf-8")
+    assert main(["simulate", "--reps", "1", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: --spec must be interior or boundary, got 'foo'\n"
+
+
+def test_one_option_table_builds_the_parsers_and_the_config_keys():
+    subparsers = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
+    dests, defaults = {}, set()
+    for name, p in subparsers.choices.items():
+        flags = {s: a for a in p._actions for s in a.option_strings if s.startswith("--")}
+        flags.pop("--help")
+        want = [f"--{row[0]}" for row in cli._OPTIONS if name in row[4]]
+        assert sorted(flags) == sorted(want), name
+        for flag, action in flags.items():
+            dests.setdefault(flag[2:], set()).add(action.dest)
+            # a help text that shows a default shows RunConfig's
+            shown = re.search(r"\(default (\S+)\)", action.help or "")
+            if shown and action.dest != "out":
+                assert shown.group(1) == str(getattr(RunConfig(command=name), action.dest))
+                defaults.add(flag)
+    assert set(subparsers.choices) == {"infer", "project", "bonferroni", "simulate"}
+    assert defaults == {
+        "--alpha", "--format", "--variance", "--bootstrap-draws", "--seed", "--kappa",
+        "--K", "--nj", "--spec", "--reps",
+    }
+    dests.pop("config")
+    assert all(len(d) == 1 for d in dests.values())
+    assert {key: field for key, (field, _) in cli._CONFIG_KEYS.items()} == {
+        key: d.pop() for key, d in dests.items()
+    }
 
 
 def test_config_file_drops_a_byte_order_mark_and_takes_any_line_end(tmp_path, capsys):

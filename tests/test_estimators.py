@@ -618,6 +618,8 @@ def test_make_weight_model_argument_validation():
     assert make_weight_model(comps, influence, mode="fixed", v_fixed=np.eye(3)).n == influence.n
     with pytest.raises(ValueError):
         make_weight_model(comps, influence, mode="other")
+    with pytest.raises(ValueError, match="v_fixed"):
+        make_weight_model(comps, influence, v_fixed=np.eye(3))  # v_fixed outside fixed mode
 
 
 def test_influence_set_rejects_uncentered_arrays():
@@ -634,3 +636,8 @@ def test_quadratic_components_validation():
         QuadraticComponents(H=-np.eye(2), h=np.zeros(2))
     with pytest.raises(ValueError):
         QuadraticComponents(H=np.eye(3), h=np.zeros(2))
+    # an asymmetry within tolerance is accepted, and the symmetrized H is stored
+    H = np.array([[2.0, 0.5], [0.5 + 1e-12, 1.0]])
+    stored = QuadraticComponents(H=H, h=np.zeros(2)).H
+    np.testing.assert_array_equal(stored, 0.5 * (H + H.T))
+    np.testing.assert_array_equal(stored, stored.T)
