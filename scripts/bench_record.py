@@ -27,9 +27,12 @@ fails a larger share of a workload's items than the parent, or when the
 runs of one side do not share one ``src_sha256`` (its checkout was edited
 during the recording).
 
-Known traps. ``setup_s`` includes compiling the package when a checkout has
-no ``__pycache__`` and ``PYTHONDONTWRITEBYTECODE`` is set, so give both
-checkouts the same state. The reference loop that scales ``*_norm_s`` has
+Before the first run, ``src/`` of both checkouts is compiled to bytecode,
+because ``setup_s`` would otherwise include compiling the package in a
+checkout without ``__pycache__`` when ``PYTHONDONTWRITEBYTECODE`` is set.
+``src_sha256`` hashes only ``.py`` files, so compiling does not move it.
+
+Known traps. The reference loop that scales ``*_norm_s`` has
 two speed modes, so compare the two sides of a pair, not times across
 sessions. ``peak_rss_mb`` on ``project-k6-boundary`` has two modes about
 1 MB apart.
@@ -38,6 +41,7 @@ sessions. ``peak_rss_mb`` on ``project-k6-boundary`` has two modes about
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import statistics
@@ -103,6 +107,13 @@ def run_side(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         raise RecordError(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n"
                           f"{proc.stderr}")
     return read_run(checkout, workload, seed, proc.stdout)
+
+
+def compile_sources(checkout: str) -> None:
+    """Compile the checkout's ``src/`` to bytecode, so that no run's
+    ``setup_s`` includes compiling it."""
+    if not compileall.compile_dir(os.path.join(checkout, "src"), quiet=1):
+        raise RecordError(f"{checkout}: src/ does not compile")
 
 
 def check_pairs(workload: str, pairs: List[dict]) -> None:
@@ -217,6 +228,8 @@ def record(parent_root: str, args: argparse.Namespace, workloads: List[str],
     doc = {"label": args.label, "seconds": args.seconds, "seeds": parse_seeds(args.seeds),
            "command": "bench/run.py --workload W --seed S --seconds T --trace 0",
            "workloads": {}}
+    for checkout in (parent_root, ROOT):
+        compile_sources(checkout)
     all_pairs = {}
     for workload in workloads:
         pairs = []

@@ -199,9 +199,10 @@ _CONFIG_KEYS = {
 }
 
 
-def _parse_config_file(path: str) -> Dict[str, object]:
+def _parse_config_file(path: str, command: str) -> Dict[str, object]:
     """The RunConfig fields that the ``key=value`` lines of a config file
-    set, each value parsed at its line. The file is read as ``_read_text``
+    set for ``command``, each value parsed at its line; a key of a flag that
+    ``command`` does not take is rejected. The file is read as ``_read_text``
     reads a panel CSV, with lines split by universal newlines."""
     values: Dict[str, object] = {}
     for lineno, raw in enumerate(io.StringIO(_read_text(path, "{}:{}"), newline=None), start=1):
@@ -214,6 +215,8 @@ def _parse_config_file(path: str) -> Dict[str, object]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        if not any(row[0] == key and command in row[4] for row in _OPTIONS):
+            raise DataError(f"{path}:{lineno}: config key {key!r} is not an option of {command}")
         field, cast = _CONFIG_KEYS[key]
         try:
             values[field] = cast(value.strip())
@@ -227,7 +230,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     defaults."""
     flags = {name: value for name, value in vars(args).items() if value is not None}
     path = flags.pop("config", None)
-    return RunConfig(**{**(_parse_config_file(path) if path else {}), **flags})
+    return RunConfig(**{**(_parse_config_file(path, args.command) if path else {}), **flags})
 
 
 def _read_text(path: str, where: str = "{}: row {}") -> str:

@@ -274,24 +274,23 @@ def naive_variance(psi_H, psi_h, w):
 
 
 def bootstrap_variance_loop(groups, matrix, wv, n_draws, seed):
-    """The bootstrap covariance drawn one group at a time.
+    """The bootstrap covariance drawn one draw and one group at a time.
 
-    The former body of ``estimators.bootstrap_variance``, after its checks:
     ``groups`` and ``matrix`` are the matching pivot and ``wv`` a checked
-    simplex point.
+    simplex point. One generator seeded by ``seed`` is read in draw order,
+    one ``random()`` double per unit scaled by its group's size.
     """
     n, T = matrix.shape
     K = int(groups.max())
     means = np.vstack([matrix[groups == j].mean(axis=0) for j in range(K + 1)])
     gradient = (means[1:] @ (means[1:].T @ wv)) / T - means[1:] @ means[0] / T
     rows_by_group = [np.flatnonzero(groups == j) for j in range(K + 1)]
-    children = np.random.SeedSequence(seed).spawn(n_draws)
+    rng = np.random.default_rng(seed)
     accum = np.zeros((K, K))
     star = np.empty_like(means)
-    for child in children:
-        rng = np.random.default_rng(child)
+    for _ in range(n_draws):
         for j, rows in enumerate(rows_by_group):
-            take = rows[rng.integers(0, rows.size, rows.size)]
+            take = rows[(rng.random(rows.size) * rows.size).astype(int)]
             star[j] = matrix[take].mean(axis=0)
         grad_star = (star[1:] @ (star[1:].T @ wv)) / T - star[1:] @ star[0] / T
         delta = grad_star - gradient

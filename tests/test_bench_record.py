@@ -171,3 +171,28 @@ def test_the_recorder_writes_nothing_when_a_check_fails(tmp_path, monkeypatch, c
     assert bench_record.main(argv) == 1
     assert "parent run of w seed 2 has src_sha256 f00-edited" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_x.json").exists()
+
+
+def test_both_checkouts_are_compiled_before_the_first_run(tmp_path, monkeypatch):
+    # setup_s times a fresh import, which must not include compiling src/
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], "end_to_end": SPECS}), encoding="utf-8")
+    monkeypatch.setattr(bench_record, "ROOT", str(tmp_path))
+    sources = {}
+    for checkout in (tmp_path, tmp_path / "parent"):
+        package = checkout / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text("X = 1\n", encoding="utf-8")
+        sources[str(checkout)] = importlib.util.cache_from_source(str(package / "mod.py"))
+    compiled_at_run = []
+
+    def canned_run(checkout, workload, seed, seconds):
+        compiled_at_run.append(os.path.exists(sources[checkout]))
+        return {"correct": True, "attempted": 10, "failed": 0, "problems": [], "ref_s": 0.01,
+                "metrics": {"wall_norm_s": 0.1, "items_per_norm_s": 10.0, "wall_s": 0.1},
+                "env": {"git": {"sha": "abc"}, "src_sha256": "f00"}}
+
+    monkeypatch.setattr(bench_record, "run_side", canned_run)
+    argv = ["--parent", str(tmp_path / "parent"), "--label", "x", "--seeds", "1-2"]
+    assert bench_record.main(argv) == 0
+    assert compiled_at_run == [True] * 4

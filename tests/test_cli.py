@@ -1118,6 +1118,21 @@ def test_config_keys_reach_their_run_config_fields(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --spec must be interior or boundary, got 'foo'\n"
 
 
+def test_a_config_key_must_be_an_option_of_the_command(tmp_path, capsys):
+    path = make_fixture(tmp_path, seed=4)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\nreps=0\n", encoding="utf-8")
+    assert main(["infer", str(path), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:2: config key 'reps' is not an option of infer\n"
+    )
+    cfg.write_text("reps=1\nvariance=bootstrap\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:2: config key 'variance' is not an option of simulate\n"
+    )
+
+
 def test_one_option_table_builds_the_parsers_and_the_config_keys():
     subparsers = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
     dests, defaults = {}, set()

@@ -411,76 +411,30 @@ def test_bootstrap_holds_one_chunk_of_rows_at_a_time():
     assert peak <= 1.5 * estimators._BOOTSTRAP_CHUNK_BYTES, peak
 
 
-def test_one_bound_per_unit_draws_the_per_group_stream():
-    # bootstrap_variance draws every group's units with one call; a numpy
-    # whose array-bound integers stop matching one call per group must fail
-    # here instead of shifting bootstrap output
-    rng = np.random.default_rng(23)
-    for _ in range(60):
-        sizes = rng.integers(2, 3001, int(rng.integers(2, 9))).tolist()
-        seed = np.random.SeedSequence(int(rng.integers(2**32)))
-        one_call = np.random.default_rng(seed).integers(0, np.repeat(sizes, sizes))
-        per_group = np.random.default_rng(seed)
-        expected = np.concatenate([per_group.integers(0, size, size) for size in sizes])
-        assert np.array_equal(one_call, expected)
+def test_a_resample_index_stays_below_its_group_size():
+    # the largest double Generator.random returns, times a group size b below
+    # 2**53, must floor to b - 1: no resample index leaves its group
+    top = np.nextafter(1.0, 0.0)
+    assert top == 1 - 2**-53
+    powers = 2 ** np.arange(1, 53)
+    bounds = np.concatenate([np.arange(2, 1001), powers - 1, powers, powers + 1])
+    assert np.array_equal((top * bounds.astype(float)).astype(np.intp), bounds - 1)
 
 
-@pytest.mark.parametrize("count", [1, 2, 1000], ids=["1 child", "2 children", "1000 children"])
-@pytest.mark.parametrize(
-    "seed",
-    # past 2**128 the seed has more words than the pool, and the hash takes
-    # its extra-entropy steps
-    [0, 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**200 + 3],
-    ids=["0", "1", "2**32", "2**64-1", "2**128-1", "2**128", "2**200+3"],
-)
-def test_spawned_states_are_numpys_spawned_seed_sequences(seed, count):
-    # the bootstrap and the Monte Carlo replications seed their substreams
-    # from these rows; a numpy whose SeedSequence hash or bit-generator
-    # seeding changed must fail here instead of shifting their output
-    children = np.random.SeedSequence(seed).spawn(count)
-    for words in (2, 4):
-        expected = np.stack([child.generate_state(words, np.uint64) for child in children])
-        states = estimators._spawned_states(seed, count, words)
-        assert states.dtype == np.uint64 and states.flags.c_contiguous
-        assert np.array_equal(states, expected)
-    pcg = estimators._spawned_states(seed, count)
-    philox = estimators._spawned_states(seed, count, 2)
-    for i in range(min(count, 3)):
-        for generator, rows in ((np.random.PCG64, pcg), (np.random.Philox, philox)):
-            words = generator(estimators._SubstreamState(rows[i])).random_raw(5)
-            assert np.array_equal(words, generator(children[i]).random_raw(5))
-    with pytest.raises(ValueError, match="holds 4 uint64 words, asked for 4 of uint32"):
-        estimators._SubstreamState(pcg[0]).generate_state(4)
-
-
-@pytest.mark.parametrize(
-    "bounds",
-    [
-        np.random.default_rng(3).integers(2, 12, 40),
-        np.random.default_rng(4).integers(2, 3001, 57),  # odd: one half word unused
-        np.full(9, 2),
-        # (2**32 - b) % b is about 2**30, so about a quarter of the words redraw
-        3 * 2**30 + np.arange(-3, 4),
-    ],
-    ids=["small bounds", "odd unit count", "every bound two", "near 3 * 2**30"],
-)
-def test_bounded_draws_are_the_array_bound_integers_call(bounds, monkeypatch):
-    children = np.random.SeedSequence(29).spawn(64)
-    expected = np.stack([np.random.default_rng(child).integers(0, bounds) for child in children])
-    states = estimators._spawned_states(29, 64)
-    exact_calls = []
-    real = np.random.default_rng
-
-    def counting(seed):
-        exact_calls.append(seed)
-        return real(seed)
-
-    monkeypatch.setattr(np.random, "default_rng", counting)
-    draws = estimators._bounded_draws(states, bounds)
-    assert draws.dtype == expected.dtype
-    assert np.array_equal(draws, expected)
-    if bounds.min() > 2**31:
-        assert exact_calls  # the redrawn children went through the exact call
+def test_bootstrap_variance_keeps_its_committed_values():
+    # dyadic outcomes, groups of four units and two periods keep every sum
+    # exact, so only the resample indices set these values; a numpy whose
+    # Generator.random stream changed must fail here instead of shifting
+    # bootstrap output
+    unit = np.repeat(np.arange(12), 2)
+    group = np.repeat(np.arange(3), 8)
+    time = np.tile([1, 2], 12)
+    outcome = np.arange(24) * 5 % 8 / 8 + group
+    panel = PanelData.from_long(unit, group, time, outcome)
+    v_star = bootstrap_variance(panel, np.array([0.5, 0.5]), n_draws=100, seed=7)
+    expected = ["0x1.3c3d47ae147aep-2", "0x1.60bc7ae147ae1p-2", "0x1.60bc7ae147ae1p-2",
+                "0x1.49cda8f5c28f6p-1"]
+    assert [x.hex() for x in v_star.ravel().tolist()] == expected
 
 
 def test_bootstrap_variance_validates_draw_count():
