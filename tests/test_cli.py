@@ -1133,6 +1133,38 @@ def test_a_config_key_must_be_an_option_of_the_command(tmp_path, capsys):
     )
 
 
+_FOREIGN_KEYS = {
+    "infer": ["kappa=0.5", "post=3", "K=3", "nj=20", "spec=boundary", "reps=0", "projection=yes"],
+    "project": ["kappa=0.5", "post=3", "K=3", "nj=20", "spec=boundary", "reps=0",
+                "projection=yes"],
+    "bonferroni": ["K=3", "nj=20", "spec=boundary", "reps=0", "projection=yes"],
+    "simulate": ["variance=bootstrap", "bootstrap-draws=200", "strict=yes", "kappa=0.5",
+                 "post=3"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [(command, line) for command, lines in _FOREIGN_KEYS.items() for line in lines],
+    ids=[f"{command}-{line.split('=')[0]}" for command, lines in _FOREIGN_KEYS.items()
+         for line in lines],
+)
+def test_a_config_key_of_a_flag_the_command_does_not_take_is_rejected(tmp_path, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha=0.1\n{line}\n", encoding="utf-8")
+    key = line.split("=")[0]
+    with pytest.raises(DataError) as error:
+        cli._parse_config_file(str(cfg), command)
+    assert str(error.value) == f"{cfg}:2: config key {key!r} is not an option of {command}"
+
+
+@pytest.mark.parametrize("command", ["infer", "project", "bonferroni", "simulate"])
+def test_seed_is_a_config_key_of_every_command(tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=5\n", encoding="utf-8")
+    assert cli._parse_config_file(str(cfg), command) == {"seed": 5}
+
+
 def test_one_option_table_builds_the_parsers_and_the_config_keys():
     subparsers = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
     dests, defaults = {}, set()

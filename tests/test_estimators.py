@@ -411,30 +411,61 @@ def test_bootstrap_holds_one_chunk_of_rows_at_a_time():
     assert peak <= 1.5 * estimators._BOOTSTRAP_CHUNK_BYTES, peak
 
 
-def test_a_resample_index_stays_below_its_group_size():
+_POWERS = 2 ** np.arange(1, 53)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        np.arange(2, 1001),
+        _POWERS - 1,
+        _POWERS,
+        _POWERS + 1,
+        # far from any power of two, and the largest size below 2**53
+        np.array([3 * 2**30 - 3, 3 * 2**30, 3 * 2**30 + 3, 2**53 - 1]),
+    ],
+    ids=["2 to 1000", "powers of two minus one", "powers of two", "powers of two plus one",
+         "far from a power of two"],
+)
+def test_a_resample_index_stays_below_its_group_size(bounds):
     # the largest double Generator.random returns, times a group size b below
-    # 2**53, must floor to b - 1: no resample index leaves its group
+    # 2**53, must floor to b - 1, and the smallest, 0, to 0: no resample
+    # index leaves its group
     top = np.nextafter(1.0, 0.0)
     assert top == 1 - 2**-53
-    powers = 2 ** np.arange(1, 53)
-    bounds = np.concatenate([np.arange(2, 1001), powers - 1, powers, powers + 1])
     assert np.array_equal((top * bounds.astype(float)).astype(np.intp), bounds - 1)
+    assert not (0.0 * bounds.astype(float)).astype(np.intp).any()
 
 
-def test_bootstrap_variance_keeps_its_committed_values():
+@pytest.mark.parametrize(
+    "seed, expected",
+    [
+        (7, ["0x1.3c3d47ae147aep-2", "0x1.60bc7ae147ae1p-2", "0x1.49cda8f5c28f6p-1"]),
+        (0, ["0x1.57b099999999ap-2", "0x1.79707ae147ae1p-2", "0x1.60e1800000000p-1"]),
+        (1, ["0x1.616b147ae147bp-2", "0x1.6af90a3d70a3dp-2", "0x1.458aae147ae14p-1"]),
+        (2**32, ["0x1.6f0b1eb851eb8p-2", "0x1.5770e147ae148p-2", "0x1.3298b33333333p-1"]),
+        (2**64 - 1, ["0x1.8ee7666666666p-2", "0x1.a839ae147ae14p-2", "0x1.54ba8f5c28f5cp-1"]),
+        (2**128 - 1, ["0x1.c7e1e147ae148p-2", "0x1.b6eb70a3d70a4p-2", "0x1.694e428f5c28fp-1"]),
+        (2**128, ["0x1.5decb851eb852p-2", "0x1.b5e0147ae147bp-2", "0x1.a86a3851eb852p-1"]),
+        (2**200 + 3, ["0x1.4a89e147ae148p-2", "0x1.70ac3d70a3d71p-2", "0x1.5efa3d70a3d71p-1"]),
+    ],
+    # past 2**128 the seed has more words than SeedSequence's pool
+    ids=["7", "0", "1", "2**32", "2**64-1", "2**128-1", "2**128", "2**200+3"],
+)
+def test_bootstrap_variance_keeps_its_committed_values(seed, expected):
     # dyadic outcomes, groups of four units and two periods keep every sum
     # exact, so only the resample indices set these values; a numpy whose
-    # Generator.random stream changed must fail here instead of shifting
-    # bootstrap output
+    # Generator.random stream or seeding changed must fail here instead of
+    # shifting bootstrap output
     unit = np.repeat(np.arange(12), 2)
     group = np.repeat(np.arange(3), 8)
     time = np.tile([1, 2], 12)
     outcome = np.arange(24) * 5 % 8 / 8 + group
     panel = PanelData.from_long(unit, group, time, outcome)
-    v_star = bootstrap_variance(panel, np.array([0.5, 0.5]), n_draws=100, seed=7)
-    expected = ["0x1.3c3d47ae147aep-2", "0x1.60bc7ae147ae1p-2", "0x1.60bc7ae147ae1p-2",
-                "0x1.49cda8f5c28f6p-1"]
-    assert [x.hex() for x in v_star.ravel().tolist()] == expected
+    v_star = bootstrap_variance(panel, np.array([0.5, 0.5]), n_draws=100, seed=seed)
+    (a, b), (c, d) = v_star.tolist()
+    assert b == c
+    assert [a.hex(), b.hex(), d.hex()] == expected
 
 
 def test_bootstrap_variance_validates_draw_count():
