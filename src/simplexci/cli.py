@@ -75,34 +75,27 @@ class RunConfig:
     projection: bool = False
 
     def validate(self) -> None:
+        """Check every option of the command against its row of ``_OPTIONS``,
+        whether or not the run reads it, then the rules across options."""
+        for key, field, kind, _, commands, least in _OPTIONS:
+            value = getattr(self, field, None)
+            if self.command not in commands or value is None:
+                continue
+            if isinstance(kind, tuple) and value not in kind:
+                raise DataError(f"--{key} must be {' or '.join(kind)}, got {value!r}")
+            if kind is float and not 0.0 < value < 1.0:
+                raise DataError(f"--{key} must lie strictly in (0, 1), got {value}")
+            if least is not None and value < least:
+                raise DataError(f"--{key} must be at least {least}, got {value}")
         if self.command not in _COMMANDS:
             raise DataError(f"unknown command {self.command!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise DataError(f"--alpha must lie strictly in (0, 1), got {self.alpha}")
-        for key, field, kind, _, _ in _OPTIONS:
-            if isinstance(kind, tuple) and getattr(self, field) not in kind:
-                raise DataError(
-                    f"--{key} must be {' or '.join(kind)}, got {getattr(self, field)!r}"
-                )
-        if self.grid is not None and self.grid < 1:
-            raise DataError(f"--grid must be at least 1, got {self.grid}")
-        if self.variance == "bootstrap" and self.bootstrap_draws < 100:
-            raise DataError(
-                f"--bootstrap-draws must be at least 100, got {self.bootstrap_draws}"
-            )
-        if (self.variance == "bootstrap" or self.command == "simulate") and self.seed < 0:
-            raise DataError(f"--seed must be a non-negative integer, got {self.seed}")
         if self.command == "bonferroni":
             if self.post is None:
                 raise DataError("bonferroni requires --post")
-            if self.post < 2:
-                raise DataError(f"--post must be at least 2, got {self.post}")
-            if not 0.0 < self.kappa < self.alpha:
+            if not self.kappa < self.alpha:
                 raise DataError(
                     f"need 0 < kappa < alpha, got kappa={self.kappa}, alpha={self.alpha}"
                 )
-        if self.command == "simulate" and self.reps < 1:
-            raise DataError(f"--reps must be at least 1, got {self.reps}")
         # the two failures of opening --out that show before the file exists,
         # so that they are reported before the computation, with open's text
         if self.out is not None:
@@ -124,30 +117,34 @@ _SWEEPS = ("infer", "project", "bonferroni")
 _ALL = tuple(_COMMANDS)
 
 # One row per flag, in --help order: the flag (also its config-file key),
-# the RunConfig field it sets, its value type (a tuple of choices, or bool
-# for a switch), its help text, where {} stands for RunConfig's default,
-# and the commands that take it.
+# the RunConfig field it sets, its value type (a tuple of choices, bool for
+# a switch, or float for a probability, which lies strictly in (0, 1)), its
+# help text, where {} stands for RunConfig's default, the commands that take
+# it, and the least value of an integer option.
 _OPTIONS = (
-    ("alpha", "alpha", float, "test level (default {})", _ALL),
-    ("grid", "grid", int, "lattice resolution", _ALL),
-    ("out", "out", str, "output path (default stdout)", _ALL),
-    ("format", "fmt", ("json", "csv"), "output format (default {})", _ALL),
-    ("config", "config", str, "key=value config file; flags win", _ALL),
+    ("alpha", "alpha", float, "test level (default {})", _ALL, None),
+    ("grid", "grid", int, "lattice resolution", _ALL, 1),
+    ("out", "out", str, "output path (default stdout)", _ALL, None),
+    ("format", "fmt", ("json", "csv"), "output format (default {})", _ALL, None),
+    ("config", "config", str, "key=value config file; flags win", _ALL, None),
     ("variance", "variance", ("plugin", "bootstrap"),
-     "covariance mode: per-point plug-in or fixed bootstrap (default {})", _SWEEPS),
-    ("bootstrap-draws", "bootstrap_draws", int, "bootstrap draw count (default {})", _SWEEPS),
-    ("seed", "seed", int, "bootstrap seed (default {})", _SWEEPS),
+     "covariance mode: per-point plug-in or fixed bootstrap (default {})", _SWEEPS, None),
+    ("bootstrap-draws", "bootstrap_draws", int, "bootstrap draw count (default {})", _SWEEPS,
+     100),
+    ("seed", "seed", int, "bootstrap seed (default {})", _SWEEPS, 0),
     ("strict", "strict", bool,
-     "raise on per-point numerical failures instead of skipping", _SWEEPS),
-    ("kappa", "kappa", float, "weight-set share of the level (default {})", ("bonferroni",)),
-    ("post", "post", int, "post-treatment period", ("bonferroni",)),
-    ("K", "K", int, "number of untreated groups (default {})", ("simulate",)),
-    ("nj", "n_j", int, "units per group (default {})", ("simulate",)),
-    ("spec", "design", ("interior", "boundary"), "true-weight design (default {})", ("simulate",)),
-    ("reps", "reps", int, "replications (default {})", ("simulate",)),
-    ("seed", "seed", int, "experiment seed (default {})", ("simulate",)),
+     "raise on per-point numerical failures instead of skipping", _SWEEPS, None),
+    ("kappa", "kappa", float, "weight-set share of the level (default {})", ("bonferroni",),
+     None),
+    ("post", "post", int, "post-treatment period", ("bonferroni",), 2),
+    ("K", "K", int, "number of untreated groups (default {})", ("simulate",), 2),
+    ("nj", "n_j", int, "units per group (default {})", ("simulate",), 2),
+    ("spec", "design", ("interior", "boundary"), "true-weight design (default {})",
+     ("simulate",), None),
+    ("reps", "reps", int, "replications (default {})", ("simulate",), 1),
+    ("seed", "seed", int, "experiment seed (default {})", ("simulate",), 0),
     ("projection", "projection", bool,
-     "also sweep the lattice for projection intervals", ("simulate",)),
+     "also sweep the lattice for projection intervals", ("simulate",), None),
 )
 
 
@@ -167,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         if name in _SWEEPS:
             p.add_argument("input", help="panel CSV with columns unit,group,time,outcome")
-    for key, field, kind, text, commands in _OPTIONS:
+    for key, field, kind, text, commands, _ in _OPTIONS:
         default = getattr(RunConfig, field, None)
         options = {"dest": field, "default": None, "help": text.format(default)}
         if kind is bool:
@@ -191,10 +188,10 @@ def _as_bool(text: str) -> bool:
 
 
 # Config-file keys, each with the RunConfig field (and parser dest) it sets
-# and the parser of its value; a choice is checked by RunConfig.validate.
+# and the parser of its value; its range is checked by RunConfig.validate.
 _CONFIG_KEYS = {
     key: (field, _as_bool if kind is bool else str if isinstance(kind, tuple) else kind)
-    for key, field, kind, _, _ in _OPTIONS
+    for key, field, kind, *_ in _OPTIONS
     if key != "config"
 }
 

@@ -318,9 +318,10 @@ def variance_at(influence: InfluenceSet, w) -> np.ndarray:
     return np.swapaxes(per_unit, -1, -2) @ per_unit / influence.n
 
 
-# Bytes of resampled rows ``bootstrap_variance`` gathers at once: it runs as
-# many draws per chunk as fit (at least one), so the gathered rows take the
-# same memory whatever the draw count.
+# Bytes a chunk of ``bootstrap_variance`` holds at once: its gathered rows,
+# ``T`` doubles a unit, and the doubles and indices that pick them, two
+# more. It runs as many draws per chunk as fit (at least one), so a chunk
+# takes the same memory whatever the draw count.
 _BOOTSTRAP_CHUNK_BYTES = 1 << 20
 
 
@@ -336,11 +337,11 @@ def bootstrap_variance(panel: PanelData, w_hat, n_draws: int, seed: int) -> np.n
     of ``b`` units picks its index ``floor(u * b)``. Since ``b`` is below
     2**53, even the largest ``u``, ``1 - 2**-53``, picks ``b - 1``, and each
     index is as likely as the next to within ``b / 2**53``.
-    Draws run in chunks of about 1 MiB of resampled rows. A chunk's rows are
-    gathered by ``np.take``, which copies whole rows in well under the time
-    of fancy indexing, unit-major over several periods and draw-major at one
-    period, so that each group's sum adds in the order of one draw's
-    ``mean(axis=0)``. The chunk is averaged per group and turned into
+    Draws run in chunks of about 1 MiB: the resampled rows and the doubles
+    and indices that pick them. A chunk's rows are gathered by ``np.take``,
+    which copies whole rows in well under the time of fancy indexing,
+    unit-major over several periods and draw-major at one period, so that
+    each group's sum adds in the order of one draw's ``mean(axis=0)``. The chunk is averaged per group and turned into
     gradients by stacked products, as one array program; its outer products
     are added to the running sum strictly in draw order. So the result does
     not depend on the chunk size, and memory does not grow with ``n_draws``.
@@ -358,7 +359,7 @@ def bootstrap_variance(panel: PanelData, w_hat, n_draws: int, seed: int) -> np.n
     rng = np.random.default_rng(seed)
     bounds = np.repeat(sizes, sizes).astype(float)
     offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    chunk = max(1, _BOOTSTRAP_CHUNK_BYTES // (n * T * 8))
+    chunk = max(1, _BOOTSTRAP_CHUNK_BYTES // (n * (T + 2) * 8))
     accum = np.zeros((panel.K, panel.K))
     for done in range(0, n_draws, chunk):
         take = offsets + (rng.random((min(chunk, n_draws - done), n)) * bounds).astype(np.intp)

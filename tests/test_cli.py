@@ -20,6 +20,7 @@ from simplexci.cli import RunConfig, _panel_rows, build_parser, main, read_panel
 from simplexci.exceptions import DataError
 from simplexci.estimators import (
     PanelData,
+    bootstrap_variance,
     influence_set,
     make_weight_model,
     quadratic_components,
@@ -503,6 +504,33 @@ def test_bonferroni_matches_library(tmp_path, capsys):
     assert doc["kappa"] == 0.005
     assert doc["post_period"] == 6
     assert doc["weight_set"]["members"] == int(cs.member_mask.sum())
+
+
+@pytest.mark.parametrize("options", [[], BOOTSTRAP], ids=["plugin", "bootstrap"])
+def test_bonferroni_at_one_matching_period_matches_library(options, tmp_path, capsys):
+    # --post 2 leaves one period to match on, where the bootstrap lays out
+    # its resampled rows draw by draw
+    path = make_fixture(tmp_path, seed=3, total_T=2)
+    assert main(["bonferroni", str(path), "--post", "2", "--grid", "4", *options]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    panel = read_panel_csv(str(path), t_match=1)
+    comps = quadratic_components(panel)
+    infl = influence_set(panel, comps)
+    w_hat = geometry.solve_simplex_qp(comps.H, comps.h)
+    if options:
+        v_star = bootstrap_variance(panel, w_hat, 100, 3)
+        model = make_weight_model(comps, infl, mode="fixed", v_fixed=v_star)
+    else:
+        model = make_weight_model(comps, infl)
+    cs = confidence_set(model, 0.005, 4)
+    theta_hat, v_hat = treatment_functional(panel, 2)
+    want = bonferroni_interval(cs, theta_hat, v_hat, model.n, alpha=0.05, kappa=0.005)
+    assert doc["w_hat"] == w_hat.tolist()
+    assert doc["theta_interval"] == {"lower": want.lower, "upper": want.upper, "empty": False}
+    assert doc["weight_set"]["members"] == int(cs.member_mask.sum()) > 0
+    for item, j in zip(doc["weight_set"]["projection_intervals"], range(model.K)):
+        interval = projection_interval(cs, j)
+        assert (item["lower"], item["upper"]) == (interval.lower, interval.upper)
 
 
 def test_bonferroni_csv_rows_match_the_json_document(tmp_path, capsys):
@@ -1226,6 +1254,47 @@ def test_bonferroni_parameter_validation(tmp_path, capsys):
     assert "kappa" in capsys.readouterr().err
 
 
+_LEAST = [row for row in cli._OPTIONS if row[5] is not None]
+
+
+@pytest.mark.parametrize(
+    "key, field, commands, least",
+    [(row[0], row[1], row[4], row[5]) for row in _LEAST],
+    ids=[f"{row[0]}-" + {cli._ALL: "all", cli._SWEEPS: "sweeps"}.get(row[4], row[4][0])
+         for row in _LEAST],
+)
+def test_an_integer_option_below_its_least_value_is_rejected(
+    key, field, commands, least, tmp_path, capsys
+):
+    # the input does not exist, so each check runs before the file is read
+    missing = str(tmp_path / "missing.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={least - 1}\n", encoding="utf-8")
+    for command in commands:
+        head = [command, missing] if command in cli._SWEEPS else [command]
+        for argv in (head + [f"--{key}", str(least - 1)], head + ["--config", str(cfg)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: --{key} must be at least {least}, got {least - 1}\n"
+            )
+        post = {"post": 2} if command == "bonferroni" else {}
+        RunConfig(command=command, input=missing, **{**post, field: least}).validate()
+
+
+@pytest.mark.parametrize("value", ["0", "1", "nan"])
+@pytest.mark.parametrize("key", ["alpha", "kappa"])
+def test_a_probability_outside_the_open_unit_interval_is_rejected(key, value, tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+    head = ["bonferroni", missing, "--post", "2"]
+    for argv in (head + [f"--{key}", value], head + ["--config", str(cfg)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: --{key} must lie strictly in (0, 1), got {float(value)}\n"
+        )
+
+
 def test_negative_seed_is_a_validation_error(tmp_path, capsys):
     path = make_fixture(tmp_path, seed=5)
     for argv in (
@@ -1233,7 +1302,7 @@ def test_negative_seed_is_a_validation_error(tmp_path, capsys):
         ["simulate", "--K", "3", "--nj", "10", "--reps", "2"],
     ):
         assert main(argv + ["--seed", "-1"]) == 1
-        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert "--seed must be at least 0, got -1" in capsys.readouterr().err
 
 
 def test_degenerate_panel_strict_is_a_numerical_error(tmp_path, capsys):

@@ -365,21 +365,32 @@ def test_bootstrap_variance_matches_the_per_group_loop_on_random_shapes(monkeypa
         assert np.array_equal(got, expected), (sizes.tolist(), n_draws)
 
 
-def test_bootstrap_variance_matches_the_per_group_loop_at_the_cli_chunk_shape():
+def test_bootstrap_variance_matches_the_per_group_loop_at_the_cli_chunk_shape(monkeypatch):
     # the shape `project --variance bootstrap` runs on a K=6 panel of 100
-    # units per group and 10 periods: 56 chunks of 18 draws, the last of 10
+    # units per group and 10 periods: 67 chunks of 15 draws, the last of 10,
+    # as the library's own draws show
     rng = np.random.default_rng(26)
     panel = sized_panel(rng, (100,) * 7, 10)
     _, groups, matrix = panel._matched
-    per_chunk = estimators._BOOTSTRAP_CHUNK_BYTES // matrix.nbytes
-    assert (per_chunk, -(-1000 // per_chunk), 1000 % per_chunk) == (18, 56, 10)
     w = rng.dirichlet(np.ones(panel.K))
     expected = bootstrap_variance_loop(groups, matrix, w, 1000, seed=4)
+    real, chunks = np.random.default_rng, []
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def random(self, size):
+            chunks.append(size)
+            return self.rng.random(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
     assert np.array_equal(bootstrap_variance(panel, w, 1000, seed=4), expected)
+    assert chunks == [(15, 700)] * 66 + [(10, 700)]
 
 
 def test_bootstrap_memory_does_not_grow_with_draws():
-    # chunks of 187 draws on this panel, so 400 draws already fill one
+    # chunks of 133 draws on this panel, so 400 draws already fill one
     panel = random_panel(np.random.default_rng(24), K=6, n_j=20, T=5)
     panel._matched
     w = np.full(6, 1 / 6)
@@ -396,19 +407,21 @@ def test_bootstrap_memory_does_not_grow_with_draws():
     assert large <= 1.5 * small, (small, large)
 
 
-def test_bootstrap_holds_one_chunk_of_rows_at_a_time():
-    # 18 draws of 56,000 bytes of rows per chunk; a chunk's rows must be
-    # freed before the next chunk's are gathered
-    panel = random_panel(np.random.default_rng(25), K=6, n_j=100, T=10)
+@pytest.mark.parametrize("T", [1, 2, 10])
+def test_bootstrap_holds_one_chunk_of_rows_at_a_time(T):
+    # a chunk holds T rows' doubles and two more per unit and draw: 62, 46
+    # and 15 draws here, so 1,000 draws fill many chunks; a chunk's rows
+    # must be freed before the next chunk's are gathered
+    panel = random_panel(np.random.default_rng(25), K=6, n_j=100, T=T)
     panel._matched
     w = np.full(6, 1 / 6)
     tracemalloc.start()
     try:
-        bootstrap_variance(panel, w, 100, seed=2)
+        bootstrap_variance(panel, w, 1000, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * estimators._BOOTSTRAP_CHUNK_BYTES, peak
+    assert peak <= 1.25 * estimators._BOOTSTRAP_CHUNK_BYTES, peak
 
 
 _POWERS = 2 ** np.arange(1, 53)
