@@ -49,7 +49,8 @@ SCHEMA_VERSION = 1
 
 _REQUIRED_COLUMNS = ("unit", "group", "time", "outcome")
 _INT64 = np.iinfo(np.int64)
-_CELL_TYPES = {"unit": object, "group": np.int64, "time": np.int64, "outcome": np.float64}
+_CELL_TYPES = {"group": np.int64, "time": np.int64, "outcome": np.float64}
+_LABEL_WIDTH = 16  # characters of a unit label in the C reader's first read
 
 
 @dataclass
@@ -266,34 +267,46 @@ def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
 
 def _c_reader_columns(text: str):
     """The four columns of a CSV text as read by numpy's C reader
-    (``np.loadtxt``), with unit labels stripped; None if a check fails or
-    that reader refuses a cell. Where it accepts every cell it gives the
-    values of ``_panel_rows``'s conversions, if the text passes three
-    checks: ``str.isascii`` (that reader misreads some non-ASCII digits), no
-    ``"`` (it reads quotes otherwise than ``csv``) and none of
-    ``\\x1c``-``\\x1f`` (it strips them around a number, which ``int`` and
-    ``float`` refuse). The header must be a permutation of the four column
-    names, a label must not be blank and an outcome must be finite."""
-    if not text.isascii() or any(c in text for c in '"\x1c\x1d\x1e\x1f'):
+    (``np.loadtxt``), the unit labels stripped, in a ``U`` array as wide as
+    the longest; None if a check fails or that reader refuses a cell. Where
+    it accepts every cell it gives the values of ``_panel_rows``'s
+    conversions, if the text passes three checks: ``str.isascii`` (that
+    reader misreads some non-ASCII digits), no ``"`` (it reads quotes
+    otherwise than ``csv``) and none of ``\\x00`` (a ``U`` string drops it at
+    its end) or ``\\x1c``-``\\x1f`` (that reader strips them around a number,
+    which ``int`` and ``float`` refuse). The header must be a permutation of
+    the four column names, a label must not be blank and an outcome finite."""
+    if not text.isascii() or any(c in text for c in '"\x00\x1c\x1d\x1e\x1f'):
         return None
-    if "\r" in text:  # far cheaper than the two scans of str.replace
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    header, _, rest = text.partition("\n")
-    header, rest = header.split(","), rest.strip("\n")  # loadtxt warns on no rows
-    if not rest or sorted(header) != sorted(_REQUIRED_COLUMNS):
+    # a text stream over the bytes holds one byte a character, where
+    # io.StringIO holds four; it reads \r\n and \r as \n
+    lines = io.TextIOWrapper(io.BytesIO(text.encode("ascii")), encoding="ascii")
+    header = lines.readline().rstrip("\n").split(",")
+    if sorted(header) != sorted(_REQUIRED_COLUMNS):
         return None
+
+    def read(width):  # the table, with labels cut at ``width`` characters
+        lines.seek(0)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, skiprows=1,
+                          dtype=[(c, _CELL_TYPES.get(c, f"U{width}")) for c in header])
     try:
-        with warnings.catch_warnings():  # older numpy reads int '1.5' as 1, warning
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(io.StringIO(rest), delimiter=",", comments=None, ndmin=1,
-                               dtype=[(c, _CELL_TYPES[c]) for c in header])
-    except (ValueError, DeprecationWarning):
+        with warnings.catch_warnings():  # loadtxt warns on a body without rows, and
+            warnings.simplefilter("error")  # older numpy reads int '1.5' as 1, warning
+            table = read(_LABEL_WIDTH)
+            if np.char.str_len(table["unit"]).max() == _LABEL_WIDTH:  # a label may be cut
+                lines.seek(0)
+                table = read(max(map(len, lines)))
+    except (ValueError, Warning):
         return None
-    units = list(map(str.strip, table["unit"].tolist()))
     groups, times, outcomes = (np.ascontiguousarray(table[c]) for c in _REQUIRED_COLUMNS[1:])
-    if not all(units) or not np.isfinite(outcomes).all():
+    units = table["unit"]
+    units = units.astype(f"U{np.char.str_len(units).max()}")
+    del table
+    units = np.char.strip(units)
+    lengths = np.char.str_len(units)
+    if not lengths.all() or not np.isfinite(outcomes).all():
         return None
-    return units, groups, times, outcomes
+    return units.astype(f"U{lengths.max()}", copy=False), groups, times, outcomes
 
 
 def _integer_cell(path: str, line: int, row: Dict[str, str], column: str) -> int:
@@ -341,6 +354,8 @@ def _panel_rows(path: str, text: str) -> Tuple[List[str], List[int], List[int], 
             unit = row["unit"].strip()
             if not unit:
                 raise DataError(f"{path}: row {line}: empty unit label")
+            if "\x00" in unit:  # numpy's strings drop trailing NULs, merging labels
+                raise DataError(f"{path}: row {line}: unit label {row['unit']!r} holds a NUL")
             group = _integer_cell(path, line, row, "group")
             period = _integer_cell(path, line, row, "time")
             try:

@@ -97,12 +97,11 @@ class PanelData:
             self.t_match = int(self.time.max())
         if self.t_match < 1:
             raise DataError(f"t_match must be at least 1, got {self.t_match}")
-        labels = sorted(set(self.group.tolist()))
-        if labels[0] != 0 or labels != list(range(len(labels))):
-            raise DataError(
-                f"groups must form a contiguous range 0..K, found {labels}"
-            )
-        self.K = len(labels) - 1
+        low, high = int(self.group.min()), int(self.group.max())
+        if not (0 <= low and high < n_obs and np.bincount(self.group).all()):
+            found = sorted(set(self.group.tolist()))
+            raise DataError(f"groups must form a contiguous range 0..K, found {found}")
+        self.K = high
         if self.K < 1:
             raise DataError("need at least one untreated group besides group 0")
         units, first, code = np.unique(self.unit, return_index=True, return_inverse=True)
@@ -112,7 +111,7 @@ class PanelData:
         if repeat.any():
             i = int(order[1:][repeat].min())
             raise DataError(
-                f"duplicate observation for unit {self.unit.tolist()[i]!r} "
+                f"duplicate observation for unit {self.unit.item(i)!r} "
                 f"at period {self.time[i]}"
             )
         # one group per unit: the group of its first row
@@ -121,7 +120,7 @@ class PanelData:
         if split.size:
             i = split[0]
             raise DataError(
-                f"unit {self.unit.tolist()[i]!r} appears in groups "
+                f"unit {self.unit.item(i)!r} appears in groups "
                 f"{unit_group[code[i]]} and {self.group[i]}"
             )
         for g, c in enumerate(np.bincount(unit_group, minlength=self.K + 1).tolist()):

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -669,6 +670,9 @@ MALFORMED = [
      "{path}: row 12: group 'x' is not an integer"),
     ("byte-order mark", "\ufeff" + HEADER + GOOD + "e,1,1,zz\n",
      "{path}: row 10: outcome 'zz' is not a number"),
+    # a numpy string drops trailing NULs, which would merge 'c\x00' into 'c'
+    ("NUL in a unit label", HEADER + GOOD.replace("c,1,1,", "c\x00,1,1,"),
+     "{path}: row 6: unit label 'c\\x00' holds a NUL"),
 ]
 
 
@@ -731,6 +735,49 @@ def test_benchmark_csv_takes_the_c_reader(tmp_path, monkeypatch, name):
     want = PanelData.from_long(*panel_rows(path), t_match=t_match)
     monkeypatch.setattr(cli, "_panel_rows", refuse_row_loop)
     assert_same_panel(read_panel_csv(str(path), t_match=t_match), want)
+
+
+# four unit labels each, of groups 0, 0, 1 and 1: labels at and around the
+# first width the C reader reads them at, padded, and with equal prefixes
+LABEL_CASES = {
+    "15 to 40 characters": ["x" * 15, "x" * 16, "x" * 17, "x" * 40],
+    "cut at 16 characters": ["p" * 16 + "b", "p" * 16 + "a", "p" * 16, "p" * 17],
+    "padded": [" a", "b\t", "\x0bc\x0c", " \t\x0b\x0cd \x0c"],
+    "padded past 16 characters": [" " * 14 + "ab", "cd" + "\t" * 20, "\x0b" * 16 + "a", "b"],
+    "equal prefixes": ["unit10", "unit1", "unit1000", "unit100"],
+    "mixed lengths": ["q", "a" * 30, "zz", "m" * 16],
+}
+
+
+@pytest.mark.parametrize("case", list(LABEL_CASES))
+def test_c_reader_labels_give_the_row_loop_panel(tmp_path, monkeypatch, case):
+    path = tmp_path / "panel.csv"
+    labels = LABEL_CASES[case]
+    path.write_text(HEADER + "".join(
+        f"{u},{g},{t},{g + t}.5\n" for u, g in zip(labels, (0, 0, 1, 1)) for t in (1, 2)
+    ), encoding="utf-8")
+    want = row_loop_panel(path)
+    monkeypatch.setattr(cli, "_panel_rows", refuse_row_loop)
+    got = read_panel_csv(str(path))
+    assert_same_panel(got, want)  # the pivot's unit order included
+    assert got.unit.tolist() == want.unit.tolist() == [u.strip() for u in labels for _ in "12"]
+    assert got.unit.dtype == np.dtype(f"U{max(len(u.strip()) for u in labels)}")
+
+
+def test_c_reader_peak_memory_is_a_few_times_the_file(tmp_path):
+    # the C reader holds the body once as ASCII bytes, not as an io.StringIO
+    # of four bytes a character, and the labels as one narrow string array
+    spec = load_bench_module("inputs").PanelSpec(K=3, units_per_group=500, periods=11,
+                                                 resolution=20)
+    path = tmp_path / "panel.csv"
+    path.write_bytes(load_bench_module("inputs").panel_csv_bytes(spec, seed=1))
+    tracemalloc.start()
+    try:
+        read_panel_csv(str(path), t_match=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * path.stat().st_size, peak / path.stat().st_size
 
 
 def test_padded_and_quoted_csv_reads_as_the_plain_one(tmp_path):
@@ -951,7 +998,7 @@ def test_c_reader_that_warns_is_refused(tmp_path, monkeypatch, capsys):
 def test_c_reader_gives_the_bits_of_int_and_float(tmp_path, monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    ascii_text = "".join(c for c in map(chr, range(128)) if c not in ',"\r\n\x1c\x1d\x1e\x1f')
+    ascii_text = "".join(c for c in map(chr, range(128)) if c not in ',"\r\n\x00\x1c\x1d\x1e\x1f')
     label = st.text(ascii_text, max_size=6)
     pad = st.sampled_from(["", " ", "  ", "\t"])
     integer = st.tuples(pad, st.sampled_from(["", "+", "-"]), st.sampled_from(["", "0", "00"]),
@@ -982,7 +1029,7 @@ def test_c_reader_gives_the_bits_of_int_and_float(tmp_path, monkeypatch):
         path.write_bytes((names + head_end + lines).encode("ascii"))
         want = panel_columns_csv_reader(path)
         got = read_panel_csv(str(path))
-        assert got[0] == want[0]
+        assert got[0].dtype.kind == "U" and got[0].tolist() == want[0]
         for a, b in zip(got[1:], want[1:]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
