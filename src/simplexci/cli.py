@@ -285,24 +285,25 @@ def _c_reader_columns(text: str):
     if sorted(header) != sorted(_REQUIRED_COLUMNS):
         return None
 
-    def read(width):  # the table, with labels cut at ``width`` characters
+    def read(dtype, usecols=None):
         lines.seek(0)
         return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, skiprows=1,
-                          dtype=[(c, _CELL_TYPES.get(c, f"U{width}")) for c in header])
+                          usecols=usecols, dtype=dtype)
+
     try:
         with warnings.catch_warnings():  # loadtxt warns on a body without rows, and
             warnings.simplefilter("error")  # older numpy reads int '1.5' as 1, warning
-            table = read(_LABEL_WIDTH)
-            if np.char.str_len(table["unit"]).max() == _LABEL_WIDTH:  # a label may be cut
-                lines.seek(0)
-                table = read(max(map(len, lines)))
+            table = read([(c, _CELL_TYPES.get(c, f"U{_LABEL_WIDTH}")) for c in header])
+            groups, times, outcomes = (
+                np.ascontiguousarray(table[c]) for c in _REQUIRED_COLUMNS[1:])
+            units = table["unit"]
+            del table
+            if np.char.str_len(units).max() == _LABEL_WIDTH:  # a label may be cut, so
+                del units  # read that column again, as wide as its longest label
+                units = read("U", header.index("unit"))
     except (ValueError, Warning):
         return None
-    groups, times, outcomes = (np.ascontiguousarray(table[c]) for c in _REQUIRED_COLUMNS[1:])
-    units = table["unit"]
-    units = units.astype(f"U{np.char.str_len(units).max()}")
-    del table
-    units = np.char.strip(units)
+    units = np.char.strip(units.astype(f"U{np.char.str_len(units).max()}", copy=False))
     lengths = np.char.str_len(units)
     if not lengths.all() or not np.isfinite(outcomes).all():
         return None
