@@ -303,7 +303,8 @@ def _c_reader_columns(text: str):
                 units = read("U", header.index("unit"))
     except (ValueError, Warning):
         return None
-    units = np.char.strip(units.astype(f"U{np.char.str_len(units).max()}", copy=False))
+    units = units.astype(f"U{np.char.str_len(units).max()}", copy=False)  # frees the table
+    units = np.char.strip(units)
     lengths = np.char.str_len(units)
     if not lengths.all() or not np.isfinite(outcomes).all():
         return None

@@ -97,11 +97,10 @@ class PanelData:
             self.t_match = int(self.time.max())
         if self.t_match < 1:
             raise DataError(f"t_match must be at least 1, got {self.t_match}")
-        low, high = int(self.group.min()), int(self.group.max())
-        if not (0 <= low and high < n_obs and np.bincount(self.group).all()):
+        self.K = int(self.group.max())
+        if not (0 <= self.group.min() and self.K < n_obs and np.bincount(self.group).all()):
             found = sorted(set(self.group.tolist()))
             raise DataError(f"groups must form a contiguous range 0..K, found {found}")
-        self.K = high
         if self.K < 1:
             raise DataError("need at least one untreated group besides group 0")
         units, first, code = np.unique(self.unit, return_index=True, return_inverse=True)
