@@ -50,7 +50,6 @@ SCHEMA_VERSION = 1
 _REQUIRED_COLUMNS = ("unit", "group", "time", "outcome")
 _INT64 = np.iinfo(np.int64)
 _CELL_TYPES = {"group": np.int64, "time": np.int64, "outcome": np.float64}
-_LABEL_WIDTH = 16  # characters of a unit label in the C reader's first read
 
 
 @dataclass
@@ -272,40 +271,40 @@ def _c_reader_columns(text: str):
     it accepts every cell it gives the values of ``_panel_rows``'s
     conversions, if the text passes three checks: ``str.isascii`` (that
     reader misreads some non-ASCII digits), no ``"`` (it reads quotes
-    otherwise than ``csv``) and none of ``\\x00`` (a ``U`` string drops it at
-    its end) or ``\\x1c``-``\\x1f`` (that reader strips them around a number,
-    which ``int`` and ``float`` refuse). The header must be a permutation of
-    the four column names, a label must not be blank and an outcome finite."""
+    otherwise than ``csv``) and none of ``\\x00`` (the row loop refuses it) or
+    ``\\x1c``-``\\x1f`` (that reader strips them around a number, which ``int``
+    and ``float`` refuse). The header must be a permutation of the four column
+    names, a label must not be blank and an outcome finite."""
     if not text.isascii() or any(c in text for c in '"\x00\x1c\x1d\x1e\x1f'):
         return None
-    # a text stream over the bytes holds one byte a character, where
-    # io.StringIO holds four; it reads \r\n and \r as \n
-    lines = io.TextIOWrapper(io.BytesIO(text.encode("ascii")), encoding="ascii")
+    data = text.encode("ascii")
+    # a stream of one byte a character, where io.StringIO holds four; \r\n, \r read as \n
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
     header = lines.readline().rstrip("\n").split(",")
     if sorted(header) != sorted(_REQUIRED_COLUMNS):
         return None
-
-    def read(dtype, usecols=None):
-        lines.seek(0)
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, skiprows=1,
-                          usecols=usecols, dtype=dtype)
-
+    # that reader cuts a label longer than its column, so that is as wide as field k
+    # at its widest; a line not of four fields may make it wider, never narrower
+    buf, k = np.frombuffer(data, np.uint8), header.index("unit")
+    ends = np.append(np.flatnonzero((buf == 10) | (buf == 13)), buf.size)  # \r\n ends twice
+    commas = np.append(np.flatnonzero(buf == 44), [buf.size] * 4)  # every line has a comma k
+    starts = np.append(0, ends[:-1] + 1)
+    nth = np.searchsorted(commas, starts) + k  # comma k of each line, if it has k
+    starts = commas[nth - 1] + 1 if k else starts  # the comma before field k, or the start
+    width = int((np.minimum(commas[nth], ends) - starts).max())  # 4 at least: "unit"
+    del buf, ends, commas, starts, nth
     try:
         with warnings.catch_warnings():  # loadtxt warns on a body without rows, and
             warnings.simplefilter("error")  # older numpy reads int '1.5' as 1, warning
-            table = read([(c, _CELL_TYPES.get(c, f"U{_LABEL_WIDTH}")) for c in header])
-            groups, times, outcomes = (
-                np.ascontiguousarray(table[c]) for c in _REQUIRED_COLUMNS[1:])
-            units = table["unit"]
-            del table
-            if np.char.str_len(units).max() == _LABEL_WIDTH:  # a label may be cut, so
-                del units  # read that column again, as wide as its longest label
-                units = read("U", header.index("unit"))
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                               dtype=[(c, _CELL_TYPES.get(c, f"U{width}")) for c in header])
     except (ValueError, Warning):
         return None
-    units = units.astype(f"U{np.char.str_len(units).max()}", copy=False)  # frees the table
-    units = np.char.strip(units)
-    lengths = np.char.str_len(units)
+    groups, times, outcomes, units = (table[c].copy() for c in _REQUIRED_COLUMNS[1:] + ("unit",))
+    del table
+    if np.isin(units[:, None].view(np.uint32), (9, 11, 12, 32)).any():  # \t \v \f space
+        units = np.char.strip(units)  # a label holding whitespace may be padded
+    lengths = np.count_nonzero(units[:, None].view(np.uint32), axis=1)
     if not lengths.all() or not np.isfinite(outcomes).all():
         return None
     return units.astype(f"U{lengths.max()}", copy=False), groups, times, outcomes
@@ -326,9 +325,12 @@ def _integer_cell(path: str, line: int, row: Dict[str, str], column: str) -> int
 def _panel_rows(path: str, text: str) -> Tuple[List[str], List[int], List[int], List[float]]:
     """Read the CSV ``text`` of the file at ``path`` one row at a time with
     ``csv`` and Python ``int`` and ``float``, and raise the message for the
-    first malformed row. ``read_panel_csv`` runs this on every text the C
-    reader does not take, so every message comes from here. A field may
-    hold at most csv's limit of 131,072 characters."""
+    first NUL character, else the first malformed row. ``read_panel_csv`` runs
+    this on every text the C reader does not take, so every message comes
+    from here. A field may hold at most csv's limit of 131,072 characters."""
+    if "\x00" in text:  # a numpy string drops a trailing NUL; csv refused it before 3.11
+        line = len(io.StringIO(text[: text.index("\x00") + 1], newline="").readlines())
+        raise DataError(f"{path}: row {line}: holds a NUL character (0x00)")
     rows: List[Tuple[str, int, int, float]] = []
     reader = csv.DictReader(io.StringIO(text, newline=""))
     try:
@@ -356,8 +358,6 @@ def _panel_rows(path: str, text: str) -> Tuple[List[str], List[int], List[int], 
             unit = row["unit"].strip()
             if not unit:
                 raise DataError(f"{path}: row {line}: empty unit label")
-            if "\x00" in unit:  # numpy's strings drop trailing NULs, merging labels
-                raise DataError(f"{path}: row {line}: unit label {row['unit']!r} holds a NUL")
             group = _integer_cell(path, line, row, "group")
             period = _integer_cell(path, line, row, "time")
             try:
