@@ -288,11 +288,10 @@ def _c_reader_columns(text: str):
     buf, k = np.frombuffer(data, np.uint8), header.index("unit")
     ends = np.append(np.flatnonzero((buf == 10) | (buf == 13)), buf.size)  # \r\n ends twice
     commas = np.append(np.flatnonzero(buf == 44), [buf.size] * 4)  # every line has a comma k
-    starts = np.append(0, ends[:-1] + 1)
-    nth = np.searchsorted(commas, starts) + k  # comma k of each line, if it has k
-    starts = commas[nth - 1] + 1 if k else starts  # the comma before field k, or the start
-    width = int((np.minimum(commas[nth], ends) - starts).max())  # 4 at least: "unit"
-    del buf, ends, commas, starts, nth
+    before = np.append(-1, ends[:-1])  # where the line before each line ends
+    nth = np.searchsorted(commas, before) + k  # comma k of each line, if it has k
+    width = int((np.minimum(commas[nth], ends) - (commas[nth - 1] if k else before)).max()) - 1
+    del buf, ends, commas, before, nth, data  # the stream keeps the bytes
     try:
         with warnings.catch_warnings():  # loadtxt warns on a body without rows, and
             warnings.simplefilter("error")  # older numpy reads int '1.5' as 1, warning
@@ -300,14 +299,15 @@ def _c_reader_columns(text: str):
                                dtype=[(c, _CELL_TYPES.get(c, f"U{width}")) for c in header])
     except (ValueError, Warning):
         return None
+    del lines  # and so the bytes, before the columns are copied out of the table
     groups, times, outcomes, units = (table[c].copy() for c in _REQUIRED_COLUMNS[1:] + ("unit",))
     del table
-    if np.isin(units[:, None].view(np.uint32), (9, 11, 12, 32)).any():  # \t \v \f space
-        units = np.char.strip(units)  # a label holding whitespace may be padded
-    lengths = np.count_nonzero(units[:, None].view(np.uint32), axis=1)
-    if not lengths.all() or not np.isfinite(outcomes).all():
+    if any(c in text for c in " \t\x0b\x0c"):  # a label may be padded
+        units = np.char.strip(units)
+    codes = units[:, None].view(np.uint32)  # a label's code points, then zeros
+    if not codes[:, 0].all() or not np.isfinite(outcomes).all():
         return None
-    return units.astype(f"U{lengths.max()}", copy=False), groups, times, outcomes
+    return units.astype(f"U{codes.any(axis=0).sum()}", copy=False), groups, times, outcomes
 
 
 def _integer_cell(path: str, line: int, row: Dict[str, str], column: str) -> int:
