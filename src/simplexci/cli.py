@@ -395,11 +395,17 @@ def _interval_doc(interval) -> dict:
 def _each_distinct(column: np.ndarray, fmt: Callable) -> list:
     """``fmt`` of every entry of ``column``, nested as ``column.tolist()``;
     each distinct value is formatted once. (``np.unique`` merges ``-0.0``
-    with ``0.0``; lattice coordinates, zero counts, dof and critical values
-    hold no ``-0.0``.)"""
+    with ``0.0``; zero counts, dof and critical values hold no ``-0.0``.)"""
     distinct, inverse = np.unique(column, return_inverse=True)
     table = np.array([fmt(x) for x in distinct.tolist()], dtype=object)
     return table[inverse.reshape(column.shape)].tolist()
+
+
+def _lattice_cells(cs: ConfidenceSet, fmt: Callable) -> list:
+    """``fmt`` of every lattice coordinate, one list per column of ``cs.grid``:
+    each value ``i / resolution`` is formatted once, picked by ``rint(grid * resolution)``."""
+    table = np.array([fmt(i / cs.resolution) for i in range(cs.resolution + 1)], dtype=object)
+    return table[np.rint(cs.grid.T * cs.resolution).astype(np.intp)].tolist()
 
 
 def _json_cell(x) -> str:
@@ -409,43 +415,38 @@ def _json_cell(x) -> str:
 def _infer_json(cs: ConfidenceSet, header: dict) -> str:
     """The ``infer`` document: ``header`` plus one record per lattice point
     under ``records``, byte for byte as ``json.dumps(..., indent=2,
-    sort_keys=True)`` writes it, but formatted from the columns with one
-    template per record. Floats are ``repr``, as in ``json``; a non-finite
-    ``T`` or ``critical`` is ``null``; ``error`` appears only on skipped
-    points."""
+    sort_keys=True)`` writes it, but as one join of a flat list: a record is
+    its cells, each after the fixed text before it, so column ``j`` fills
+    every ``step``-th item. Floats are ``repr``, as in ``json``; a non-finite
+    ``T`` or ``critical`` is ``null``; ``error`` appears only on skipped points."""
     n, K = cs.grid.shape
-    template = (
-        '    {\n      "T": %s,\n      "critical": %s,\n      "d": %s,\n%s      "k": %s,\n'
-        '      "member": %s,\n      "w": [\n        '
-        + ",\n        ".join(["%s"] * K)
-        + "\n      ]\n    }"
+    before = ['\n      ]\n    },\n    {\n      "T": ']
+    before += [f',\n      "{key}": ' for key in ("critical", "d", "k", "member")]
+    before += [',\n      "w": [\n        '] + [",\n        "] * (K - 1)
+    step = 2 * len(before)
+    flat = [item for text in before for item in (text, None)] * n
+    columns = (
+        # statistics are all distinct, so each is written directly, by json's repr
+        [repr(x) if math.isfinite(x) else "null" for x in cs.statistic.tolist()],
+        *(_each_distinct(c, _json_cell) for c in (cs.critical, cs.zeros, cs.dof, cs.member_mask)),
+        *_lattice_cells(cs, _json_cell),
     )
-    error = [""] * n
+    for j, cells in enumerate(columns):
+        flat[2 * j + 1::step] = cells
     for i, message in cs.errors.items():
-        error[i] = f'      "error": {json.dumps(message)},\n'
-    # statistics are all distinct, so each is written directly, by json's repr
-    statistic = [repr(x) if math.isfinite(x) else "null" for x in cs.statistic.tolist()]
-    rows = zip(
-        statistic,
-        _each_distinct(cs.critical, _json_cell),
-        _each_distinct(cs.zeros, _json_cell),
-        error,
-        _each_distinct(cs.dof, _json_cell),
-        _each_distinct(cs.member_mask, _json_cell),
-        *_each_distinct(cs.grid.T, _json_cell),
-    )
-    records = "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n  ]"
-    head, _, tail = json.dumps({**header, "records": None}, indent=2, sort_keys=True).partition(
-        '"records": null'
-    )
-    return f'{head}"records": {records}{tail}\n'
+        flat[i * step + 6] = f',\n      "error": {json.dumps(message)},\n      "k": '
+    doc = json.dumps({**header, "records": None}, indent=2, sort_keys=True)
+    head, _, tail = doc.partition('"records": null')
+    flat[0] = head + '"records": [\n    {\n      "T": '
+    flat.append("\n      ]\n    }\n  ]" + tail + "\n")
+    return "".join(flat)
 
 
 def _infer_csv(cs: ConfidenceSet) -> str:
     K = cs.grid.shape[1]
     header = [f"w_{j + 1}" for j in range(K)] + ["T", "d", "k", "critical", "member"]
     columns = (
-        *_each_distinct(cs.grid.T, _csv_cell),
+        *_lattice_cells(cs, _csv_cell),
         # statistics are all distinct, so each is formatted directly, as
         # _csv_cell formats a float
         (f"{x:.17g}" for x in cs.statistic.tolist()),

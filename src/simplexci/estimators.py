@@ -68,7 +68,7 @@ class PanelData:
     matching period 1..t_match exactly once; ``t_match`` defaults to the
     last period present. Periods beyond ``t_match`` (for example a
     post-treatment period) may be present and are ignored by the matching
-    computations.
+    computations. A unit label may not hold a NUL character.
     """
 
     unit: np.ndarray
@@ -79,6 +79,10 @@ class PanelData:
     K: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.unit, np.ndarray) or self.unit.dtype == object:
+            for i, label in enumerate(self.unit):  # a numpy string drops trailing NULs
+                if isinstance(label, str) and "\x00" in label:
+                    raise DataError(f"unit label {label!r} at position {i} holds a NUL character")
         self.unit = np.asarray(self.unit)
         self.group = _integer_column("group", self.group)
         self.time = _integer_column("time", self.time)

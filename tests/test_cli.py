@@ -330,12 +330,28 @@ def test_infer_writes_the_json_dumps_bytes_on_the_benchmark_input(
         # the header gains bootstrap_draws and seed, on both sides of records
         (3, ["--grid", "4", "--variance", "bootstrap", "--bootstrap-draws", "100",
              "--seed", "3"]),
+        # coordinates such as 3/7 print 17 digits, which rint(grid * 7) must
+        # map back to their lattice counts exactly
+        (5, ["--grid", "7"]),
     ],
-    ids=["K2", "grid1", "bootstrap"],
+    ids=["K2", "grid1", "bootstrap", "K5grid7"],
 )
 def test_infer_writes_the_json_dumps_bytes(K, options, tmp_path, capsys, monkeypatch):
     path = make_fixture(tmp_path, seed=7, K=K)
     assert_infer_bytes_match_the_reference([str(path), *options], tmp_path, capsys, monkeypatch)
+
+
+def test_infer_json_peak_memory_is_a_few_times_its_output(tmp_path, monkeypatch):
+    # one join over a flat list of the cells; the per-record strings, their
+    # ",\n" join and two more concatenated copies held 3.01 times the output
+    inputs = load_bench_module("inputs")
+    workload = load_bench_module("workloads").WORKLOADS["infer-k3"]
+    path, _ = inputs.write_panel(workload.panel, 1, str(tmp_path))
+    write, seen = cli._infer_json, []
+    monkeypatch.setattr(cli, "_infer_json", lambda *args: seen.append(args) or "")
+    assert main(workload.argv(path, 1)) == 0
+    size = len(write(*seen[0]))
+    assert size > 900_000 and traced_peak(write, *seen[0]) <= 2.75 * size  # 2.43 times now
 
 
 def test_infer_writes_the_json_dumps_bytes_of_skipped_points(tmp_path, capsys, monkeypatch):

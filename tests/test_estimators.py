@@ -109,6 +109,23 @@ def test_panel_rejects_non_integer_groups_and_periods():
     assert panel.t_match == 2
 
 
+@pytest.mark.parametrize("labels, position", [
+    # the two units' periods overlap: a duplicate observation of 'c'
+    (["a", "a", "b", "b", "c\x00", "c\x00", "c", "c"], 4),
+    # they do not: one silent unit 'c'
+    (["a", "a", "b", "b", "c\x00", "c", "d", "d"], 4),
+    (["a", "a", "b", "b", "c", "c", "d", "x\x00y"], 7),
+])
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "object array"])
+def test_panel_rejects_a_unit_label_holding_nul(labels, position, as_array):
+    # a numpy string drops trailing NULs, which would merge 'c\x00' into 'c'
+    unit = np.array(labels, dtype=object) if as_array else labels
+    message = f"unit label {labels[position]!r} at position {position} holds a NUL character"
+    with pytest.raises(DataError) as exc:
+        PanelData.from_long(unit, [0, 0, 0, 0, 1, 1, 1, 1], [1, 2] * 4, [0.0] * 8)
+    assert str(exc.value) == message
+
+
 def test_panel_names_integers_beyond_int64_exactly():
     unit = np.repeat(np.arange(8), 2)
     group = np.repeat([0, 0, 1, 1], 4).tolist()
