@@ -433,7 +433,7 @@ def _infer_json(cs: ConfidenceSet, header: dict) -> str:
     )
     for j, cells in enumerate(columns):
         flat[2 * j + 1::step] = cells
-    for i, message in cs.errors.items():
+    for i, message in cs.errors.items():  # item 6 of a record is the text before "k"
         flat[i * step + 6] = f',\n      "error": {json.dumps(message)},\n      "k": '
     doc = json.dumps({**header, "records": None}, indent=2, sort_keys=True)
     head, _, tail = doc.partition('"records": null')
