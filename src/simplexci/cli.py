@@ -456,8 +456,11 @@ def _infer_csv(cs: ConfidenceSet) -> str:
 
 
 def _csv(header, rows) -> str:
-    """The CSV table of ``header`` and ``rows``, whose cells are strings."""
-    return "\n".join(map(",".join, [header, *rows])) + "\n"
+    """The CSV table of ``header`` and ``rows``, whose cells are strings, as
+    one join over a lazy chain of its lines; an empty last line ends the
+    table with a newline. The join holds the joined lines, never the rows."""
+    lines = (line for part in ([header], rows, [()]) for line in part)
+    return "\n".join(map(",".join, lines))
 
 
 def _flatten(value, key: str = ""):

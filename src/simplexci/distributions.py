@@ -1,10 +1,11 @@
-"""Chi-square and standard normal distribution functions.
+"""Chi-square and standard normal quantiles.
 
-Everything here is self-contained: the regularized lower incomplete gamma
-function is evaluated by a power series for small arguments and by a
-continued fraction for large ones, so no statistics package is needed.
-Quantiles are obtained by bracketed bisection refined with Newton steps on
-the analytic density and are accurate to well below 1e-9 in absolute terms.
+Everything here is self-contained. Degrees of freedom are integers, so the
+chi-square upper tail is a finite sum (Abramowitz and Stegun 1964,
+26.4.4-26.4.5) started from ``math.erfc`` for odd ``k``, and the normal CDF
+is ``math.erfc`` itself; no statistics package is needed. Quantiles are
+obtained by bracketed bisection refined with Newton steps on the analytic
+density and are accurate to well below 1e-9 in absolute terms.
 """
 
 from __future__ import annotations
@@ -15,86 +16,11 @@ from functools import lru_cache
 
 from .exceptions import ConvergenceError
 
-__all__ = [
-    "regularized_gamma_p",
-    "chi2_cdf",
-    "chi2_pdf",
-    "chi2_quantile",
-    "normal_cdf",
-    "normal_pdf",
-    "normal_quantile",
-]
+__all__ = ["chi2_quantile", "normal_quantile"]
 
-_MAX_ITER = 600
-_REL_EPS = 1e-17
 # Newton-bisection steps allowed to a quantile; bisection alone pins a
 # double within about 64.
 _QUANTILE_MAX_ITER = 200
-
-
-def _lower_series(a: float, x: float) -> float:
-    """Power series for the regularized lower incomplete gamma, x < a + 1."""
-    term = 1.0 / a
-    total = term
-    for n in range(1, _MAX_ITER):
-        term *= x / (a + n)
-        total += term
-        if abs(term) < abs(total) * _REL_EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise ArithmeticError("incomplete gamma series did not converge")
-
-
-def _upper_contfrac(a: float, x: float) -> float:
-    """Continued fraction (modified Lentz) for the upper tail, x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _REL_EPS:
-            break
-    else:
-        raise ArithmeticError("incomplete gamma continued fraction did not converge")
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(a, x).
-
-    Parameters
-    ----------
-    a : float
-        Shape parameter, must be positive.
-    x : float
-        Evaluation point, must be nonnegative.
-
-    Returns
-    -------
-    float
-        P(a, x) in [0, 1].
-    """
-    if a <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    # switch between the series and the continued fraction at x = a + 1
-    if x < a + 1.0:
-        return min(_lower_series(a, x), 1.0)
-    return max(1.0 - _upper_contfrac(a, x), 0.0)
 
 
 def _check_dof(k: int) -> int:
@@ -113,17 +39,21 @@ def _check_prob(p: float) -> None:
         raise ValueError(f"probability must lie strictly in (0, 1), got {p}")
 
 
-def chi2_cdf(x: float, k: int) -> float:
-    """Chi-square cumulative distribution function with k degrees of freedom."""
-    k = _check_dof(k)
+def _chi2_upper(x: float, k: int) -> float:
+    """``P(chi2_k > x)`` for an integer ``k >= 1``: ``erfc(sqrt(h))`` when
+    ``k`` is odd, plus ``h^j e^-h / Gamma(j + 1)`` for ``h = x / 2`` and ``j = (k % 2)
+    / 2, (k % 2) / 2 + 1, ..., k / 2 - 1``. Each term is taken in logarithms,
+    so none under- or overflows at large ``k`` or ``x``."""
     if x <= 0.0:
-        return 0.0
-    return regularized_gamma_p(0.5 * k, 0.5 * x)
-
-
-def chi2_pdf(x: float, k: int) -> float:
-    """Chi-square density with k degrees of freedom."""
-    return _chi2_pdf(x, _check_dof(k))
+        return 1.0
+    h = 0.5 * x
+    log_h = math.log(h)
+    half = 0.5 * (k % 2)
+    total = math.erfc(math.sqrt(h)) if half else 0.0
+    for i in range(k // 2):
+        j = half + i
+        total += math.exp(j * log_h - h - math.lgamma(j + 1.0))
+    return total
 
 
 def _chi2_pdf(x: float, k: int) -> float:
@@ -148,7 +78,7 @@ def chi2_quantile(p: float, k: int) -> float:
     Returns
     -------
     float
-        The value x with ``chi2_cdf(x, k) == p``, accurate to better than
+        The value x with ``P(chi2_k <= x) == p``, accurate to better than
         1e-9 in absolute terms.
 
     Notes
@@ -170,8 +100,8 @@ def chi2_quantile(p: float, k: int) -> float:
 def _invert(cdf, pdf, p: float, hi: float, rtol: float, what: str) -> float:
     """The root of ``cdf(x) = p`` on ``[0, inf)``: ``hi`` doubles until it
     brackets the root, then Newton steps on ``pdf`` run, with bisection for
-    a step that leaves the bracket, until a step moves by at most ``rtol *
-    (1 + |x|)``. Raises ``ConvergenceError`` naming ``what`` after
+    a step that leaves the bracket, until ``cdf(x)`` is ``p`` or a step
+    moves by at most ``rtol * (1 + |x|)``. Raises ``ConvergenceError`` naming ``what`` after
     ``_QUANTILE_MAX_ITER`` steps."""
     lo = 0.0
     while cdf(hi) < p:
@@ -179,6 +109,8 @@ def _invert(cdf, pdf, p: float, hi: float, rtol: float, what: str) -> float:
     x = 0.5 * (lo + hi)
     for _ in range(_QUANTILE_MAX_ITER):
         err = cdf(x) - p
+        if err == 0.0:  # else the bracket's new end is x, and x leaves it
+            return x
         if err > 0.0:
             hi = x
         else:
@@ -200,21 +132,16 @@ def _invert(cdf, pdf, p: float, hi: float, rtol: float, what: str) -> float:
 def _chi2_quantile_cached(p: float, k: int) -> float:
     # ``k`` is checked, and ``_invert`` evaluates only at x > 0
     return _invert(
-        lambda x: regularized_gamma_p(0.5 * k, 0.5 * x), lambda x: _chi2_pdf(x, k),
+        lambda x: 1.0 - _chi2_upper(x, k), lambda x: _chi2_pdf(x, k),
         p, k + 10.0, 1e-14, f"chi-square quantile at p={p!r} with k={k}",
     )
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal cumulative distribution function."""
-    if z == 0.0:
-        return 0.5
-    tail = 0.5 * regularized_gamma_p(0.5, 0.5 * z * z)
-    return 0.5 + math.copysign(tail, z)
+def _normal_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def normal_pdf(z: float) -> float:
-    """Standard normal density."""
+def _normal_pdf(z: float) -> float:
     return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
@@ -230,4 +157,4 @@ def _normal_quantile_cached(p: float) -> float:
         return 0.0
     if p < 0.5:
         return -_normal_quantile_cached(1.0 - p)
-    return _invert(normal_cdf, normal_pdf, p, 10.0, 1e-15, f"normal quantile at p={p!r}")
+    return _invert(_normal_cdf, _normal_pdf, p, 10.0, 1e-15, f"normal quantile at p={p!r}")

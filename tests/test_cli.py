@@ -354,6 +354,19 @@ def test_infer_json_peak_memory_is_a_few_times_its_output(tmp_path, monkeypatch)
     assert size > 900_000 and traced_peak(write, *seen[0]) <= 2.75 * size  # 2.43 times now
 
 
+def test_infer_csv_peak_memory_is_a_few_times_its_output(tmp_path, monkeypatch):
+    # one join over a lazy chain of the lines; materialising [header, *rows]
+    # and appending the last newline held 3.94 times the output
+    inputs = load_bench_module("inputs")
+    workload = load_bench_module("workloads").WORKLOADS["infer-k3"]
+    path, _ = inputs.write_panel(workload.panel, 1, str(tmp_path))
+    write, seen = cli._infer_csv, []
+    monkeypatch.setattr(cli, "_infer_csv", lambda *args: seen.append(args) or "")
+    assert main([*workload.argv(path, 1), "--format", "csv"]) == 0
+    size = len(write(*seen[0]))
+    assert size > 450_000 and traced_peak(write, *seen[0]) <= 3.75 * size  # 3.51 times now
+
+
 def test_infer_writes_the_json_dumps_bytes_of_skipped_points(tmp_path, capsys, monkeypatch):
     path = make_fixture(tmp_path, seed=4)
     skipping_cap(path, monkeypatch)

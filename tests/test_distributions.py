@@ -7,13 +7,12 @@ import pytest
 
 from simplexci import distributions
 from simplexci.distributions import (
-    chi2_cdf,
-    chi2_pdf,
+    _chi2_pdf,
+    _chi2_upper,
+    _normal_cdf,
+    _normal_pdf,
     chi2_quantile,
-    normal_cdf,
-    normal_pdf,
     normal_quantile,
-    regularized_gamma_p,
 )
 from simplexci.exceptions import ConvergenceError
 from simplexci.inference import confidence_set
@@ -48,7 +47,7 @@ def test_chi2_quantile_converges_for_sweep_levels_up_to_1000_dof():
     # point with that many degrees of freedom
     for p in (0.95, 0.995):
         for k in range(1, 1001):
-            assert abs(chi2_cdf(chi2_quantile(p, k), k) - p) <= 1e-9, (p, k)
+            assert abs(1.0 - _chi2_upper(chi2_quantile(p, k), k) - p) <= 1e-9, (p, k)
 
 
 def test_chi2_quantile_raises_instead_of_returning_an_unconverged_iterate(monkeypatch):
@@ -66,12 +65,19 @@ def test_normal_quantile_raises_instead_of_returning_an_unconverged_iterate(monk
         normal_quantile(1.0 - 0.9124)
 
 
+def test_an_iterate_that_hits_the_root_exactly_is_returned():
+    # cdf(6) is p exactly; moving the bracket's lower end to 6 would leave
+    # the Newton step 6 outside it and send the search off by bisection
+    def cdf(x):
+        return min(x / 16.0, 1.0)
+
+    assert distributions._invert(cdf, lambda x: 1.0 / 16.0, 0.375, 12.0, 1e-14, "line") == 6.0
+
+
 def test_numpy_integer_dof_from_a_confidence_set(monkeypatch):
     cs = confidence_set(constant_model([0.3, -0.2], np.eye(2), 50), 0.05, resolution=4)
     k = cs.dof[0]
     assert isinstance(k, np.integer) and not isinstance(k, int)
-    assert chi2_cdf(3.0, k) == chi2_cdf(3.0, int(k))
-    assert chi2_pdf(3.0, k) == chi2_pdf(3.0, int(k))
     # the quantile cache is keyed by a Python int, whatever type came in
     keys = []
 
@@ -86,16 +92,14 @@ def test_numpy_integer_dof_from_a_confidence_set(monkeypatch):
 
 @pytest.mark.parametrize("k", [2.0, np.float64(2.0), True, np.bool_(True), "2", np.int64(0)])
 def test_non_integral_or_boolean_dof_is_rejected(k):
-    for call in (lambda: chi2_quantile(0.95, k), lambda: chi2_cdf(1.0, k),
-                 lambda: chi2_pdf(1.0, k)):
-        with pytest.raises(ValueError, match="degrees of freedom must be an integer >= 1"):
-            call()
+    with pytest.raises(ValueError, match="degrees of freedom must be an integer >= 1"):
+        chi2_quantile(0.95, k)
 
 
 def test_chi2_cdf_quantile_round_trip():
     for k in range(1, 11):
         for p in P_GRID:
-            assert abs(chi2_cdf(chi2_quantile(p, k), k) - p) <= 1e-10, (k, p)
+            assert abs(1.0 - _chi2_upper(chi2_quantile(p, k), k) - p) <= 1e-10, (k, p)
 
 
 def test_chi2_quantile_monotone_in_p_and_dof():
@@ -108,22 +112,23 @@ def test_chi2_quantile_monotone_in_p_and_dof():
 
 
 def test_chi2_cdf_monotone_and_bounded():
+    # the CDF is one minus the upper tail
     xs = np.linspace(0.0, 40.0, 200)
     for k in (1, 2, 5):
-        values = [chi2_cdf(x, k) for x in xs]
+        values = [_chi2_upper(x, k) for x in xs]
         assert all(0.0 <= v <= 1.0 for v in values)
-        assert all(a <= b for a, b in zip(values, values[1:]))
-    assert chi2_cdf(0.0, 3) == 0.0
-    assert chi2_cdf(-1.0, 3) == 0.0
-    assert chi2_cdf(1e4, 3) == pytest.approx(1.0, abs=1e-12)
+        assert all(a >= b for a, b in zip(values, values[1:]))
+    assert _chi2_upper(0.0, 3) == 1.0
+    assert _chi2_upper(-1.0, 3) == 1.0
+    assert _chi2_upper(1e4, 3) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_chi2_pdf_matches_cdf_derivative():
     for k in (1, 2, 4, 7):
         for x in (0.5, 1.5, 4.0, 9.0):
             step = 1e-6 * (1.0 + x)
-            numeric = (chi2_cdf(x + step, k) - chi2_cdf(x - step, k)) / (2.0 * step)
-            assert abs(chi2_pdf(x, k) - numeric) <= 1e-6 * (1.0 + numeric)
+            numeric = (_chi2_upper(x - step, k) - _chi2_upper(x + step, k)) / (2.0 * step)
+            assert abs(_chi2_pdf(x, k) - numeric) <= 1e-6 * (1.0 + numeric)
 
 
 def test_normal_quantile_matches_erf_oracle():
@@ -139,15 +144,15 @@ def test_normal_quantile_reflection_is_exact():
 
 def test_normal_cdf_symmetry_and_round_trip():
     for z in [0.0, 0.31, 1.0, 1.96, 3.5]:
-        assert abs(normal_cdf(z) + normal_cdf(-z) - 1.0) <= 1e-14
+        assert abs(_normal_cdf(z) + _normal_cdf(-z) - 1.0) <= 1e-14
     for p in P_GRID:
-        assert abs(normal_cdf(normal_quantile(p)) - p) <= 1e-12
+        assert abs(_normal_cdf(normal_quantile(p)) - p) <= 1e-12
 
 
 def test_normal_pdf_matches_cdf_derivative():
     for z in (-2.0, -0.3, 0.0, 1.2, 2.5):
-        numeric = (normal_cdf(z + 1e-6) - normal_cdf(z - 1e-6)) / 2e-6
-        assert abs(normal_pdf(z) - numeric) <= 1e-6
+        numeric = (_normal_cdf(z + 1e-6) - _normal_cdf(z - 1e-6)) / 2e-6
+        assert abs(_normal_pdf(z) - numeric) <= 1e-6
 
 
 def test_frozen_reference_values():
@@ -156,16 +161,6 @@ def test_frozen_reference_values():
     assert abs(chi2_quantile(0.95, 1) - 3.841458820694124) <= 1e-8
     assert abs(normal_quantile(0.975) - 1.959963984540054) <= 1e-9
     assert abs(normal_quantile(0.9775) - 2.004654461765097) <= 1e-9
-
-
-def test_regularized_gamma_basics():
-    assert regularized_gamma_p(0.5, 0.0) == 0.0
-    assert regularized_gamma_p(3.0, 1e4) == pytest.approx(1.0, abs=1e-13)
-    # continuity across the series/continued-fraction switch at x = a + 1
-    for a in (0.5, 1.0, 2.5, 10.0):
-        below = regularized_gamma_p(a, a + 1.0 - 1e-9)
-        above = regularized_gamma_p(a, a + 1.0 + 1e-9)
-        assert abs(below - above) <= 1e-8
 
 
 def test_domain_validation():
@@ -182,4 +177,32 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         normal_quantile(1.0)
     with pytest.raises(ValueError):
-        chi2_cdf(1.0, -3)
+        chi2_quantile(0.95, -3)
+
+
+def test_chi2_quantile_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for p in (0.95, 0.995):
+        for k in [*range(1, 1001), 2000, 5000]:
+            want = stats.chi2.ppf(p, k)
+            assert abs(chi2_quantile(p, k) - want) <= 1e-12 * want, (p, k)
+    for k in range(1, 11):
+        for p in P_GRID:
+            want = stats.chi2.ppf(p, k)
+            assert abs(chi2_quantile(p, k) - want) <= 1e-12 * want, (p, k)
+
+
+def test_normal_quantile_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for p in P_GRID:
+        assert abs(normal_quantile(p) - stats.norm.ppf(p)) <= 1e-13, p
+
+
+def test_chi2_upper_matches_scipy_where_exp_of_minus_half_x_underflows():
+    special = pytest.importorskip("scipy.special")
+    # at x / 2 > 745, exp(-x / 2) is 0 in doubles, so a sum whose terms are
+    # built up from it would be 0; each term is taken in logarithms instead
+    for k, x in ((1499, 1600.0), (1600, 1600.0), (1601, 1700.0), (5000, 4800.0)):
+        assert 0.5 * x > 745.0 and math.exp(-0.5 * x) == 0.0
+        want = special.gammaincc(0.5 * k, 0.5 * x)
+        assert want > 0.01 and abs(_chi2_upper(x, k) - want) <= 1e-12 * want, (k, x)
