@@ -199,8 +199,8 @@ _CONFIG_KEYS = {
 def _parse_config_file(path: str, command: str) -> Dict[str, object]:
     """The RunConfig fields that the ``key=value`` lines of a config file
     set for ``command``, each value parsed at its line; a key of a flag that
-    ``command`` does not take is rejected. The file is read as ``_read_text``
-    reads a panel CSV, with lines split by universal newlines."""
+    ``command`` does not take is rejected. The file is decoded as a panel CSV
+    is for the row loop, by ``_read_text``, with universal newlines."""
     values: Dict[str, object] = {}
     for lineno, raw in enumerate(io.StringIO(_read_text(path, "{}:{}"), newline=None), start=1):
         line = raw.strip()
@@ -230,15 +230,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{**(_parse_config_file(path, args.command) if path else {}), **flags})
 
 
-def _read_text(path: str, where: str = "{}: row {}") -> str:
-    """The file's text, decoded once as UTF-8 with any byte-order mark dropped.
-    A bad byte is placed by ``where.format(path, line)``: a panel CSV names
-    rows, a config file ``PATH:LINE``."""
+def _read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            return handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_text(path: str, where: str = "{}: row {}", data: Optional[bytes] = None) -> str:
+    """The file's text (from its bytes ``data``, if given) decoded as UTF-8,
+    a byte-order mark dropped. A bad byte is placed by ``where.format(path,
+    line)``: a panel CSV names rows, a config file ``PATH:LINE``."""
+    data = _read_bytes(path) if data is None else data
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # bytes.splitlines ends lines as csv does
@@ -254,30 +258,31 @@ def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; other Unicode separators are
     data. Diagnostics name the offending row (its line in the file) and
     column. Extra or missing columns are rejected, and blank lines are skipped.
-    The file is read once; numpy's C reader converts it if
-    ``_c_reader_columns`` accepts it, and the row loop ``_panel_rows`` if not.
+    The file's bytes are read once; numpy's C reader converts them if
+    ``_c_reader_columns`` accepts them, else the row loop ``_panel_rows``
+    their decoded text. They are dropped before ``PanelData`` is built.
     """
-    text = _read_text(path)
-    columns = _c_reader_columns(text)
-    if columns is None:
-        columns = _panel_rows(path, text)
+    data = _read_bytes(path)
+    columns = _c_reader_columns(data) or _panel_rows(path, _read_text(path, data=data))
+    del data
     return PanelData.from_long(*columns, t_match=t_match)
 
 
-def _c_reader_columns(text: str):
-    """The four columns of a CSV text as read by numpy's C reader
-    (``np.loadtxt``), the unit labels stripped, in a ``U`` array as wide as
-    the longest; None if a check fails or that reader refuses a cell. Where
-    it accepts every cell it gives the values of ``_panel_rows``'s
-    conversions, if the text passes three checks: ``str.isascii`` (that
-    reader misreads some non-ASCII digits), no ``"`` (it reads quotes
-    otherwise than ``csv``) and none of ``\\x00`` (the row loop refuses it) or
-    ``\\x1c``-``\\x1f`` (that reader strips them around a number, which ``int``
-    and ``float`` refuse). The header must be a permutation of the four column
-    names, a label must not be blank and an outcome finite."""
-    if not text.isascii() or any(c in text for c in '"\x00\x1c\x1d\x1e\x1f'):
+def _c_reader_columns(data: bytes):
+    """The four columns of a CSV file's bytes as read by numpy's C reader
+    (``np.loadtxt``), views of its table, the unit labels stripped, in a ``U``
+    array as wide as the longest; None if a check fails or that reader
+    refuses a cell. Where it accepts every cell it gives ``_panel_rows``'s
+    values, if the bytes after one UTF-8 byte-order mark pass three checks:
+    ``bytes.isascii`` (that reader misreads some non-ASCII digits), no ``"``
+    (it reads quotes otherwise than ``csv``) and none of ``\\x00`` (the row
+    loop refuses it) or ``\\x1c``-``\\x1f`` (that reader strips them around a
+    number, which ``int`` and ``float`` refuse). The header must be a
+    permutation of the column names, a label not blank, an outcome finite."""
+    data = data.removeprefix(b"\xef\xbb\xbf")
+    if not data.isascii() or any(c in data for c in b'"\x00\x1c\x1d\x1e\x1f'):
         return None
-    data = text.encode("ascii")
+    padded = any(c in data for c in b" \t\x0b\x0c")  # a label may be padded
     # a stream of one byte a character, where io.StringIO holds four; \r\n, \r read as \n
     lines = io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
     header = lines.readline().rstrip("\n").split(",")
@@ -299,10 +304,9 @@ def _c_reader_columns(text: str):
                                dtype=[(c, _CELL_TYPES.get(c, f"U{width}")) for c in header])
     except (ValueError, Warning):
         return None
-    del lines  # and so the bytes, before the columns are copied out of the table
-    groups, times, outcomes, units = (table[c].copy() for c in _REQUIRED_COLUMNS[1:] + ("unit",))
-    del table
-    if any(c in text for c in " \t\x0b\x0c"):  # a label may be padded
+    del lines  # the table is the columns' only storage: they are its fields, not copies
+    groups, times, outcomes, units = (table[c] for c in _REQUIRED_COLUMNS[1:] + ("unit",))
+    if padded:
         units = np.char.strip(units)
     codes = units[:, None].view(np.uint32)  # a label's code points, then zeros
     if not codes[:, 0].all() or not np.isfinite(outcomes).all():

@@ -59,6 +59,20 @@ def _integer_column(name: str, values) -> np.ndarray:
     return ints
 
 
+def _label_codes(labels: np.ndarray):
+    """``np.unique``'s ``(units, first, code)``, with one sorted copy of ``labels``, not two."""
+    perm = np.argsort(labels, kind="stable")  # so a label's first row comes first
+    ordered = labels[perm]
+    new = np.append(True, ordered[1:] != ordered[:-1])
+    if ordered.dtype.kind in "cfmM":  # as np.unique, every NaN (sorted last) is one label
+        new[1:] &= ~np.isnan(ordered[:-1])
+    units, first = ordered[new], perm[new]
+    del ordered  # before the cumsum
+    code = np.empty_like(perm)
+    code[perm] = np.cumsum(new) - 1
+    return units, first, code
+
+
 @dataclass(eq=False)
 class PanelData:
     """Long-format panel of grouped outcomes.
@@ -68,7 +82,8 @@ class PanelData:
     matching period 1..t_match exactly once; ``t_match`` defaults to the
     last period present. Periods beyond ``t_match`` (for example a
     post-treatment period) may be present and are ignored by the matching
-    computations. A unit label may not hold a NUL character.
+    computations. A unit label may not hold a NUL character. An array column
+    of the right dtype, such as a view of a reader's table, is kept, unwritten.
     """
 
     unit: np.ndarray
@@ -107,7 +122,7 @@ class PanelData:
             raise DataError(f"groups must form a contiguous range 0..K, found {found}")
         if self.K < 1:
             raise DataError("need at least one untreated group besides group 0")
-        units, first, code = np.unique(self.unit, return_index=True, return_inverse=True)
+        units, first, code = _label_codes(self.unit)
         # a stable sort by (unit, period) puts the first row of each pair first
         order = np.lexsort((self.time, code))
         repeat = (np.diff(code[order]) == 0) & (np.diff(self.time[order]) == 0)
@@ -117,6 +132,7 @@ class PanelData:
                 f"duplicate observation for unit {self.unit.item(i)!r} "
                 f"at period {self.time[i]}"
             )
+        del order, repeat
         # one group per unit: the group of its first row
         unit_group = self.group[first]
         split = np.flatnonzero(self.group != unit_group[code])

@@ -824,19 +824,35 @@ def traced_peak(function, *args):
         tracemalloc.stop()
 
 
-def test_c_reader_peak_memory_is_a_few_times_the_file(tmp_path):
-    # the C reader holds the body once as ASCII bytes, not as an io.StringIO
-    # of four bytes a character, frees them before it copies the columns out
-    # of the table, and holds the labels as one narrow string array
+def bench_panel_file(tmp_path, prefix=b""):
+    """A 22k-row bench-generator panel file, each unit label led by ``prefix``."""
     inputs = load_bench_module("inputs")
     spec = inputs.PanelSpec(K=3, units_per_group=500, periods=11, resolution=20)
     path = tmp_path / "panel.csv"
-    path.write_bytes(inputs.panel_csv_bytes(spec, seed=1))
+    path.write_bytes(inputs.panel_csv_bytes(spec, seed=1).replace(b"\ng", b"\n" + prefix + b"g"))
+    return path
+
+
+def test_c_reader_peak_memory_is_a_few_times_the_file(tmp_path):
+    # the C reader holds the file once, as its bytes, and hands PanelData its
+    # table's fields as views; PanelData codes the labels with one sorted copy
+    path = bench_panel_file(tmp_path)
     size = path.stat().st_size
-    # 9.0 times the file with a StringIO and object labels, 5.2 now
-    assert traced_peak(read_panel_csv, str(path), 10) <= 6 * size
-    # past the text: 8.0 times as above, 4.25 with the bytes held, 3.25 now
-    assert traced_peak(cli._c_reader_columns, path.read_text()) <= 3.75 * size
+    # 9.0 times the file with a StringIO and object labels, 5.22 with a
+    # decoded text, copied columns and np.unique, 3.6 now
+    assert traced_peak(read_panel_csv, str(path), 10) <= 4.5 * size
+    # past its input: 8.0 times as above, 3.22 past the decoded text with
+    # copied columns, 2.17 now
+    assert traced_peak(cli._c_reader_columns, path.read_bytes()) <= 2.75 * size
+
+
+def test_long_label_peak_memory_is_a_few_times_the_file(tmp_path):
+    # labels of 40 to 42 characters: the label column is most of the table,
+    # so each copy of it costs more than the file; 9.64 times with copied
+    # columns and np.unique's three copies of the labels, 5.85 now
+    path = bench_panel_file(tmp_path, prefix=b"region-0001-district-0001-household-")
+    size = path.stat().st_size
+    assert traced_peak(read_panel_csv, str(path), 10) <= 7 * size
 
 
 def test_padded_and_quoted_csv_reads_as_the_plain_one(tmp_path):
@@ -856,13 +872,15 @@ def test_quote_free_csv_never_calls_csv_reader(tmp_path, monkeypatch):
     plain = make_fixture(tmp_path)
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     want = row_loop_panel(plain)
 
     def refuse(*args, **kwargs):
         raise AssertionError("csv.reader ran on a quote-free file")
 
     monkeypatch.setattr("simplexci.cli.csv.reader", refuse)
-    for path in (plain, crlf):
+    for path in (plain, crlf, bom):
         got = read_panel_csv(str(path))
         for column in ("unit", "group", "time", "outcome"):
             assert np.array_equal(getattr(got, column), getattr(want, column))
@@ -893,13 +911,13 @@ def test_malformed_csv_is_read_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(HEADER + GOOD + "e,1,1,zz\n", encoding="utf-8")
     calls = []
-    real = cli._read_text
+    real = cli._read_bytes
 
-    def read_text(path):
+    def read_bytes(path):
         calls.append(path)
         return real(path)
 
-    monkeypatch.setattr(cli, "_read_text", read_text)
+    monkeypatch.setattr(cli, "_read_bytes", read_bytes)
     assert main(["infer", str(path)]) == 1
     assert "row 10: outcome 'zz' is not a number" in capsys.readouterr().err
     assert calls == [str(path)]
@@ -1049,7 +1067,7 @@ def test_c_reader_that_warns_is_refused(tmp_path, monkeypatch, capsys):
         return real(GOOD.splitlines(), **kwargs)
 
     monkeypatch.setattr(cli.np, "loadtxt", loadtxt)
-    assert cli._c_reader_columns(cli._read_text(str(path))) is None
+    assert cli._c_reader_columns(path.read_bytes()) is None
     assert main(["infer", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}: row 2: group '0.0' is not an integer\n"
 

@@ -126,6 +126,42 @@ def test_panel_rejects_a_unit_label_holding_nul(labels, position, as_array):
     assert str(exc.value) == message
 
 
+# pools the random label arrays draw from, with replacement: equal prefixes,
+# labels that differ only by case, non-ASCII labels and one label alone
+LABEL_POOLS = {
+    "equal prefixes": ["unit1", "unit10", "unit100", "unit", "unit1000", "unit2"],
+    "case only": ["a", "A", "ab", "aB", "Ab", "AB"],
+    "non-ASCII": ["\u00e9", "e", "\u00fc", "\u65e5\u672c", "z\u00e9", "\U0001f600"],
+    "one label": ["only"],
+    "mixed": ["", " ", "b", "\u00e9t\u00e9", "x" * 40, "x" * 39 + "y", "B"],
+}
+
+
+@pytest.mark.parametrize("pool", list(LABEL_POOLS))
+def test_label_codes_are_those_of_np_unique(pool):
+    rng = np.random.default_rng(7)
+    labels = LABEL_POOLS[pool]
+    for size in (1, 2, 5, 40, 1000):
+        picked = [labels[i] for i in rng.integers(len(labels), size=size)]
+        # a U array, an object array, and a strided field of a table as the C reader gives
+        table = np.zeros(size, dtype=[("x", "f8"), ("unit", f"U{max(map(len, picked), default=1)}")])
+        table["unit"] = picked
+        for arr in (np.array(picked), np.array(picked, dtype=object), table["unit"]):
+            got = estimators._label_codes(arr)
+            want = np.unique(arr, return_index=True, return_inverse=True)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_label_codes_count_every_nan_label_as_one_unit():
+    for labels in ([np.nan] * 4, [2.0, np.nan, 1.0, np.nan, 2.0, 1.0], [1.0, -0.0, 0.0, 1.0]):
+        arr = np.array(labels)
+        got = estimators._label_codes(arr)
+        want = np.unique(arr, return_index=True, return_inverse=True)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+
 def test_panel_names_integers_beyond_int64_exactly():
     unit = np.repeat(np.arange(8), 2)
     group = np.repeat([0, 0, 1, 1], 4).tolist()
