@@ -132,7 +132,7 @@ class PanelData:
                 f"duplicate observation for unit {self.unit.item(i)!r} "
                 f"at period {self.time[i]}"
             )
-        del order, repeat
+        del order, repeat  # before the pivot, the peak of a panel with short labels
         # one group per unit: the group of its first row
         unit_group = self.group[first]
         split = np.flatnonzero(self.group != unit_group[code])
