@@ -270,14 +270,15 @@ def read_panel_csv(path: str, t_match: Optional[int] = None) -> PanelData:
 
 def _c_reader_columns(data: bytes):
     """The four columns of a CSV file's bytes as read by numpy's C reader
-    (``np.loadtxt``), views of its table, the unit labels stripped, in a ``U``
-    array as wide as the longest; None if a check fails or that reader
+    (``np.loadtxt``), the unit labels stripped, in a ``U`` array as wide as
+    the longest: views of its table, or copies if those labels are new, so
+    that nothing keeps the table; None if a check fails or that reader
     refuses a cell. Where it accepts every cell it gives ``_panel_rows``'s
     values, if the bytes after one UTF-8 byte-order mark pass three checks:
     ``bytes.isascii`` (that reader misreads some non-ASCII digits), no ``"``
     (it reads quotes otherwise than ``csv``) and none of ``\\x00`` (the row
-    loop refuses it) or ``\\x1c``-``\\x1f`` (that reader strips them around a
-    number, which ``int`` and ``float`` refuse). The header must be a
+    loop refuses it) or ``\\x1c``-``\\x1f`` (that reader strips them around
+    a number, which ``int`` and ``float`` refuse). The header must be a
     permutation of the column names, a label not blank, an outcome finite."""
     data = data.removeprefix(b"\xef\xbb\xbf")
     if not data.isascii() or any(c in data for c in b'"\x00\x1c\x1d\x1e\x1f'):
@@ -304,14 +305,14 @@ def _c_reader_columns(data: bytes):
                                dtype=[(c, _CELL_TYPES.get(c, f"U{width}")) for c in header])
     except (ValueError, Warning):
         return None
-    del lines  # the table is the columns' only storage: they are its fields, not copies
-    groups, times, outcomes, units = (table[c] for c in _REQUIRED_COLUMNS[1:] + ("unit",))
-    if padded:
-        units = np.char.strip(units)
+    del lines  # the table is the columns' only storage, unless the labels are new (below)
+    units = np.char.strip(table["unit"]) if padded else table["unit"]
     codes = units[:, None].view(np.uint32)  # a label's code points, then zeros
-    if not codes[:, 0].all() or not np.isfinite(outcomes).all():
+    if not codes[:, 0].all() or not np.isfinite(table["outcome"]).all():
         return None
-    return units.astype(f"U{codes.any(axis=0).sum()}", copy=False), groups, times, outcomes
+    units = units.astype(f"U{codes.any(axis=0).sum()}", copy=False)
+    del codes  # and with it a stripped copy that was narrowed, before any column is copied
+    return units, *(np.array(table[c], copy=units.base is None) for c in _REQUIRED_COLUMNS[1:])
 
 
 def _integer_cell(path: str, line: int, row: Dict[str, str], column: str) -> int:
@@ -563,9 +564,7 @@ def _output(cfg: RunConfig) -> str:
             rows = [(item["coordinate"], *_BOUNDS(item)) for item in intervals]
         else:
             theta_hat, v_hat = treatment_functional(panel, cfg.post)
-            theta_interval = bonferroni_interval(
-                cs, theta_hat, v_hat, model.n, alpha=cfg.alpha, kappa=cfg.kappa
-            )
+            theta_interval = bonferroni_interval(cs, theta_hat, v_hat, model.n, alpha=cfg.alpha)
             doc["kappa"] = cfg.kappa
             doc["post_period"] = cfg.post
             doc["theta_interval"] = _interval_doc(theta_interval)

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .exceptions import DataError
-from .geometry import SpdMatrix, build_basis, check_simplex_point, symmetric_psd
+from .geometry import SpdMatrix, _quadratic, build_basis, check_simplex_point
 from .inference import WeightModel
 
 __all__ = [
@@ -200,14 +200,8 @@ class QuadraticComponents:
     group_probs: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        H = np.asarray(self.H, dtype=float)
-        h = np.asarray(self.h, dtype=float).ravel()
-        K = h.size
-        if H.shape != (K, K):
-            raise ValueError(f"H must have shape {(K, K)}, got {H.shape}")
-        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
-            raise ValueError("quadratic components have non-finite entries")
-        object.__setattr__(self, "H", symmetric_psd(H, "H")[0])
+        H, h, _, _ = _quadratic(self.H, self.h, "H")
+        object.__setattr__(self, "H", H)
         object.__setattr__(self, "h", h)
 
 
@@ -219,12 +213,11 @@ class InfluenceSet:
     of unit i on the gradient at ``w`` is ``psi_H[i] @ w - psi_h[i]``. Both
     arrays must be column-mean-zero (they are exactly so for the plug-in
     construction; user-supplied sets are validated within a small tolerance).
-    A stack of sets with one ``n`` carries leading axes on both arrays.
+    A stack of sets of one size carries leading axes on both arrays.
     """
 
     psi_H: np.ndarray
     psi_h: np.ndarray
-    n: int
 
     def __post_init__(self) -> None:
         psi_H = np.asarray(self.psi_H, dtype=float)
@@ -233,8 +226,6 @@ class InfluenceSet:
             raise ValueError(f"psi_H must have shape (n, K, K), got {psi_H.shape}")
         if psi_h.shape != psi_H.shape[:-1]:
             raise ValueError(f"psi_h must have shape {psi_H.shape[:-1]}, got {psi_h.shape}")
-        if psi_H.shape[-3] != self.n:
-            raise ValueError(f"n={self.n} does not match {psi_H.shape[-3]} units")
         if not (np.all(np.isfinite(psi_H)) and np.all(np.isfinite(psi_h))):
             raise ValueError("influence arrays have non-finite entries")
         scale = 1.0 + max(float(np.max(np.abs(psi_H))), float(np.max(np.abs(psi_h))))
@@ -249,6 +240,11 @@ class InfluenceSet:
             )
         object.__setattr__(self, "psi_H", psi_H)
         object.__setattr__(self, "psi_h", psi_h)
+
+    @property
+    def n(self) -> int:
+        """The number of units, ``psi_H.shape[-3]``."""
+        return self.psi_H.shape[-3]
 
 
 def _group_means(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -320,7 +316,7 @@ def influence_set(
         raise ValueError("group probabilities must all be positive")
     _, groups, matrix = panel._matched
     psi_H, psi_h = _influence_arrays(groups, matrix, comps.group_means, comps.group_probs)
-    return InfluenceSet(psi_H=psi_H, psi_h=psi_h, n=matrix.shape[0])
+    return InfluenceSet(psi_H=psi_H, psi_h=psi_h)
 
 
 def variance_at(influence: InfluenceSet, w) -> np.ndarray:

@@ -28,7 +28,6 @@ __all__ = [
     "factor_spd",
     "project_cone",
     "solve_simplex_qp",
-    "symmetric_psd",
 ]
 
 # largest asymmetry of a usable covariance or hessian, and most negative
@@ -325,15 +324,23 @@ def _passive_lstsq(A: np.ndarray, t: np.ndarray, passive: np.ndarray) -> np.ndar
     return z
 
 
-def symmetric_psd(matrix: np.ndarray, name: str) -> Tuple[np.ndarray, float]:
-    """The package's one rule for a quadratic objective's hessian.
+def _quadratic(hessian, linear, name: str) -> Tuple[np.ndarray, np.ndarray, float, float]:
+    """The package's one rule for a quadratic objective ``0.5 w'Hw - w'h``.
 
-    The finite square ``matrix`` must be symmetric, and its symmetrized
-    form positive semidefinite, within ``1e-10 * max(1, max |entry|)``, or
-    ``ValueError`` names it as ``name``. Returns the symmetrized form and
-    its smallest eigenvalue.
+    ``hessian`` is ``(K, K)`` for the ``K`` entries of ``linear``, both are
+    finite, and ``hessian`` is symmetric, and its symmetrized form positive
+    semidefinite, within ``1e-10 * scale`` with ``scale = max(1, max
+    |entry|)``; else ``ValueError`` names it as ``name``. Returns the
+    symmetrized hessian, the flattened linear term, the smallest eigenvalue
+    and ``scale``.
     """
-    H = np.asarray(matrix, dtype=float)
+    H = np.asarray(hessian, dtype=float)
+    h = np.asarray(linear, dtype=float).ravel()
+    K = h.size
+    if H.shape != (K, K):
+        raise ValueError(f"{name} must have shape {(K, K)}, got {H.shape}")
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
+        raise ValueError(f"{name} or its linear term has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(H))))
     if float(np.max(np.abs(H - H.T))) > _SYM_TOL * scale:
         raise ValueError(f"{name} is not symmetric within {_SYM_TOL}")
@@ -341,7 +348,7 @@ def symmetric_psd(matrix: np.ndarray, name: str) -> Tuple[np.ndarray, float]:
     smallest = float(np.linalg.eigvalsh(H)[0])
     if smallest < -_SYM_TOL * scale:
         raise ValueError(f"{name} is not positive semidefinite")
-    return H, smallest
+    return H, h, smallest, scale
 
 
 def solve_simplex_qp(hessian: np.ndarray, linear: Iterable[float]) -> np.ndarray:
@@ -356,7 +363,7 @@ def solve_simplex_qp(hessian: np.ndarray, linear: Iterable[float]) -> np.ndarray
     Parameters
     ----------
     hessian : array_like, shape (K, K)
-        Symmetric positive semidefinite matrix, by ``symmetric_psd``'s rule.
+        Symmetric positive semidefinite, by ``QuadraticComponents``' rule.
     linear : array_like, shape (K,)
         Linear coefficient vector.
 
@@ -368,22 +375,14 @@ def solve_simplex_qp(hessian: np.ndarray, linear: Iterable[float]) -> np.ndarray
     Raises
     ------
     ValueError
-        For a malformed or non-finite input, or a hessian that fails
-        ``symmetric_psd``.
+        For fewer than two coordinates, or by ``QuadraticComponents``' rule.
     ConvergenceError
         When it needs more than ``50 * K`` active-set iterations.
     """
-    H = np.asarray(hessian, dtype=float)
-    h = np.asarray(linear, dtype=float).ravel()
-    K = h.size
-    if K < 2:
+    if np.size(linear) < 2:
         raise ValueError("the simplex QP needs at least two coordinates")
-    if H.shape != (K, K):
-        raise ValueError(f"hessian must have shape {(K, K)}, got {H.shape}")
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
-        raise ValueError("QP inputs have non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(H))))
-    H, smallest = symmetric_psd(H, "hessian")
+    H, h, smallest, scale = _quadratic(hessian, linear, "hessian")
+    K = h.size
     # a singular hessian leaves faces without stationary points; a ridge far
     # below every tolerance makes each subproblem strictly convex while
     # moving the objective by at most ridge/2

@@ -327,11 +327,11 @@ def confidence_set(
     skipped = list(errors)
     statistic[skipped], zeros[skipped] = math.inf, 0
     dof = np.maximum(K - 1 - zeros, 1)
-    tested = np.ones(len(grid), dtype=bool)
-    tested[skipped] = False
-    critical = np.full(len(grid), math.nan)
-    for k in np.unique(dof[tested]).tolist():
-        critical[tested & (dof == k)] = chi2_quantile(1.0 - alpha, k)
+    table = np.full(K, math.nan)  # the critical value of each dof
+    for k in np.unique(np.delete(dof, skipped)).tolist():
+        table[k] = chi2_quantile(1.0 - alpha, k)
+    critical = table[dof]
+    critical[skipped] = math.nan
     return ConfidenceSet(
         alpha=alpha, grid=grid, resolution=res, statistic=statistic, zeros=zeros, dof=dof,
         critical=critical, member_mask=statistic <= critical,
@@ -360,40 +360,31 @@ def bonferroni_interval(
     v_hat: Callable[[np.ndarray], float],
     n: int,
     alpha: float = 0.05,
-    kappa: float = 0.005,
 ) -> Interval:
     """Two-step interval for a scalar functional of the weights.
 
-    Splits the error budget: a share ``kappa`` goes to the weight confidence
-    set (which must have been built at level ``1 - kappa``) and the rest to a
+    Splits the error budget: the share ``kappa = cs.alpha``, the level the
+    weight confidence set was built at, goes to the set and the rest to a
     normal interval for the functional at each member point. The result is
     the union of the pointwise intervals
     ``theta_hat(w) +/- z * v_hat(w) / sqrt(n)`` over member points ``w``,
     with ``z`` the standard normal quantile at ``1 - (alpha - kappa) / 2``.
+    ``theta_hat`` and ``v_hat`` are called once per member.
 
     Returns the empty interval when the confidence set has no members.
     """
+    kappa = cs.alpha
     if not 0.0 < kappa < alpha < 1.0:
         raise ValueError(f"need 0 < kappa < alpha < 1, got kappa={kappa}, alpha={alpha}")
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
-    if abs(cs.alpha - kappa) > 1e-12:
-        raise ValueError(
-            f"confidence set was built at level {1 - cs.alpha}, expected {1 - kappa}"
-        )
     members = cs.member_points()
     if members.shape[0] == 0:
         return Interval.empty_interval()
-    z = normal_quantile(1.0 - (alpha - kappa) / 2.0)
-    root_n = math.sqrt(n)
-    lower = math.inf
-    upper = -math.inf
-    for w in members:
-        theta = float(theta_hat(w))
-        spread = float(v_hat(w))
-        if not spread > 0.0:
-            raise ValueError(f"v_hat must be positive, got {spread} at w={w.tolist()}")
-        half = z * spread / root_n
-        lower = min(lower, theta - half)
-        upper = max(upper, theta + half)
-    return Interval(lower, upper)
+    theta = np.array([float(theta_hat(w)) for w in members])
+    spread = np.array([float(v_hat(w)) for w in members])
+    if not (spread > 0.0).all():
+        i = int(np.argmin(spread > 0.0))
+        raise ValueError(f"v_hat must be positive, got {spread[i]} at w={members[i].tolist()}")
+    half = normal_quantile(1.0 - (alpha - kappa) / 2.0) * spread / math.sqrt(n)
+    return Interval(float((theta - half).min()), float((theta + half).max()))

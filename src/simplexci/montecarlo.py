@@ -194,7 +194,7 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
         outcomes = np.stack([_outcomes(spec, paths, seed) for seed in seeds])
         matrix = outcomes.reshape(len(seeds), n, T)[:, labels]
         means, H, h = _quadratics(groups, matrix)
-        infl = InfluenceSet(*_influence_arrays(groups, matrix, means, probs), n=n)
+        infl = InfluenceSet(*_influence_arrays(groups, matrix, means, probs))
         # the test at w0 needs the plug-in covariance at w0 alone, which
         # costs O(n K^2) where the moment tensor of a sweep costs O(n K^4)
         G, M = _fixed_arrays(H, h, variance_at(infl, w0))
@@ -207,7 +207,7 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
             covered += int(outcome.member)
             if projection:
                 comps = QuadraticComponents(H=H[i], h=h[i], group_means=means[i], group_probs=probs)
-                own = InfluenceSet(psi_H=infl.psi_H[i], psi_h=infl.psi_h[i], n=n)
+                own = InfluenceSet(psi_H=infl.psi_H[i], psi_h=infl.psi_h[i])
                 cs = confidence_set(make_weight_model(comps, own), spec.alpha, resolution)
                 swept += 1
                 if not cs.member_mask.any():

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import functools
 import importlib
 import json
@@ -490,6 +491,15 @@ def test_unwritable_out_is_a_validation_error(target, tmp_path, capsys, monkeypa
         assert "Traceback" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_failed_write_exits_1_after_the_computation(tmp_path, capsys):
+    path = make_fixture(tmp_path, seed=1)
+    assert main(["project", str(path), "--grid", "4", "--out", "/dev/full"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write /dev/full: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
 def test_project_matches_library_in_both_formats(tmp_path, capsys):
     path = make_fixture(tmp_path, seed=2)
     _, model, cs = library_sweep(path)
@@ -526,7 +536,7 @@ def test_bonferroni_matches_library(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     panel, model, cs = library_sweep(path, level=0.005, t_match=5)
     theta_hat, v_hat = treatment_functional(panel, 6)
-    want = bonferroni_interval(cs, theta_hat, v_hat, model.n, alpha=0.05, kappa=0.005)
+    want = bonferroni_interval(cs, theta_hat, v_hat, model.n, alpha=0.05)
     assert doc["theta_interval"]["lower"] == want.lower
     assert doc["theta_interval"]["upper"] == want.upper
     assert doc["theta_interval"]["empty"] is want.empty
@@ -554,7 +564,7 @@ def test_bonferroni_at_one_matching_period_matches_library(options, tmp_path, ca
         model = make_weight_model(comps, infl)
     cs = confidence_set(model, 0.005, 4)
     theta_hat, v_hat = treatment_functional(panel, 2)
-    want = bonferroni_interval(cs, theta_hat, v_hat, model.n, alpha=0.05, kappa=0.005)
+    want = bonferroni_interval(cs, theta_hat, v_hat, model.n, alpha=0.05)
     assert doc["w_hat"] == w_hat.tolist()
     assert doc["theta_interval"] == {"lower": want.lower, "upper": want.upper, "empty": False}
     assert doc["weight_set"]["members"] == int(cs.member_mask.sum()) > 0
@@ -844,6 +854,23 @@ def test_c_reader_peak_memory_is_a_few_times_the_file(tmp_path):
     # past its input: 8.0 times as above, 3.22 past the decoded text with
     # copied columns, 2.17 now
     assert traced_peak(cli._c_reader_columns, path.read_bytes()) <= 2.75 * size
+
+
+def test_stripped_labels_leave_no_column_a_view_of_the_table(tmp_path):
+    plain = bench_panel_file(tmp_path)
+    padded = tmp_path / "padded.csv"
+    padded.write_bytes(re.sub(rb"(?m)^(g\w+),", rb" \1\t,", plain.read_bytes()))
+    # plain labels are the table's own, and the other columns stay its views
+    assert read_panel_csv(str(plain), 10).group.base is not None
+    # stripped labels are new, so the other columns are copies: the panel
+    # holds its U6 labels and three 8-byte columns, not the whole table with
+    # its stale U8 labels beside them
+    panel = read_panel_csv(str(padded), 10)
+    columns = (panel.unit, panel.group, panel.time, panel.outcome)
+    assert all(column.base is None for column in columns)
+    assert panel.unit.dtype == np.dtype("U6")
+    held = sum((column if column.base is None else column.base).nbytes for column in columns)
+    assert held == (4 * 6 + 3 * 8) * panel.unit.size
 
 
 def test_long_label_peak_memory_is_a_few_times_the_file(tmp_path):
@@ -1229,6 +1256,8 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+    with pytest.raises(DataError, match="^unknown command 'bogus'$"):
+        RunConfig(command="bogus").validate()
 
 
 def test_config_file_merge_and_unknown_keys(tmp_path, capsys):
@@ -1256,6 +1285,9 @@ def test_config_keys_reach_their_run_config_fields(tmp_path, capsys):
     assert resolve_config(args) == RunConfig(
         command="simulate", n_j=7, design="boundary", projection=True, fmt="csv", reps=5
     )
+    cfg.write_text("projection=off\n", encoding="utf-8")
+    args = parser.parse_args(["simulate", "--config", str(cfg)])
+    assert resolve_config(args).projection is False
     cfg.write_text("strict=maybe\n", encoding="utf-8")
     assert main(["infer", "panel.csv", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == (
@@ -1363,6 +1395,9 @@ def test_config_file_errors_name_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {cfg}:2: byte 0xe9 is not valid UTF-8 (invalid continuation byte)\n"
     )
+    cfg.write_text("alpha=0.2\nprojection\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'projection'\n"
     missing = tmp_path / "missing.cfg"
     assert main(["simulate", "--config", str(missing)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")

@@ -72,6 +72,9 @@ def test_an_iterate_that_hits_the_root_exactly_is_returned():
         return min(x / 16.0, 1.0)
 
     assert distributions._invert(cdf, lambda x: 1.0 / 16.0, 0.375, 12.0, 1e-14, "line") == 6.0
+    # where the density is zero, bisection alone finds the root
+    root = distributions._invert(cdf, lambda x: 0.0, 0.3, 12.0, 1e-14, "line")
+    assert root == pytest.approx(4.8, abs=1e-12)
 
 
 def test_numpy_integer_dof_from_a_confidence_set(monkeypatch):
@@ -129,6 +132,7 @@ def test_chi2_pdf_matches_cdf_derivative():
             step = 1e-6 * (1.0 + x)
             numeric = (_chi2_upper(x - step, k) - _chi2_upper(x + step, k)) / (2.0 * step)
             assert abs(_chi2_pdf(x, k) - numeric) <= 1e-6 * (1.0 + numeric)
+    assert _chi2_pdf(0.0, 1) == 0.0 and _chi2_pdf(-1.0, 4) == 0.0
 
 
 def test_normal_quantile_matches_erf_oracle():

@@ -71,6 +71,10 @@ def test_panel_rejects_malformed_input():
     PanelData.from_long(unit, group, time, y)  # baseline is fine
     with pytest.raises(DataError):
         PanelData.from_long(unit[:-1], group, time, y)
+    with pytest.raises(DataError, match="^panel has no observations$"):
+        PanelData.from_long([], [], [], [])
+    with pytest.raises(DataError, match="^t_match must be at least 1, got 0$"):
+        PanelData.from_long(unit, group, time, y, t_match=0)
     with pytest.raises(DataError):
         PanelData.from_long(unit, group, time, np.full(16, np.inf))
     with pytest.raises(DataError):
@@ -304,6 +308,9 @@ def test_influence_set_matches_naive_loops_and_is_mean_zero():
     assert np.allclose(influence.psi_h, psi_h, atol=1e-10)
     assert np.max(np.abs(influence.psi_H.mean(axis=0))) <= 1e-12
     assert np.max(np.abs(influence.psi_h.mean(axis=0))) <= 1e-12
+    assert influence.n == 25  # the unit count, psi_H.shape[-3]
+    stacked = InfluenceSet(np.stack([psi_H, psi_H]), np.stack([psi_h, psi_h]))
+    assert stacked.n == 25
 
 
 def test_unit_sitting_on_its_group_mean_has_zero_influence():
@@ -671,13 +678,30 @@ def test_make_weight_model_argument_validation():
         make_weight_model(comps, influence, mode="other")
     with pytest.raises(ValueError, match="v_fixed"):
         make_weight_model(comps, influence, v_fixed=np.eye(3))  # v_fixed outside fixed mode
+    with pytest.raises(ValueError, match=r"^v_fixed must have shape \(3, 3\), got \(2, 2\)$"):
+        make_weight_model(comps, influence, mode="fixed", v_fixed=np.eye(2))
+    with pytest.raises(ValueError, match="^influence dimension does not match components$"):
+        make_weight_model(comps, InfluenceSet(np.zeros((4, 2, 2)), np.zeros((4, 2))))
+    one = QuadraticComponents(H=np.eye(1), h=np.zeros(1))
+    with pytest.raises(ValueError, match="^need at least two untreated groups for weights"):
+        make_weight_model(one, InfluenceSet(np.zeros((4, 1, 1)), np.zeros((4, 1))))
+    # influence_set needs the components of a panel
+    with pytest.raises(ValueError, match="^components must carry group means and probabilities$"):
+        influence_set(panel, QuadraticComponents(H=comps.H, h=comps.h))
+    unseen = QuadraticComponents(comps.H, comps.h, comps.group_means, np.zeros(4))
+    with pytest.raises(ValueError, match="^group probabilities must all be positive$"):
+        influence_set(panel, unseen)
 
 
 def test_influence_set_rejects_uncentered_arrays():
     with pytest.raises(ValueError):
-        InfluenceSet(psi_H=np.ones((4, 3, 3)), psi_h=np.zeros((4, 3)), n=4)
+        InfluenceSet(psi_H=np.ones((4, 3, 3)), psi_h=np.zeros((4, 3)))
     with pytest.raises(ValueError):
-        InfluenceSet(psi_H=np.zeros((4, 3, 3)), psi_h=np.zeros((4, 2)), n=4)
+        InfluenceSet(psi_H=np.zeros((4, 3, 3)), psi_h=np.zeros((4, 2)))
+    with pytest.raises(ValueError, match=r"^psi_H must have shape \(n, K, K\), got \(4, 3\)$"):
+        InfluenceSet(psi_H=np.zeros((4, 3)), psi_h=np.zeros(4))
+    with pytest.raises(ValueError, match="^influence arrays have non-finite entries$"):
+        InfluenceSet(psi_H=np.zeros((4, 3, 3)), psi_h=np.full((4, 3), np.nan))
 
 
 def test_quadratic_components_validation():
@@ -685,8 +709,10 @@ def test_quadratic_components_validation():
         QuadraticComponents(H=np.array([[1.0, 0.5], [0.4, 1.0]]), h=np.zeros(2))
     with pytest.raises(ValueError):
         QuadraticComponents(H=-np.eye(2), h=np.zeros(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^H must have shape \(2, 2\), got \(3, 3\)$"):
         QuadraticComponents(H=np.eye(3), h=np.zeros(2))
+    with pytest.raises(ValueError, match="^H or its linear term has non-finite entries$"):
+        QuadraticComponents(H=np.array([[1.0, np.inf], [np.inf, 1.0]]), h=np.zeros(2))
     # an asymmetry within tolerance is accepted, and the symmetrized H is stored
     H = np.array([[2.0, 0.5], [0.5 + 1e-12, 1.0]])
     stored = QuadraticComponents(H=H, h=np.zeros(2)).H

@@ -41,6 +41,8 @@ def test_basis_k2_is_the_normalized_difference():
     assert b2.shape == (2, 1)
     assert b2[0, 0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
     assert b2[1, 0] == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-15)
+    with pytest.raises(ValueError, match="^dimension K must be at least 2, got 1$"):
+        build_basis(1)
 
 
 def test_basis_columns_orthonormal_and_orthogonal_to_ones():
@@ -104,6 +106,10 @@ def test_spd_matrix_rejects_bad_inputs():
         SpdMatrix.from_matrix(np.diag([1.0, 1e-15]))
     with pytest.raises(ValueError):
         SpdMatrix.from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        SpdMatrix.from_matrix(np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"stack of square matrices, got shape \(2, 2\)$"):
+        factor_spd(np.eye(2))
 
 
 def test_spd_matrix_is_built_only_by_from_matrix():
@@ -195,6 +201,8 @@ def test_check_simplex_point():
         check_simplex_point(np.array([1.0]))
     with pytest.raises(ValueError):
         check_simplex_point(np.array([0.5, 0.5]), K=3)
+    with pytest.raises(ValueError, match="^weight vector has non-finite entries$"):
+        check_simplex_point(np.array([np.nan, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +494,13 @@ def test_qp_validation_and_iteration_cap(monkeypatch):
             solve_simplex_qp(np.array(H), np.zeros(2))
         with pytest.raises(ValueError):
             QuadraticComponents(H=np.array(H), h=np.zeros(2))
-    with pytest.raises(ValueError):
-        solve_simplex_qp(np.full((2, 2), np.nan), np.zeros(2))
+    for H, h in ((np.full((2, 2), np.nan), np.zeros(2)), (np.eye(2), [np.inf, 0.0])):
+        with pytest.raises(ValueError, match="^hessian or its linear term has non-finite entries$"):
+            solve_simplex_qp(H, h)
+    with pytest.raises(ValueError, match="^the simplex QP needs at least two coordinates$"):
+        solve_simplex_qp(np.eye(1), np.zeros(1))
+    with pytest.raises(ValueError, match=r"^hessian must have shape \(2, 2\), got \(3, 3\)$"):
+        solve_simplex_qp(np.eye(3), np.zeros(2))
     monkeypatch.setattr(geometry, "_MAX_ITER_FACTOR", 0)
     with pytest.raises(ConvergenceError, match="exceeded 0 active-set iterations"):
         solve_simplex_qp(np.eye(3), np.array([5.0, 0.0, 0.0]))

@@ -136,6 +136,9 @@ def test_point_test_validation():
         point_test(model, np.array([0.2, 0.3, 0.6]), 0.05)
     with pytest.raises(ValueError):
         point_test(model, np.array([0.5, 0.5]), 0.05)
+    # the sweep checks its level as the test does
+    with pytest.raises(ValueError, match=r"^alpha must lie strictly in \(0, 1\), got 1.0$"):
+        confidence_set(model, 1.0, 4)
 
 
 def test_point_test_reports_ill_conditioned_covariance():
@@ -319,12 +322,15 @@ def test_bonferroni_single_member_half_width():
     cs = make_confidence_set([w_star])
     theta = lambda w: 1.5
     v = lambda w: 2.0
-    interval = bonferroni_interval(cs, theta, v, n=400, alpha=0.05, kappa=0.005)
+    interval = bonferroni_interval(cs, theta, v, n=400, alpha=0.05)
     z = 2.004654461765097  # normal quantile at 1 - (0.05 - 0.005) / 2
     half = z * 2.0 / math.sqrt(400)
     assert interval.lower == pytest.approx(1.5 - half, abs=1e-12)
     assert interval.upper == pytest.approx(1.5 + half, abs=1e-12)
     assert normal_quantile(0.9775) == pytest.approx(z, abs=1e-9)
+    # the weight set's share of the level is the level it was built at
+    wider = bonferroni_interval(make_confidence_set([w_star], kappa=0.01), theta, v, n=400)
+    assert wider.upper == pytest.approx(1.5 + normal_quantile(0.98) * 2.0 / 20.0, abs=1e-12)
 
 
 def test_bonferroni_unions_pointwise_intervals():
@@ -332,7 +338,7 @@ def test_bonferroni_unions_pointwise_intervals():
     cs = make_confidence_set(members)
     theta = lambda w: float(w[0])
     v = lambda w: float(0.5 + w[1])
-    interval = bonferroni_interval(cs, theta, v, n=100, alpha=0.05, kappa=0.005)
+    interval = bonferroni_interval(cs, theta, v, n=100, alpha=0.05)
     z = normal_quantile(0.9775)
     bounds = [
         (theta(w) - z * v(w) / 10.0, theta(w) + z * v(w) / 10.0) for w in members
@@ -345,18 +351,15 @@ def test_bonferroni_validation():
     cs = make_confidence_set([np.array([0.2, 0.3, 0.5])])
     theta = lambda w: 0.0
     v = lambda w: 1.0
-    with pytest.raises(ValueError):
-        bonferroni_interval(cs, theta, v, n=100, alpha=0.05, kappa=0.05)
-    with pytest.raises(ValueError):
-        bonferroni_interval(cs, theta, v, n=100, alpha=0.05, kappa=0.1)
-    with pytest.raises(ValueError):
+    # a set built at a level kappa >= alpha
+    for kappa in (0.05, 0.1):
+        high = make_confidence_set([np.array([0.2, 0.3, 0.5])], kappa=kappa)
+        with pytest.raises(ValueError, match=f"< 1, got kappa={kappa}, alpha=0.05$"):
+            bonferroni_interval(high, theta, v, n=100, alpha=0.05)
+    with pytest.raises(ValueError, match="^sample size must be positive, got 0$"):
         bonferroni_interval(cs, theta, v, n=0)
-    # set built at the wrong level
-    mismatched = make_confidence_set([np.array([0.2, 0.3, 0.5])], kappa=0.01)
-    with pytest.raises(ValueError):
-        bonferroni_interval(mismatched, theta, v, n=100, alpha=0.05, kappa=0.005)
     # nonpositive spread at a member
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^v_hat must be positive, got 0.0 at w=\[0.2, 0.3, 0.5"):
         bonferroni_interval(cs, theta, lambda w: 0.0, n=100)
     empty = make_confidence_set([])
     assert bonferroni_interval(empty, theta, v, n=100).empty
