@@ -82,10 +82,13 @@ def factor_spd(matrices: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[int, 
     This is the package's one rule for a usable covariance. Matrix ``i`` of
     the ``(N, d, d)`` stack passes when its entries are finite, it is
     symmetric within ``1e-10 * max(1, max |entry|)``, and its symmetrized
-    form is positive definite with condition number at most 1e12. One
-    eigendecomposition ``V diag(eig) V'`` per matrix decides the rule and
-    gives the whitening ``W = diag(eig)^(-1/2) V'``, so that
-    ``W Omega W' = I`` and ``Omega^-1 = W'W``.
+    form is positive definite with condition number at most 1e12. Each
+    matrix gets the inverse ``W = L^-1`` of its Cholesky factor, so that
+    ``W Omega W' = I`` and ``Omega^-1 = W'W``, and passes at once when
+    ``d max |entry| ||W||_F^2``, a bound on its condition number, is at most
+    a hundredth of the cap. The others get one eigendecomposition
+    ``V diag(eig) V'`` each, which decides the rule and gives the whitening
+    ``W = diag(eig)^(-1/2) V'``. No matrix's result depends on the others.
 
     Returns ``(entries, white, failures)``: the symmetrized matrices, their
     whitenings, and a dict from the index of each failing matrix to the
@@ -96,36 +99,48 @@ def factor_spd(matrices: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[int, 
     a = np.asarray(matrices, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    dim = a.shape[1]
     transposed = a.transpose(0, 2, 1)
     magnitude = np.abs(a).max(axis=(1, 2))  # not finite exactly when an entry is not
     finite = np.isfinite(magnitude)
-    # the arithmetic of a matrix with an infinite entry may meet inf - inf;
-    # those results are never read
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):  # a NaN or inf fails every check below
         scale = np.maximum(1.0, magnitude)
         usable = finite & (np.abs(a - transposed).max(axis=(1, 2)) <= _SYM_TOL * scale)
         entries = 0.5 * (a + transposed)
-    failures: Dict[int, Exception] = {} if usable.all() else {
-        i: ValueError("matrix has non-finite entries" if not finite[i]
-                      else f"matrix is not symmetric within {_SYM_TOL}")
-        for i in np.flatnonzero(~usable).tolist()
-    }
-    if failures:  # so that the stack decomposes as a whole
-        entries[list(failures)] = np.eye(a.shape[1])
-    eigs, vecs = np.linalg.eigh(entries)
-    low, high = eigs[:, 0], eigs[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero or negative eigenvalue
-        bad = ~(low > 0.0) | (high / low > _COND_CAP)
-        white = np.swapaxes(vecs, 1, 2) / np.sqrt(eigs)[..., None]
-    for i in np.flatnonzero(bad).tolist():
-        if low[i] <= 0.0:
-            message = f"matrix is not positive definite (min eigenvalue {low[i]:.6e})"
-        else:
-            cond = high[i] / low[i] if low[i] > 0.0 else math.inf  # low[i] may be NaN
-            message = f"condition number {cond:.6e} exceeds the cap {_COND_CAP:.1e}"
-        failures[i] = IllConditionedError(message)
+        failures: Dict[int, Exception] = {
+            i: ValueError("matrix has non-finite entries" if not finite[i]
+                          else f"matrix is not symmetric within {_SYM_TOL}")
+            for i in (~usable).nonzero()[0].tolist()
+        }
+        # forward elimination of [Omega | I] leaves [D L' | D^(1/2) L^-1], D the
+        # pivots; with the stack as the last axis every step is elementwise, so
+        # no row's bits depend on its batch
+        work = np.empty((dim, 2 * dim, len(a)))
+        work[:, :dim] = entries.transpose(1, 2, 0)
+        work[:, dim:] = np.eye(dim)[..., None]
+        for k, row in enumerate(work[:-1]):
+            rest = work[k + 1:]
+            rest -= rest[:, k, None] * (row / row[k])
+        white = np.empty_like(entries)
+        roots = np.sqrt(work.diagonal(axis1=0, axis2=1))
+        np.divide(work[:, dim:].transpose(2, 0, 1), roots[..., None], out=white)
+        # cond(Omega) <= ||Omega||_F ||W||_F^2, NaN or inf after a pivot <= 0;
+        # a hundredth of the cap leaves the eigen rule a wide margin (Weyl)
+        certified = magnitude * (white * white).sum(axis=(1, 2)) <= _COND_CAP / (100 * dim)
+        rows = (usable & ~certified).nonzero()[0]
+        if rows.size:
+            eigs, vecs = np.linalg.eigh(entries[rows])
+            white[rows] = np.swapaxes(vecs, 1, 2) / np.sqrt(eigs)[..., None]
+            low, high = eigs[:, 0], eigs[:, -1]
+            for j in np.flatnonzero(~(low > 0.0) | (high / low > _COND_CAP)).tolist():
+                if low[j] <= 0.0:
+                    message = f"matrix is not positive definite (min eigenvalue {low[j]:.6e})"
+                else:
+                    cond = high[j] / low[j] if low[j] > 0.0 else math.inf  # low may be NaN
+                    message = f"condition number {cond:.6e} exceeds the cap {_COND_CAP:.1e}"
+                failures[int(rows[j])] = IllConditionedError(message)
     if failures:
-        entries[list(failures)] = white[list(failures)] = np.eye(a.shape[1])
+        entries[list(failures)] = white[list(failures)] = np.eye(dim)
     return entries, white, failures
 
 
@@ -218,7 +233,9 @@ def project_cone(
     ``factor_spd`` supplies ``white``: the whitening ``W`` (``W omega W' =
     I``) of each row's covariance, ``(N, K-1, K-1)``, or one shared
     ``(1, K-1, K-1)`` whitening, which then whitens the generators once.
-    Inputs are not validated: the points must be on the simplex.
+    Any ``W`` with ``W'W = omega^-1`` gives the same projection up to
+    rounding, so the inverse Cholesky factor and the eigen whitening serve
+    alike. Inputs are not validated: the points must be on the simplex.
 
     Returns ``(lam, residual, objective, gradient_image, zeros, over_cap)``
     by row: the multipliers (zero wherever ``w`` is positive); the residual
@@ -327,10 +344,10 @@ def _passive_lstsq(A: np.ndarray, t: np.ndarray, passive: np.ndarray) -> np.ndar
 def _quadratic(hessian, linear, name: str) -> Tuple[np.ndarray, np.ndarray, float, float]:
     """The package's one rule for a quadratic objective ``0.5 w'Hw - w'h``.
 
-    ``hessian`` is ``(K, K)`` for the ``K`` entries of ``linear``, both are
-    finite, and ``hessian`` is symmetric, and its symmetrized form positive
-    semidefinite, within ``1e-10 * scale`` with ``scale = max(1, max
-    |entry|)``; else ``ValueError`` names it as ``name``. Returns the
+    ``hessian`` is ``(K, K)`` for the ``K >= 1`` entries of ``linear``, both
+    are finite, and ``hessian`` is symmetric, and its symmetrized form
+    positive semidefinite, within ``1e-10 * scale`` with ``scale = max(1,
+    max |entry|)``; else ``ValueError`` names it as ``name``. Returns the
     symmetrized hessian, the flattened linear term, the smallest eigenvalue
     and ``scale``.
     """
@@ -339,6 +356,8 @@ def _quadratic(hessian, linear, name: str) -> Tuple[np.ndarray, np.ndarray, floa
     K = h.size
     if H.shape != (K, K):
         raise ValueError(f"{name} must have shape {(K, K)}, got {H.shape}")
+    if K == 0:
+        raise ValueError(f"{name} must have at least one entry, got shape {H.shape}")
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
         raise ValueError(f"{name} or its linear term has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(H))))

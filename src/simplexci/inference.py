@@ -297,7 +297,7 @@ def confidence_set(
 
     Every point gets ``point_test``'s result, computed by the same code for
     batches of 1,024 points at once: ``factor_spd`` checks the covariances
-    and whitens them by one eigendecomposition each, and ``project_cone``
+    and whitens them by its certified Cholesky rule, and ``project_cone``
     projects. A covariance that does not depend on ``w`` (``M[K, K]`` is the
     only nonzero block of ``model.M``) is checked and whitened once per
     batch, and ``project_cone`` whitens the generators with it once per

@@ -15,6 +15,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from simplexci import geometry
 from simplexci.estimators import influence_set, make_weight_model, quadratic_components, variance_at
 from simplexci.exceptions import ConvergenceError, IllConditionedError
 from simplexci.inference import confidence_set, default_resolution, point_test, projection_interval
@@ -79,7 +80,7 @@ def chi2_quantile_quadrature(p: float, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cone projection and QP oracles
+# covariance rule, cone projection and QP oracles
 
 
 def cone_projection_enumeration(f, w, omega, b2, support_tol=1e-10, zero_tol=1e-8):
@@ -177,6 +178,49 @@ def span_projection_kkt(y, subset, omega, b2):
     gram = rows @ np.linalg.solve(omega, rows.T)
     mu = np.linalg.lstsq(gram, rows @ np.linalg.solve(omega, y), rcond=None)[0]
     return y - rows.T @ mu
+
+
+def factor_spd_eigen(matrices):
+    """``geometry.factor_spd`` as it was before the Cholesky certificate:
+    every matrix of the stack is decided and whitened by its own
+    eigendecomposition. The tolerance and the cap are read from
+    ``geometry`` when the rule runs, so a test that sets them governs both.
+    """
+    sym_tol, cond_cap = geometry._SYM_TOL, geometry._COND_CAP
+    a = np.asarray(matrices, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    transposed = a.transpose(0, 2, 1)
+    magnitude = np.abs(a).max(axis=(1, 2))  # not finite exactly when an entry is not
+    finite = np.isfinite(magnitude)
+    # the arithmetic of a matrix with an infinite entry may meet inf - inf;
+    # those results are never read
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(1.0, magnitude)
+        usable = finite & (np.abs(a - transposed).max(axis=(1, 2)) <= sym_tol * scale)
+        entries = 0.5 * (a + transposed)
+    failures = {} if usable.all() else {
+        i: ValueError("matrix has non-finite entries" if not finite[i]
+                      else f"matrix is not symmetric within {sym_tol}")
+        for i in np.flatnonzero(~usable).tolist()
+    }
+    if failures:  # so that the stack decomposes as a whole
+        entries[list(failures)] = np.eye(a.shape[1])
+    eigs, vecs = np.linalg.eigh(entries)
+    low, high = eigs[:, 0], eigs[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero or negative eigenvalue
+        bad = ~(low > 0.0) | (high / low > cond_cap)
+        white = np.swapaxes(vecs, 1, 2) / np.sqrt(eigs)[..., None]
+    for i in np.flatnonzero(bad).tolist():
+        if low[i] <= 0.0:
+            message = f"matrix is not positive definite (min eigenvalue {low[i]:.6e})"
+        else:
+            cond = high[i] / low[i] if low[i] > 0.0 else math.inf  # low[i] may be NaN
+            message = f"condition number {cond:.6e} exceeds the cap {cond_cap:.1e}"
+        failures[i] = IllConditionedError(message)
+    if failures:
+        entries[list(failures)] = white[list(failures)] = np.eye(a.shape[1])
+    return entries, white, failures
 
 
 # ---------------------------------------------------------------------------

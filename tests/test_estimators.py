@@ -711,6 +711,8 @@ def test_quadratic_components_validation():
         QuadraticComponents(H=-np.eye(2), h=np.zeros(2))
     with pytest.raises(ValueError, match=r"^H must have shape \(2, 2\), got \(3, 3\)$"):
         QuadraticComponents(H=np.eye(3), h=np.zeros(2))
+    with pytest.raises(ValueError, match=r"^H must have at least one entry, got shape \(0, 0\)$"):
+        QuadraticComponents(H=np.zeros((0, 0)), h=[])
     with pytest.raises(ValueError, match="^H or its linear term has non-finite entries$"):
         QuadraticComponents(H=np.array([[1.0, np.inf], [np.inf, 1.0]]), h=np.zeros(2))
     # an asymmetry within tolerance is accepted, and the symmetrized H is stored

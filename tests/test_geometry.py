@@ -19,7 +19,12 @@ from simplexci.geometry import (
 )
 
 from model_helpers import constant_model, project_one
-from oracles import cone_projection_enumeration, qp_simplex_enumeration, span_projection_kkt
+from oracles import (
+    cone_projection_enumeration,
+    factor_spd_eigen,
+    qp_simplex_enumeration,
+    span_projection_kkt,
+)
 
 
 def random_spd(rng, dim, jitter=0.3):
@@ -143,6 +148,7 @@ RULE_CASES = {
     "indefinite": np.array([[1.0, 2.0], [2.0, 1.0]]),
     "singular": np.array([[1.0, 1.0], [1.0, 1.0]]),
     "condition 1e14": np.diag([1.0, 1e-14]),
+    "condition 1e11": np.diag([1.0, 1e-11]),  # passes by its eigenvalues
 }
 
 
@@ -153,23 +159,118 @@ def raised_by(fn, *args, **kwargs):
 
 
 def test_stacked_rule_agrees_row_for_row_with_from_matrix(monkeypatch):
-    stack = np.stack(list(RULE_CASES.values()))
-    entries, white, failures = factor_spd(stack)
-    assert sorted(failures) == [2, 3, 4, 5, 6]
-    for i, matrix in enumerate(RULE_CASES.values()):
-        if i in failures:
-            exc = raised_by(SpdMatrix.from_matrix, matrix)
-            assert (type(failures[i]), str(failures[i])) == (type(exc), str(exc))
-            # a failed row carries the identity
-            assert np.array_equal(entries[i], np.eye(2)) and np.array_equal(white[i], np.eye(2))
-        else:
-            spd = SpdMatrix.from_matrix(matrix)
-            assert np.array_equal(entries[i], spd.entries)
-            assert np.array_equal(white[i], spd.white)
-            assert_whitens(spd.white, spd.entries)
+    cases = list(RULE_CASES.values())
+    # failing rows before, between and after passing ones: a row's result
+    # is its own, bit for bit, wherever it sits in whatever stack
+    for order in ([0, 1, 2, 3, 4, 5, 6, 7], [7, 6, 5, 4, 3, 2, 1, 0], [2, 0, 6, 7, 3, 1, 4, 5]):
+        entries, white, failures = factor_spd(np.stack([cases[j] for j in order]))
+        assert sorted(order[i] for i in failures) == [2, 3, 4, 5, 6]
+        for i, j in enumerate(order):
+            if i in failures:
+                exc = raised_by(SpdMatrix.from_matrix, cases[j])
+                assert (type(failures[i]), str(failures[i])) == (type(exc), str(exc))
+                # a failed row carries the identity
+                assert np.array_equal(entries[i], np.eye(2))
+                assert np.array_equal(white[i], np.eye(2))
+            else:
+                spd = SpdMatrix.from_matrix(cases[j])
+                assert np.array_equal(entries[i], spd.entries)
+                assert np.array_equal(white[i], spd.white)
+                assert_whitens(spd.white, spd.entries)
     # the condition cap is read when the rule runs
     monkeypatch.setattr(geometry, "_COND_CAP", 1e15)
-    assert 6 not in factor_spd(stack)[2]
+    assert 6 not in factor_spd(np.stack(cases))[2]
+
+
+def graded_spd(rng, dim, cond):
+    """``S C S`` for a well-conditioned ``C`` and a diagonal ``S`` whose
+    squares span ``cond``: a condition number near ``cond`` that either
+    whitening resolves to a few ulps."""
+    s = np.sqrt(np.geomspace(1.0, 1.0 / cond, dim))
+    graded = s[:, None] * random_spd(rng, dim, jitter=dim) * s
+    return 0.5 * (graded + graded.T)
+
+
+def straddling_stack(rng, dim):
+    """A shuffled stack of graded and dense matrices with condition numbers
+    from 1e9 to 1e13, well-conditioned ones, and one indefinite, singular,
+    1e-9-asymmetric, infinite and NaN matrix each. Returns the stack and the
+    mask of its graded and well-conditioned rows."""
+    rows, held = [], []
+    for cond in np.geomspace(1e9, 1e13, 17):
+        q = random_rotation(rng, dim)
+        dense = (q * np.geomspace(1.0, 1.0 / cond, dim)) @ q.T
+        rows += [graded_spd(rng, dim, cond), 0.5 * (dense + dense.T)]
+        held += [True, False]
+    rows += [random_spd(rng, dim) for _ in range(8)]
+    held += [True] * 8
+    q, v = random_rotation(rng, dim), rng.standard_normal(dim)
+    asymmetric = random_spd(rng, dim)
+    asymmetric /= np.abs(asymmetric).max()  # so that 1e-9 is over the tolerance
+    asymmetric[-1, 0] += 1e-9
+    infinite, missing = random_spd(rng, dim), random_spd(rng, dim)
+    infinite[0, -1] = np.inf
+    missing[-1, -1] = np.nan
+    rows += [(q * np.linspace(-1.0, 2.0, dim)) @ q.T, np.outer(v, v), asymmetric, infinite, missing]
+    held += [False] * 5
+    order = rng.permutation(len(rows))
+    return np.stack(rows)[order], np.array(held)[order]
+
+
+@pytest.mark.parametrize("cap", [1e12, 1e10, 1e8])
+def test_certified_rule_fails_and_whitens_as_the_eigen_oracle(cap, monkeypatch):
+    monkeypatch.setattr(geometry, "_COND_CAP", cap)  # governs both rules
+    rng = np.random.default_rng(31)
+    for dim in (2, 3, 5, 9):
+        stack, held = straddling_stack(rng, dim)
+        entries, white, failures = factor_spd(stack)
+        want_entries, want_white, want = factor_spd_eigen(stack)
+        got = [(i, type(exc), str(exc)) for i, exc in failures.items()]
+        assert got == [(i, type(exc), str(exc)) for i, exc in want.items()]
+        assert np.array_equal(entries, want_entries)
+        messages = [str(exc) for exc in failures.values()]
+        for cause in ("non-finite", "not symmetric", "not positive definite", "exceeds the cap"):
+            assert any(cause in message for message in messages)
+        passing = [i for i in range(len(stack)) if i not in failures]
+        # a row the bound clears gets its inverse Cholesky factor, which is
+        # lower triangular; every other row keeps the oracle's whitening
+        certified = [i for i in passing if not np.array_equal(white[i], want_white[i])]
+        assert all(not np.triu(white[i], 1).any() for i in certified)
+        assert len(certified) >= 8  # the well-conditioned rows at least
+        for i in range(len(stack)):  # a row's result is its own, bit for bit
+            alone = factor_spd(stack[i:i + 1])
+            assert np.array_equal(alone[0][0], entries[i]) and np.array_equal(alone[1][0], white[i])
+            want_alone = [str(failures[i])] if i in failures else []
+            assert [str(exc) for exc in alone[2].values()] == want_alone
+        # W Omega W' = I within 1e-12 on graded and well-conditioned rows; a
+        # dense matrix of condition c is whitened only to about c * eps, by
+        # either rule
+        for i in passing:
+            error = np.abs(white[i] @ entries[i] @ white[i].T - np.eye(dim)).max()
+            slack = 0.0 if held[i] else dim * np.finfo(float).eps * np.linalg.cond(entries[i])
+            assert error <= max(1e-12, slack)
+
+
+def test_certificate_is_scale_free_and_spares_eigh(monkeypatch):
+    rows = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        rows.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rng = np.random.default_rng(8)
+    for dim in (2, 5, 9):
+        stack = np.stack([random_spd(rng, dim) for _ in range(64)])
+        for scale in (1e-8, 1.0, 1e8):
+            entries, white, failures = factor_spd(scale * stack)
+            assert not failures and rows == []
+            assert_whitens(white, entries)
+    # a row the bound cannot clear still goes to eigh, at any scale
+    for scale in (1e-8, 1e8):
+        assert not factor_spd(scale * np.stack([np.eye(2), np.diag([1.0, 1e-11])]))[2]
+    assert rows == [1, 1]
 
 
 @pytest.mark.parametrize("case", ["asymmetric by 1e-9", "condition 1e14"])
