@@ -14,7 +14,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_sweep_probe_prints_one_row_per_lattice():
     # without the BLAS thread count set, so that the script re-executes itself
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    argv = [sys.executable, os.path.join(ROOT, "scripts", "sweep_probe.py"), "--repeat", "2",
+    argv = [sys.executable, os.path.join(ROOT, "scripts", "sweep_probe.py"),
             "--row", "3:4:interior:20", "--row", "4:3:boundary:20"]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, check=True)
     header, *rows = out.stdout.splitlines()
