@@ -184,20 +184,14 @@ class PanelData:
 
 @dataclass(frozen=True)
 class QuadraticComponents:
-    """Components of the quadratic matching objective 0.5 w'Hw - w'h.
+    """A quadratic objective 0.5 w'Hw - w'h, with gradient ``H w - h`` at ``w``.
 
-    ``H`` is the K x K period-averaged cross-product of the untreated group
-    means and ``h`` its counterpart against the treated mean, so the
-    objective gradient at ``w`` is ``H w - h``. ``group_means`` stacks the
-    per-period means with the treated group in row 0; ``group_probs`` are the
-    plug-in group membership shares. The last two are None when components
-    are supplied directly by a user-defined quadratic objective.
+    A panel's ``H`` is the period-averaged cross-product of its untreated group
+    means and ``h`` that against the treated mean; any objective may give its own.
     """
 
     H: np.ndarray
     h: np.ndarray
-    group_means: Optional[np.ndarray] = None
-    group_probs: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         H, h, _, _ = _quadratic(self.H, self.h, "H")
@@ -268,17 +262,17 @@ def _quadratics(groups: np.ndarray, matrix: np.ndarray) -> Tuple[np.ndarray, ...
 
 
 def quadratic_components(panel: PanelData) -> QuadraticComponents:
-    """Group means over matching periods and the implied quadratic objective."""
-    _, groups, matrix = panel._matched
-    means, H, h = _quadratics(groups, matrix)
-    probs = np.bincount(groups) / matrix.shape[0]
-    return QuadraticComponents(H=H, h=h, group_means=means, group_probs=probs)
+    """The quadratic objective of the panel's group means over the matching periods."""
+    _, H, h = _quadratics(*panel._matched[1:])
+    return QuadraticComponents(H=H, h=h)
 
 
-def _influence_arrays(groups, matrix, means, probs) -> Tuple[np.ndarray, np.ndarray]:
-    """``psi_H`` and ``psi_h`` of a ``(..., n, T)`` pivot with group means ``(..., K + 1, T)``."""
+def _influence_arrays(groups, matrix, means) -> Tuple[np.ndarray, np.ndarray]:
+    """``psi_H`` and ``psi_h`` of a ``(..., n, T)`` pivot with group means
+    ``(..., K + 1, T)``, the group shares counted from ``groups``."""
     n, T = matrix.shape[-2:]
     K = means.shape[-2] - 1
+    probs = np.bincount(groups) / n
     deviations = (matrix - means[..., groups, :]) / probs[groups][:, None]
     against_untreated = deviations @ np.swapaxes(means[..., 1:, :], -1, -2) / T  # (..., n, K)
     against_treated = (deviations @ means[..., 0, :, None])[..., 0] / T  # (..., n)
@@ -299,23 +293,23 @@ def _influence_arrays(groups, matrix, means, probs) -> Tuple[np.ndarray, np.ndar
 def influence_set(
     panel: PanelData, components: Optional[QuadraticComponents] = None
 ) -> InfluenceSet:
-    """Per-unit influence functions of the estimated gradient.
+    """Per-unit influence functions of the panel's estimated gradient.
 
     Each unit contributes through its within-group outcome deviations,
     inverse-weighted by the plug-in group share: for a unit of untreated
     group g the deviation enters row and column g of ``psi_H`` through its
     period-averaged product with every group-mean path, and entry g of
     ``psi_h`` through its product with the treated path; treated units only
-    move ``psi_h``. The resulting arrays are exactly mean zero because group
-    means and shares are the plug-in estimates.
+    move ``psi_h``. Means and shares come from the panel, so the arrays are
+    exactly mean zero; ``components`` not the panel's own raise ``ValueError``.
     """
-    comps = components if components is not None else quadratic_components(panel)
-    if comps.group_means is None or comps.group_probs is None:
-        raise ValueError("components must carry group means and probabilities")
-    if np.any(comps.group_probs <= 0.0):
-        raise ValueError("group probabilities must all be positive")
     _, groups, matrix = panel._matched
-    psi_H, psi_h = _influence_arrays(groups, matrix, comps.group_means, comps.group_probs)
+    means, H, h = _quadratics(groups, matrix)
+    if components is not None and not (
+        np.array_equal(components.H, 0.5 * (H + H.T)) and np.array_equal(components.h, h)
+    ):
+        raise ValueError("components were not computed from this panel")
+    psi_H, psi_h = _influence_arrays(groups, matrix, means)
     return InfluenceSet(psi_H=psi_H, psi_h=psi_h)
 
 
@@ -410,12 +404,14 @@ def treatment_functional(
     group mean at ``post_period`` minus the ``w``-weighted untreated group
     means, and ``v_hat(w)`` the square root of the sample second moment of
     its per-unit influence function. Every unit must have an outcome at the
-    post period.
+    post period, a Python or numpy integer (not a bool); else ``DataError``.
     """
+    if isinstance(post_period, bool) or not isinstance(post_period, (int, np.integer)):
+        raise DataError(f"post period must be an integer, got {post_period!r}")
     labels, groups, _ = panel._matched
     K = panel.K
     n = labels.size
-    at_post = panel.time == int(post_period)
+    at_post = panel.time == post_period
     if not at_post.any():
         raise DataError(f"no observations at post period {post_period}")
     y_post = np.full(n, np.nan)

@@ -342,11 +342,12 @@ def confidence_set(
 def projection_interval(cs: ConfidenceSet, coord: int) -> Interval:
     """Range of one weight coordinate over the members of a confidence set.
 
-    Returns the empty interval when no grid point is a member.
+    Returns the empty interval when no grid point is a member. ``coord`` is
+    any integral type but ``bool``.
     """
     K = cs.grid.shape[1]
-    if not 0 <= coord < K:
-        raise ValueError(f"coordinate must lie in [0, {K - 1}], got {coord}")
+    if isinstance(coord, bool) or not isinstance(coord, (int, np.integer)) or not 0 <= coord < K:
+        raise ValueError(f"coordinate must be an integer in [0, {K - 1}], got {coord!r}")
     mask = cs.member_mask
     if not mask.any():
         return Interval.empty_interval()

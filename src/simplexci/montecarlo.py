@@ -182,7 +182,6 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
     # layout (unit order and groups) that every replication shares
     labels, groups, _ = generate_panel(spec, children[0], children[1])._matched
     n, T = labels.size, spec.t0
-    probs = np.bincount(groups) / n
     chunk = max(1, _CHUNK_BYTES // (8 * n * max(T, spec.K**2)))
 
     covered = failures = swept = empties = nonempty = 0
@@ -194,7 +193,7 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
         outcomes = np.stack([_outcomes(spec, paths, seed) for seed in seeds])
         matrix = outcomes.reshape(len(seeds), n, T)[:, labels]
         means, H, h = _quadratics(groups, matrix)
-        infl = InfluenceSet(*_influence_arrays(groups, matrix, means, probs))
+        infl = InfluenceSet(*_influence_arrays(groups, matrix, means))
         # the test at w0 needs the plug-in covariance at w0 alone, which
         # costs O(n K^2) where the moment tensor of a sweep costs O(n K^4)
         G, M = _fixed_arrays(H, h, variance_at(infl, w0))
@@ -206,7 +205,7 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
                 continue
             covered += int(outcome.member)
             if projection:
-                comps = QuadraticComponents(H=H[i], h=h[i], group_means=means[i], group_probs=probs)
+                comps = QuadraticComponents(H=H[i], h=h[i])
                 own = InfluenceSet(psi_H=infl.psi_H[i], psi_h=infl.psi_h[i])
                 cs = confidence_set(make_weight_model(comps, own), spec.alpha, resolution)
                 swept += 1

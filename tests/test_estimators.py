@@ -21,6 +21,7 @@ from simplexci.estimators import (
 from simplexci.exceptions import DataError
 from simplexci.geometry import build_basis, solve_simplex_qp
 from simplexci.inference import point_test, simplex_grid
+from simplexci.montecarlo import McSpec, generate_panel
 
 from oracles import (
     bootstrap_variance_loop,
@@ -213,7 +214,8 @@ def test_panel_allows_extra_periods_beyond_matching_window():
     trimmed = PanelData.from_long(unit[window], group[window], time[window], outcome[window])
     want, got = quadratic_components(trimmed), quadratic_components(panel)
     assert np.array_equal(got.H, want.H) and np.array_equal(got.h, want.h)
-    assert np.array_equal(got.group_means, want.group_means)
+    want_means = estimators._quadratics(*trimmed._matched[1:])[0]
+    assert np.array_equal(estimators._quadratics(*panel._matched[1:])[0], want_means)
 
 
 def faulty_panel(rng):
@@ -288,29 +290,34 @@ def test_quadratic_components_match_naive_loops():
     means = naive_group_means(panel.unit, panel.group, panel.time, panel.outcome, K, T)
     H, h = naive_quadratics(means, K, T)
     comps = quadratic_components(panel)
-    assert np.allclose(comps.group_means, means, atol=1e-12)
+    assert np.allclose(estimators._quadratics(*panel._matched[1:])[0], means, atol=1e-12)
     assert np.allclose(comps.H, H, atol=1e-12)
     assert np.allclose(comps.h, h, atol=1e-12)
-    assert np.allclose(comps.group_probs, np.full(K + 1, 1.0 / (K + 1)), atol=1e-15)
 
 
 def test_influence_set_matches_naive_loops_and_is_mean_zero():
     rng = np.random.default_rng(15)
-    panel = random_panel(rng, K=4, n_j=5, T=6)
-    comps = quadratic_components(panel)
-    influence = influence_set(panel, comps)
-    K, T = panel.K, panel.t_match
-    psi_H, psi_h = naive_influence(
-        panel.unit, panel.group, panel.time, panel.outcome,
-        comps.group_means, comps.group_probs, K, T,
+    balanced = random_panel(rng, K=4, n_j=5, T=6)
+    # without units 5 and 6, group 1 holds 3 of the 23 units and the others 5
+    keep = ~np.isin(balanced.unit, [5, 6])
+    uneven = PanelData.from_long(
+        balanced.unit[keep], balanced.group[keep], balanced.time[keep], balanced.outcome[keep]
     )
-    assert np.allclose(influence.psi_H, psi_H, atol=1e-10)
-    assert np.allclose(influence.psi_h, psi_h, atol=1e-10)
-    assert np.max(np.abs(influence.psi_H.mean(axis=0))) <= 1e-12
-    assert np.max(np.abs(influence.psi_h.mean(axis=0))) <= 1e-12
-    assert influence.n == 25  # the unit count, psi_H.shape[-3]
+    for panel, sizes in ((balanced, [5, 5, 5, 5, 5]), (uneven, [5, 3, 5, 5, 5])):
+        influence = influence_set(panel, quadratic_components(panel))
+        K, T = panel.K, panel.t_match
+        means = naive_group_means(panel.unit, panel.group, panel.time, panel.outcome, K, T)
+        probs = np.array(sizes) / sum(sizes)
+        psi_H, psi_h = naive_influence(
+            panel.unit, panel.group, panel.time, panel.outcome, means, probs, K, T
+        )
+        assert np.allclose(influence.psi_H, psi_H, atol=1e-10)
+        assert np.allclose(influence.psi_h, psi_h, atol=1e-10)
+        assert np.max(np.abs(influence.psi_H.mean(axis=0))) <= 1e-12
+        assert np.max(np.abs(influence.psi_h.mean(axis=0))) <= 1e-12
+        assert influence.n == sum(sizes)  # the unit count, psi_H.shape[-3]
     stacked = InfluenceSet(np.stack([psi_H, psi_H]), np.stack([psi_h, psi_h]))
-    assert stacked.n == 25
+    assert stacked.n == 23
 
 
 def test_unit_sitting_on_its_group_mean_has_zero_influence():
@@ -636,6 +643,17 @@ def test_treatment_functional_requires_complete_post_period():
         treatment_functional(panel, post_period=7)
 
 
+def test_treatment_functional_refuses_a_non_integer_post_period():
+    panel = random_panel(np.random.default_rng(29), T=6)
+    theta, _ = treatment_functional(panel, post_period=6)
+    w = np.array([0.2, 0.3, 0.5])
+    for post in (np.int64(6), np.uint8(6)):
+        assert treatment_functional(panel, post_period=post)[0](w) == theta(w)
+    for post, shown in ((6.7, "6.7"), (6.0, "6.0"), ("6", "'6'"), (True, "True")):
+        with pytest.raises(DataError, match=f"^post period must be an integer, got {shown}$"):
+            treatment_functional(panel, post_period=post)
+
+
 # ---------------------------------------------------------------------------
 # model assembly
 
@@ -685,12 +703,26 @@ def test_make_weight_model_argument_validation():
     one = QuadraticComponents(H=np.eye(1), h=np.zeros(1))
     with pytest.raises(ValueError, match="^need at least two untreated groups for weights"):
         make_weight_model(one, InfluenceSet(np.zeros((4, 1, 1)), np.zeros((4, 1))))
-    # influence_set needs the components of a panel
-    with pytest.raises(ValueError, match="^components must carry group means and probabilities$"):
-        influence_set(panel, QuadraticComponents(H=comps.H, h=comps.h))
-    unseen = QuadraticComponents(comps.H, comps.h, comps.group_means, np.zeros(4))
-    with pytest.raises(ValueError, match="^group probabilities must all be positive$"):
-        influence_set(panel, unseen)
+
+
+def test_influence_set_refuses_the_components_of_another_panel():
+    spec = McSpec(K=3, n_j=5, t0=4, reps=1)
+    panel = generate_panel(spec, eta_seed=1, rep_seed=2)
+    comps = quadratic_components(panel)
+    # rebuilt from the same arrays, the components are the panel's own
+    own = influence_set(panel, QuadraticComponents(H=comps.H.copy(), h=comps.h.tolist()))
+    assert np.array_equal(own.psi_H, influence_set(panel).psi_H)
+    others = [
+        generate_panel(McSpec(K=3, n_j=6, t0=4, reps=1), eta_seed=1, rep_seed=2),  # n_j
+        generate_panel(McSpec(K=3, n_j=5, t0=5, reps=1), eta_seed=1, rep_seed=2),  # t0
+        generate_panel(spec, eta_seed=1, rep_seed=3),  # another noise draw, same shape
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="^components were not computed from this panel$"):
+            influence_set(panel, quadratic_components(other))
+    last = quadratic_components(others[-1])
+    with pytest.raises(ValueError, match="^components were not computed from this panel$"):
+        influence_set(panel, QuadraticComponents(H=comps.H, h=last.h))  # h alone differs
 
 
 def test_influence_set_rejects_uncentered_arrays():

@@ -309,8 +309,10 @@ def test_projection_interval_bounds_and_validation():
     assert projection_interval(cs, 0) == Interval(0.2, 0.4)
     assert projection_interval(cs, 1) == Interval(0.1, 0.3)
     assert projection_interval(cs, 2) == Interval(0.5, 0.5)
-    with pytest.raises(ValueError):
-        projection_interval(cs, 3)
+    assert projection_interval(cs, np.int64(1)) == Interval(0.1, 0.3)
+    for coord in (3, -1, 1.5, True, "1"):
+        with pytest.raises(ValueError, match=r"^coordinate must be an integer in \[0, 2\], got "):
+            projection_interval(cs, coord)
     empty = make_confidence_set([])
     result = projection_interval(empty, 0)
     assert result.empty

@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from simplexci import montecarlo
-from simplexci.estimators import quadratic_components
 from simplexci.exceptions import IllConditionedError
 from simplexci.montecarlo import CoverageReport, McSpec, coverage_experiment, generate_panel
 
@@ -56,7 +55,9 @@ def test_vertex_override_ties_treated_path_to_one_donor():
 def test_sample_means_track_population_paths():
     spec = McSpec(K=3, n_j=400, t0=8, reps=1, seed=0)
     panel = generate_panel(spec, eta_seed=21, rep_seed=22)
-    sample = quadratic_components(panel).group_means
+    sample = oracles.naive_group_means(
+        panel.unit, panel.group, panel.time, panel.outcome, spec.K, spec.t0
+    )
     population = reconstruct_means(spec, eta_seed=21)
     # unit noise has variance 1, so each cell mean has sd 1/sqrt(n_j)
     gap = np.abs(sample - population)
