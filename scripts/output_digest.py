@@ -1,4 +1,4 @@
-"""Print the exit code and stdout sha256 of 24 fixed CLI invocations.
+"""Print the exit code and stdout sha256 of 27 fixed CLI invocations.
 
     python3 scripts/output_digest.py
 
@@ -13,7 +13,10 @@ plus ``--format``:
   bootstrap``) and ``bonferroni-large-n`` (``bonferroni``) at seeds 1-3, in
   JSON and CSV, 18 cases;
 * ``simulate-k3`` at seeds 1-3, in JSON, and the same with ``--projection``,
-  in CSV, 6 cases.
+  in CSV, 6 cases;
+* ``simulate --K 3 --nj 50 --reps 20 --grid 3 --projection`` at seeds 1-3,
+  in JSON, 3 cases whose sweeps give empty sets in some replications and
+  not in others (the same at both sizes).
 
 One line is printed per case: its name, the exit code and the sha256 of
 its stdout, tab separated. Two checkouts whose lines are equal write the
@@ -58,6 +61,10 @@ def cases(directory: str, smoke: bool) -> Iterator[Tuple[str, List[str]]]:
         for seed in SEEDS:
             label = " ".join(["simulate-k3", *extra, f"seed={seed}", fmt])
             yield label, workload.argv(None, seed) + extra + ["--format", fmt]
+    coarse = ["simulate", "--K", "3", "--nj", "50", "--reps", "20", "--grid", "3", "--projection"]
+    for seed in SEEDS:
+        yield f"simulate --grid 3 --projection seed={seed} json", coarse + [
+            "--seed", str(seed), "--format", "json"]
 
 
 def digest(argv: List[str]) -> Tuple[int, str]:

@@ -390,11 +390,9 @@ def _json_value(x):
 
 
 def _interval_doc(interval) -> dict:
-    return {
-        "lower": None if interval.empty else _json_value(interval.lower),
-        "upper": None if interval.empty else _json_value(interval.upper),
-        "empty": interval.empty,
-    }
+    # an empty interval's NaN bounds are written as null
+    return {"lower": _json_value(interval.lower), "upper": _json_value(interval.upper),
+            "empty": interval.empty}
 
 
 def _each_distinct(column: np.ndarray, fmt: Callable) -> list:
@@ -501,7 +499,7 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def _build_model(cfg: RunConfig, panel: PanelData):
     comps = quadratic_components(panel)
-    infl = influence_set(panel, comps)
+    infl = influence_set(panel)
     w_hat = solve_simplex_qp(comps.H, comps.h)
     if cfg.variance == "plugin":
         return make_weight_model(comps, infl), w_hat

@@ -182,7 +182,7 @@ class PanelData:
         return cls(unit=unit, group=group, time=time, outcome=outcome, t_match=t_match)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticComponents:
     """A quadratic objective 0.5 w'Hw - w'h, with gradient ``H w - h`` at ``w``.
 
@@ -199,7 +199,7 @@ class QuadraticComponents:
         object.__setattr__(self, "h", h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfluenceSet:
     """Per-unit influence functions of the objective gradient.
 
@@ -431,18 +431,13 @@ def treatment_functional(
     np.add.at(second_moment, groups, scaled * scaled)
     second_moment /= n
 
-    treated_level = float(mean_post[0])
-    untreated_levels = mean_post[1:].copy()
-    treated_term = float(second_moment[0])
-    untreated_terms = second_moment[1:].copy()
-
     def theta_hat(w) -> float:
         wv = check_simplex_point(w, K)
-        return treated_level - float(untreated_levels @ wv)
+        return float(mean_post[0]) - float(mean_post[1:] @ wv)
 
     def v_hat(w) -> float:
         wv = check_simplex_point(w, K)
-        return math.sqrt(treated_term + float((wv * wv) @ untreated_terms))
+        return math.sqrt(float(second_moment[0]) + float((wv * wv) @ second_moment[1:]))
 
     return theta_hat, v_hat
 
@@ -482,12 +477,12 @@ def make_weight_model(
     K = components.h.size
     if K < 2:
         raise ValueError("need at least two untreated groups for weights on a simplex")
+    if influence.psi_h.shape[1] != K:
+        raise ValueError("influence dimension does not match components")
     size = influence.n
     if mode == "pointwise":
         if v_fixed is not None:
             raise ValueError("v_fixed is taken only in fixed mode")
-        if influence.psi_h.shape[1] != K:
-            raise ValueError("influence dimension does not match components")
         b2 = build_basis(K)
         G = b2.T @ np.column_stack([components.H, -components.h])
         lifted = np.concatenate([influence.psi_H, -influence.psi_h[:, :, None]], axis=2)

@@ -105,7 +105,7 @@ class WeightModel:
         return gradients, omegas.reshape(N, K - 1, K - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointTest:
     """Outcome of testing a single candidate weight.
 
@@ -126,7 +126,7 @@ class PointTest:
     error: Optional[str] = None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConfidenceSet:
     """A simplex lattice and the test results of its points, as columns.
 
@@ -155,26 +155,23 @@ class ConfidenceSet:
         rows = zip(self.grid, *(column.tolist() for column in columns))
         return [PointTest(*row, error=self.errors.get(i)) for i, row in enumerate(rows)]
 
-    def member_points(self) -> np.ndarray:
-        """Grid rows whose test passed."""
-        return self.grid[self.member_mask]
-
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval, possibly empty (lower and upper are NaN when empty)."""
+    """Closed interval; the empty interval, ``Interval()``, has NaN bounds."""
 
-    lower: float
-    upper: float
-    empty: bool = False
+    lower: float = math.nan
+    upper: float = math.nan
 
     def __post_init__(self) -> None:
-        if not self.empty and not self.lower <= self.upper:
+        if math.isnan(self.lower) != math.isnan(self.upper):
+            raise ValueError(f"bounds must both be NaN or neither, got {self.lower}, {self.upper}")
+        if self.lower > self.upper:
             raise ValueError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
 
-    @classmethod
-    def empty_interval(cls) -> "Interval":
-        return cls(float("nan"), float("nan"), True)
+    @property
+    def empty(self) -> bool:
+        return math.isnan(self.lower)
 
     @property
     def length(self) -> float:
@@ -342,16 +339,15 @@ def confidence_set(
 def projection_interval(cs: ConfidenceSet, coord: int) -> Interval:
     """Range of one weight coordinate over the members of a confidence set.
 
-    Returns the empty interval when no grid point is a member. ``coord`` is
+    Returns the empty ``Interval()`` when no grid point is a member. ``coord`` is
     any integral type but ``bool``.
     """
     K = cs.grid.shape[1]
     if isinstance(coord, bool) or not isinstance(coord, (int, np.integer)) or not 0 <= coord < K:
         raise ValueError(f"coordinate must be an integer in [0, {K - 1}], got {coord!r}")
-    mask = cs.member_mask
-    if not mask.any():
-        return Interval.empty_interval()
-    values = cs.grid[mask, coord]
+    if not cs.member_mask.any():
+        return Interval()
+    values = cs.grid[cs.member_mask, coord]
     return Interval(float(values.min()), float(values.max()))
 
 
@@ -372,16 +368,16 @@ def bonferroni_interval(
     with ``z`` the standard normal quantile at ``1 - (alpha - kappa) / 2``.
     ``theta_hat`` and ``v_hat`` are called once per member.
 
-    Returns the empty interval when the confidence set has no members.
+    Returns the empty ``Interval()`` when the confidence set has no members.
     """
     kappa = cs.alpha
     if not 0.0 < kappa < alpha < 1.0:
         raise ValueError(f"need 0 < kappa < alpha < 1, got kappa={kappa}, alpha={alpha}")
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
-    members = cs.member_points()
+    members = cs.grid[cs.member_mask]
     if members.shape[0] == 0:
-        return Interval.empty_interval()
+        return Interval()
     theta = np.array([float(theta_hat(w)) for w in members])
     spread = np.array([float(v_hat(w)) for w in members])
     if not (spread > 0.0).all():

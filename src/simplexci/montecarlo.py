@@ -184,7 +184,7 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
     n, T = labels.size, spec.t0
     chunk = max(1, _CHUNK_BYTES // (8 * n * max(T, spec.K**2)))
 
-    covered = failures = swept = empties = nonempty = 0
+    covered = failures = swept = empties = 0
     proj_hits = np.zeros(spec.K)
     length_sums = np.zeros(spec.K)
 
@@ -209,10 +209,8 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
                 own = InfluenceSet(psi_H=infl.psi_H[i], psi_h=infl.psi_h[i])
                 cs = confidence_set(make_weight_model(comps, own), spec.alpha, resolution)
                 swept += 1
-                if not cs.member_mask.any():
-                    empties += 1
-                    continue
-                nonempty += 1
+                empties += int(not cs.member_mask.any())
+                # an empty set's intervals cover nothing and have length 0
                 for j in range(spec.K):
                     interval = projection_interval(cs, j)
                     inside = interval.lower - 1e-12 <= w0[j] <= interval.upper + 1e-12
@@ -234,8 +232,7 @@ def coverage_experiment(spec: McSpec, projection: bool = False) -> CoverageRepor
     if projection:
         report.resolution = resolution
         report.projection_coverage = [float(proj_hits[j] / swept) if swept else 0.0 for j in range(spec.K)]
-        report.mean_lengths = [
-            (float(length_sums[j] / nonempty) if nonempty else None) for j in range(spec.K)
-        ]
+        filled = swept - empties
+        report.mean_lengths = [float(total / filled) if filled else None for total in length_sums]
         report.empty_rate = float(empties / swept) if swept else 0.0
     return report

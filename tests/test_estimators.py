@@ -698,8 +698,11 @@ def test_make_weight_model_argument_validation():
         make_weight_model(comps, influence, v_fixed=np.eye(3))  # v_fixed outside fixed mode
     with pytest.raises(ValueError, match=r"^v_fixed must have shape \(3, 3\), got \(2, 2\)$"):
         make_weight_model(comps, influence, mode="fixed", v_fixed=np.eye(2))
+    other = InfluenceSet(np.zeros((4, 2, 2)), np.zeros((4, 2)))
     with pytest.raises(ValueError, match="^influence dimension does not match components$"):
-        make_weight_model(comps, InfluenceSet(np.zeros((4, 2, 2)), np.zeros((4, 2))))
+        make_weight_model(comps, other)
+    with pytest.raises(ValueError, match="^influence dimension does not match components$"):
+        make_weight_model(comps, other, mode="fixed", v_fixed=np.eye(3))
     one = QuadraticComponents(H=np.eye(1), h=np.zeros(1))
     with pytest.raises(ValueError, match="^need at least two untreated groups for weights"):
         make_weight_model(one, InfluenceSet(np.zeros((4, 1, 1)), np.zeros((4, 1))))

@@ -1,5 +1,6 @@
 """Tests for the pointwise test, grid sweep, and subvector intervals."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,7 +10,9 @@ import pytest
 from simplexci import geometry, inference
 from simplexci.distributions import chi2_quantile, normal_quantile
 from simplexci.estimators import (
+    InfluenceSet,
     PanelData,
+    QuadraticComponents,
     bootstrap_variance,
     influence_set,
     make_weight_model,
@@ -368,10 +371,42 @@ def test_bonferroni_validation():
 
 
 def test_interval_type():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lower bound 2.0 exceeds upper bound 1.0$"):
         Interval(2.0, 1.0)
     assert Interval(1.0, 3.0).length == pytest.approx(2.0)
-    assert Interval.empty_interval().empty
+    assert not Interval(1.0, 3.0).empty
+    assert Interval().empty and math.isnan(Interval().lower) and math.isnan(Interval().upper)
+    assert Interval().length == 0.0
+    assert Interval() == Interval()
+    for lower, upper in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="^bounds must both be NaN or neither, got "):
+            Interval(lower, upper)
+    with pytest.raises(TypeError):
+        Interval(0.1, 0.2, True)  # no empty flag beside the bounds
+    assert [f.name for f in dataclasses.fields(Interval)] == ["lower", "upper"]
+
+
+def test_records_holding_arrays_compare_by_identity():
+    model, _ = panel_model()
+    cs = confidence_set(model, 0.05, resolution=4)
+    point = point_test(model, [0.2, 0.3, 0.5], 0.05)
+    comps = QuadraticComponents(H=np.eye(2), h=[0.0, 1.0])
+    influence = InfluenceSet(np.zeros((4, 2, 2)), np.zeros((4, 2)))
+    pairs = [
+        (comps, QuadraticComponents(H=np.eye(2), h=[0.0, 1.0])),
+        (influence, InfluenceSet(np.zeros((4, 2, 2)), np.zeros((4, 2)))),
+        (point, point_test(model, [0.2, 0.3, 0.5], 0.05)),
+        (cs, confidence_set(model, 0.05, resolution=4)),
+    ]
+    for record, twin in pairs:
+        assert record == record and record != twin
+        assert hash(record) == hash(record)
+        assert len({record, twin}) == 2
+    for name, value in (("alpha", 0.5), ("member_mask", cs.member_mask), ("errors", {})):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cs, name, value)
+    moved = dataclasses.replace(cs, alpha=0.01)
+    assert moved.alpha == 0.01 and cs.alpha == 0.05 and moved.grid is cs.grid
 
 
 def test_fixed_mode_reuses_one_covariance():

@@ -177,6 +177,7 @@ LOOP_CASES = {
     "K6 boundary": (McSpec(K=6, n_j=15, t0=8, design="boundary", reps=12, seed=4), False),
     "vertex": (McSpec(K=3, n_j=20, t0=6, reps=15, seed=5, w0_override=(0.0, 1.0, 0.0)), False),
     "projection": (McSpec(K=3, n_j=20, t0=6, reps=8, seed=11, grid_n=10), True),
+    "projection, some sets empty": (McSpec(K=3, n_j=50, t0=6, reps=20, seed=11, grid_n=3), True),
     "one rep": (McSpec(K=3, n_j=10, t0=1, reps=1, seed=6), False),
     "chunk plus one": (McSpec(K=3, n_j=2, t0=2, reps=456, seed=7), False),
 }

@@ -17,7 +17,7 @@ _spec.loader.exec_module(output_digest)
 def test_a_digest_is_the_sha256_of_the_cli_stdout(tmp_path, capsys):
     listed = list(output_digest.cases(str(tmp_path), smoke=True))
     names = [name for name, _ in listed]
-    assert len(set(names)) == 24
+    assert len(set(names)) == 27
     assert sum(name.startswith("simulate-k3 --projection") for name in names) == 3
     name, argv = listed[0]
     assert name == "infer-k3 seed=1 json"
